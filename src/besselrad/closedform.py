@@ -24,10 +24,15 @@ outside the wavenumber triangle via the step factor beta.
 `bare_integral` recovers the plain integral from the product by dividing
 out the exact 3j symbol; when the parity-selected l3 violates the triangle
 rule there is no closed form and `FormulaInapplicable` is raised; that is
-a genuine coverage boundary, not a failure.
+a genuine coverage boundary, not a failure.  `bare_integral_batch` gives
+the same values for many points of one order at once.
 
-Everything here is a pure function; parameter sweeps may call these
-concurrently without restriction.
+The coupling coefficients depend on the orders only.  Each (l1, l2, l3)
+set is compiled once into float factors (`_coupling_set`); the 40-digit
+rescue rebuilds the exact radicands from the Wigner symbol caches.
+
+Everything here is a pure function apart from those read-only caches;
+parameter sweeps may call these concurrently without restriction.
 """
 
 from __future__ import annotations
@@ -37,10 +42,12 @@ from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from enum import Enum
 from functools import lru_cache
-from typing import Optional
+from typing import NamedTuple, Optional, Sequence
+
+import numpy as np
 
 from . import specfun
-from .wigner import AngularMomenta3j, threej_000_nonzero, wigner_3j, wigner_6j
+from .wigner import AngularMomenta3j, WignerValue, threej_000_nonzero, wigner_3j, wigner_6j
 
 _LAMBDA_MAX = 20
 
@@ -73,13 +80,8 @@ class IntegralSpec:
 
     def __post_init__(self) -> None:
         for name in ("lambda1", "lambda2", "n"):
-            v = getattr(self, name)
-            if not isinstance(v, int) or v < 0:
-                raise ValueError(f"{name} must be a non-negative integer, got {v!r}")
-        for name in ("k1", "k2", "alpha"):
-            v = float(getattr(self, name))
-            if not (v > 0.0 and math.isfinite(v)):
-                raise ValueError(f"{name} must be positive and finite, got {v!r}")
+            object.__setattr__(self, name, _order(name, getattr(self, name), maximum=None))
+        _positive_finite(k1=float(self.k1), k2=float(self.k2), alpha=float(self.alpha))
 
     @property
     def y(self) -> float:
@@ -103,15 +105,8 @@ class ThreeBesselSpec:
 
     def __post_init__(self) -> None:
         for name in ("lambda1", "lambda2", "lambda3"):
-            v = getattr(self, name)
-            if not isinstance(v, int) or v < 0:
-                raise ValueError(f"{name} must be a non-negative integer, got {v!r}")
-            if v > _LAMBDA_MAX:
-                raise ValueError(f"{name}={v} exceeds the supported maximum {_LAMBDA_MAX}")
-        for name in ("k1", "k2", "k3"):
-            v = float(getattr(self, name))
-            if not (v > 0.0 and math.isfinite(v)):
-                raise ValueError(f"{name} must be positive and finite, got {v!r}")
+            object.__setattr__(self, name, _order(name, getattr(self, name)))
+        _positive_finite(k1=float(self.k1), k2=float(self.k2), k3=float(self.k3))
 
     @property
     def delta(self) -> float:
@@ -129,31 +124,63 @@ class EvalResult:
     oracle_error: Optional[float] = None
 
 
-def y_param(k1: float, k2: float, alpha: float) -> float:
-    """y = (k1^2 + k2^2 + alpha^2) / (2 k1 k2); strictly > 1 for alpha > 0."""
-    for name, v in (("k1", k1), ("k2", k2), ("alpha", alpha)):
+def _positive_finite(**values: float) -> None:
+    """Raise ValueError naming the first value that is not positive and finite."""
+    for name, v in values.items():
         if not (v > 0.0 and math.isfinite(v)):
             raise ValueError(f"{name} must be positive and finite, got {v!r}")
-    return (k1 * k1 + k2 * k2 + alpha * alpha) / (2.0 * k1 * k2)
+
+
+def _order(name: str, v, minimum: int = 0, maximum: Optional[int] = _LAMBDA_MAX) -> int:
+    """v as an int, if it is an integer (numpy integers included) in [minimum, maximum]."""
+    if not isinstance(v, (int, np.integer)) or v < minimum:
+        raise ValueError(f"{name} must be an integer >= {minimum}, got {v!r}")
+    if maximum is not None and v > maximum:
+        raise ValueError(f"{name}={v} exceeds the supported maximum {maximum}")
+    return int(v)
+
+
+def y_param(k1: float, k2: float, alpha: float) -> float:
+    """y = (k1^2 + k2^2 + alpha^2) / (2 k1 k2); strictly > 1 for alpha > 0.
+
+    Raises ValueError when the float arithmetic cannot hold that: the
+    squares overflow (y is NaN), underflow (0/0), or y rounds to 1.
+    """
+    _positive_finite(k1=k1, k2=k2, alpha=alpha)
+    num, den = k1 * k1 + k2 * k2 + alpha * alpha, 2.0 * k1 * k2
+    y = num / den if den > 0.0 else math.nan
+    if not (y > 1.0 and math.isfinite(y)):
+        raise ValueError(
+            f"y = (k1^2 + k2^2 + alpha^2) / (2 k1 k2) is {y!r} in float arithmetic, not a "
+            f"finite number above 1 (k1={k1!r}, k2={k2!r}, alpha={alpha!r})"
+        )
+    return y
 
 
 def condition_number(k1: float, k2: float, alpha: float) -> float:
     """Proximity to the k1 = k2, alpha -> 0 singularity: 1/(y - 1).
 
     Evaluated as 2 k1 k2 / ((k1 - k2)^2 + alpha^2), which is exact up to
-    rounding; forming y first and subtracting 1 would lose digits.
+    rounding; forming y first and subtracting 1 would lose digits.  Raises
+    ValueError when the float arithmetic gives no finite value.
     """
-    for name, v in (("k1", k1), ("k2", k2), ("alpha", alpha)):
-        if not (v > 0.0 and math.isfinite(v)):
-            raise ValueError(f"{name} must be positive and finite, got {v!r}")
-    return 2.0 * k1 * k2 / ((k1 - k2) ** 2 + alpha**2)
+    _positive_finite(k1=k1, k2=k2, alpha=alpha)
+    try:
+        den = (k1 - k2) ** 2 + alpha**2
+    except OverflowError:  # float ** raises where * gives inf; 1/(y - 1) tends to 0
+        den = math.inf
+    condition = 2.0 * k1 * k2 / den if den > 0.0 else math.inf
+    if not math.isfinite(condition):
+        raise ValueError(
+            f"1/(y - 1) = 2 k1 k2 / ((k1 - k2)^2 + alpha^2) is not finite in float "
+            f"arithmetic (k1={k1!r}, k2={k2!r}, alpha={alpha!r})"
+        )
+    return condition
 
 
 def delta_param(k1: float, k2: float, k3: float) -> float:
     """Triangle parameter (k1^2 + k2^2 - k3^2) / (2 k1 k2)."""
-    for name, v in (("k1", k1), ("k2", k2), ("k3", k3)):
-        if not (v > 0.0 and math.isfinite(v)):
-            raise ValueError(f"{name} must be positive and finite, got {v!r}")
+    _positive_finite(k1=k1, k2=k2, k3=k3)
     return (k1 * k1 + k2 * k2 - k3 * k3) / (2.0 * k1 * k2)
 
 
@@ -179,11 +206,8 @@ def laplace_single_bessel(lambda3: int, alpha: float, k3: float, offset: int) ->
     offset 1:  integral r^(l3+1) e^(-a r) j_l3(k r) dr = (2k)^l3 l3! / (k^2+a^2)^(l3+1)
     offset 2:  integral r^(l3+2) e^(-a r) j_l3(k r) dr = 2a (2k)^l3 (l3+1)! / (k^2+a^2)^(l3+2)
     """
-    if not isinstance(lambda3, int) or lambda3 < 0 or lambda3 > 50:
-        raise ValueError(f"lambda3 must be an integer in [0, 50], got {lambda3!r}")
-    for name, v in (("alpha", alpha), ("k3", k3)):
-        if not (v > 0.0 and math.isfinite(v)):
-            raise ValueError(f"{name} must be positive and finite, got {v!r}")
+    lambda3 = _order("lambda3", lambda3, maximum=50)
+    _positive_finite(alpha=alpha, k3=k3)
     if offset == 1:
         return (2.0 * k3) ** lambda3 * math.factorial(lambda3) / (k3 * k3 + alpha * alpha) ** (lambda3 + 1)
     if offset == 2:
@@ -212,21 +236,14 @@ def _phase(l1: int, l2: int, l3: int) -> float:
 
 
 @lru_cache(maxsize=None)
-def _w3j000(a: int, b: int, c: int) -> float:
-    return float(wigner_3j(AngularMomenta3j(a, b, c, 0, 0, 0)))
+def _w3j(a: int, b: int, c: int) -> WignerValue:
+    """The exact symbol (a b c; 0 0 0)."""
+    return wigner_3j(AngularMomenta3j(a, b, c, 0, 0, 0))
 
 
 @lru_cache(maxsize=None)
-def _w6j(j1: int, j2: int, j3: int, j4: int, j5: int, j6: int) -> float:
-    return float(wigner_6j(j1, j2, j3, j4, j5, j6))
-
-
-def _validate_lambdas(*lambdas: int) -> None:
-    for v in lambdas:
-        if not isinstance(v, int) or v < 0:
-            raise ValueError(f"angular order must be a non-negative integer, got {v!r}")
-        if v > _LAMBDA_MAX:
-            raise ValueError(f"angular order {v} exceeds the supported maximum {_LAMBDA_MAX}")
+def _w3j000(a: int, b: int, c: int) -> float:
+    return float(_w3j(a, b, c))
 
 
 def _coupling_terms(l1: int, l2: int, l3: int):
@@ -242,13 +259,72 @@ def _coupling_terms(l1: int, l2: int, l3: int):
                 continue
             if not threej_000_nonzero(l2, scr, l):
                 continue
-            w1 = wigner_3j(AngularMomenta3j(l1, l3 - scr, l, 0, 0, 0))
-            w2 = wigner_3j(AngularMomenta3j(l2, scr, l, 0, 0, 0))
+            w1 = _w3j(l1, l3 - scr, l)
+            w2 = _w3j(l2, scr, l)
             w6 = wigner_6j(l1, l2, l3, scr, l3 - scr, l)
             sign = w1.sign * w2.sign * w6.sign
             if sign == 0:
                 continue
             yield scr, l, sign, w1.radicand * w2.radicand * w6.radicand
+
+
+class _CouplingSet(NamedTuple):
+    """The nonzero terms of one (l1, l2, l3) coupling set, in float form.
+
+    Term i of the paper's double sum is
+        binom[i] * (k2/k1)^scr[i] * two_l1[i] * weight[i] * R(l[i], M, y),
+    multiplied in that order, with binom = sqrt(C(2 l3, 2 scr)),
+    two_l1 = 2 l + 1 and weight = sign * sqrt(radicand).  The sign is
+    exact, so folding it into the weight leaves every product unchanged.
+    """
+
+    index: np.ndarray     # (2, terms) ints: scr, l
+    factors: np.ndarray   # (3, terms) floats: binom, two_l1, weight
+    l_need: int           # largest l of the set
+
+
+@lru_cache(maxsize=None)
+def _coupling_set(l1: int, l2: int, l3: int) -> Optional[_CouplingSet]:
+    """The compiled coupling set of (l1, l2, l3), or None when it has no nonzero term."""
+    terms = list(_coupling_terms(l1, l2, l3))
+    if not terms:
+        return None
+    index = np.array([(scr, l) for scr, l, _, _ in terms]).T
+    factors = np.array([
+        (specfun.binomial_sqrt(2 * l3, 2 * scr), 2 * l + 1, sign * math.sqrt(float(rad)))
+        for scr, l, sign, rad in terms
+    ]).T
+    return _CouplingSet(index, factors, int(index[1].max()))
+
+
+def _contributions(cs: _CouplingSet, lambda3: int, ratio, rvals: np.ndarray) -> np.ndarray:
+    """The terms of the double sum, shape (terms,) + shape of ratio.
+
+    ratio = k2/k1 is a float or an array of points and rvals the matching
+    R(l, M, y) of `specfun.paper_q_combination_all`.  The powers of the
+    ratio are taken with float ** int, as a scalar evaluation would.
+    """
+    points = np.reshape(ratio, -1).tolist()
+    powers = np.array([[r**scr for r in points] for scr in range(lambda3 + 1)])
+    powers = powers.reshape((lambda3 + 1,) + np.shape(ratio))
+    scr, l = cs.index
+    binom, two_l1, weight = cs.factors.reshape(cs.factors.shape + (1,) * np.ndim(ratio))
+    return binom * powers[scr] * two_l1 * weight * rvals[l]
+
+
+def _prefactor(
+    lambda1: int, lambda2: int, lambda3: int, k1: float, k2: float, alpha: float, offset: int
+) -> float:
+    phase = _phase(lambda1, lambda2, lambda3)
+    if offset == 1:
+        return phase * math.sqrt(2 * lambda3 + 1) / (2.0 * k1 * k2 ** (lambda3 + 1))
+    return phase * alpha * math.sqrt(2 * lambda3 + 1) / (2.0 * k1 * k1 * k2 ** (lambda3 + 2))
+
+
+def _needs_rescue(peak: float, total: float, y: float) -> bool:
+    # the sum cancels catastrophically as y -> 1 with high lambda3; it is
+    # redone in 40-digit decimals when more than ~2 digits cancel
+    return peak > 100.0 * abs(total) and y - 1.0 >= 1e-6
 
 
 def two_bessel_product(
@@ -265,7 +341,8 @@ def two_bessel_product(
     Returns exact 0 (without touching any Q function) whenever
     lambda1 + lambda2 + lambda3 is odd, since the 3j weight then vanishes.
     """
-    _validate_lambdas(lambda1, lambda2, lambda3)
+    lambda1, lambda2 = _order("lambda1", lambda1), _order("lambda2", lambda2)
+    lambda3 = _order("lambda3", lambda3)
     if offset not in (1, 2):
         raise ValueError(f"offset must be 1 or 2, got {offset!r}")
     y = y_param(k1, k2, alpha)
@@ -273,35 +350,18 @@ def two_bessel_product(
     method = Method.EQ_2_8 if offset == 1 else Method.EQ_2_11
     if (lambda1 + lambda2 + lambda3) % 2 == 1:
         return EvalResult(0.0, method, condition)
+    cs = _coupling_set(lambda1, lambda2, lambda3)
+    if cs is None:
+        return EvalResult(0.0, method, condition)
 
     m_order = lambda3 + offset - 1
-    terms = list(_coupling_terms(lambda1, lambda2, lambda3))
-    if not terms:
-        return EvalResult(0.0, method, condition)
-    l_need = max(t[1] for t in terms)
-    rvals = specfun.paper_q_combination_all(l_need, m_order, y)
-
-    contribs = [
-        specfun.binomial_sqrt(2 * lambda3, 2 * scr)
-        * (k2 / k1) ** scr
-        * (2 * l + 1)
-        * sign
-        * math.sqrt(float(rad))
-        * rvals[l]
-        for scr, l, sign, rad in terms
-    ]
+    rvals = specfun.paper_q_combination_all(cs.l_need, m_order, y)
+    contribs = _contributions(cs, lambda3, k2 / k1, rvals).tolist()
     total = math.fsum(contribs)
-    # the sum cancels catastrophically as y -> 1 with high lambda3; redo it
-    # in 40-digit decimals when more than ~2 digits cancel
-    peak = max(abs(c) for c in contribs)
-    if peak > 100.0 * abs(total) and y - 1.0 >= 1e-6:
-        total = _decimal_weighted_sum(terms, lambda3, m_order, k1, k2, y, l_need)
-
-    phase = _phase(lambda1, lambda2, lambda3)
-    if offset == 1:
-        pref = phase * math.sqrt(2 * lambda3 + 1) / (2.0 * k1 * k2 ** (lambda3 + 1))
-    else:
-        pref = phase * alpha * math.sqrt(2 * lambda3 + 1) / (2.0 * k1 * k1 * k2 ** (lambda3 + 2))
+    if _needs_rescue(max(abs(c) for c in contribs), total, y):
+        terms = list(_coupling_terms(lambda1, lambda2, lambda3))
+        total = _decimal_weighted_sum(terms, lambda3, m_order, k1, k2, y, cs.l_need)
+    pref = _prefactor(lambda1, lambda2, lambda3, k1, k2, alpha, offset)
     return EvalResult(pref * total, method, condition)
 
 
@@ -322,7 +382,7 @@ def _decimal_weighted_sum(
 
 def two_bessel_equal_order(L: int, k1: float, k2: float, alpha: float) -> EvalResult:
     """Equal-order special case: integral r e^(-a r) j_L(k1 r) j_L(k2 r) dr = Q_L(y)/(2 k1 k2)."""
-    _validate_lambdas(L)
+    L = _order("L", L)
     y = y_param(k1, k2, alpha)
     value = specfun.legendre_q(L, y) / (2.0 * k1 * k2)
     return EvalResult(value, Method.EQ_2_9, condition_number(k1, k2, alpha))
@@ -342,15 +402,11 @@ def three_bessel_product(spec: ThreeBesselSpec) -> float:
     if beta == 0.0:
         return 0.0
     k1, k2, k3 = spec.k1, spec.k2, spec.k3
-    total = math.fsum(
-        specfun.binomial_sqrt(2 * l3, 2 * scr)
-        * (k2 / k1) ** scr
-        * (2 * l + 1)
-        * sign
-        * math.sqrt(float(rad))
-        * specfun.legendre_p(l, delta)
-        for scr, l, sign, rad in _coupling_terms(l1, l2, l3)
-    )
+    cs = _coupling_set(l1, l2, l3)
+    total = 0.0
+    if cs is not None:
+        pvals = np.array([specfun.legendre_p(l, delta) for l in range(cs.l_need + 1)])
+        total = math.fsum(_contributions(cs, l3, k2 / k1, pvals).tolist())
     pref = (
         math.pi * beta / (4.0 * k1 * k2 * k3)
         * _phase(l1, l2, l3)
@@ -360,18 +416,17 @@ def three_bessel_product(spec: ThreeBesselSpec) -> float:
     return pref * total
 
 
-def bare_integral(n: int, lambda1: int, lambda2: int, k1: float, k2: float, alpha: float) -> EvalResult:
-    """integral_0^inf r^n e^(-alpha r) j_l1(k1 r) j_l2(k2 r) dr, n >= 1.
+def coupling_route(n: int, lambda1: int, lambda2: int) -> tuple[int, int]:
+    """The coupling order l3 and offset (n = l3 + offset) of the closed form for r^n.
 
-    Exactly one of l3 = n-1 (power route l3+1) or l3 = n-2 (power route
-    l3+2, needs n >= 2) has even total parity with lambda1 + lambda2; the
-    chosen l3 must additionally satisfy the triangle rule, otherwise the
-    3j weight vanishes, the product carries no information about the bare
-    integral, and FormulaInapplicable is raised.
+    Exactly one of l3 = n-1 (offset 1) or l3 = n-2 (offset 2, needs n >= 2)
+    has even total parity with lambda1 + lambda2; the chosen l3 must also
+    satisfy the triangle rule, otherwise the 3j weight vanishes, the
+    product carries no information about the bare integral, and
+    FormulaInapplicable is raised.
     """
-    if not isinstance(n, int) or n < 1:
-        raise ValueError(f"n must be an integer >= 1, got {n!r}")
-    _validate_lambdas(lambda1, lambda2)
+    n = _order("n", n, minimum=1, maximum=None)
+    lambda1, lambda2 = _order("lambda1", lambda1), _order("lambda2", lambda2)
     if (lambda1 + lambda2 + n - 1) % 2 == 0:
         lambda3, offset = n - 1, 1
     elif n >= 2:
@@ -385,9 +440,78 @@ def bare_integral(n: int, lambda1: int, lambda2: int, k1: float, k2: float, alph
             f"no closed form: parity selects l3={lambda3}, which violates the "
             f"triangle rule for lambda1={lambda1}, lambda2={lambda2}"
         )
+    return lambda3, offset
+
+
+def bare_integral(n: int, lambda1: int, lambda2: int, k1: float, k2: float, alpha: float) -> EvalResult:
+    """integral_0^inf r^n e^(-alpha r) j_l1(k1 r) j_l2(k2 r) dr, n >= 1.
+
+    The closed form follows `coupling_route`; the product is divided by
+    the exact 3j symbol (l1 l2 l3; 0 0 0).
+    """
+    lambda3, offset = coupling_route(n, lambda1, lambda2)
+    lambda1, lambda2 = int(lambda1), int(lambda2)
     if offset == 1 and lambda3 == 0:
         # triangle forces lambda1 == lambda2 here; use the direct Q_L form
         return two_bessel_equal_order(lambda1, k1, k2, alpha)
     product = two_bessel_product(lambda1, lambda2, lambda3, k1, k2, alpha, offset)
     w = _w3j000(lambda1, lambda2, lambda3)
     return EvalResult(product.value / w, product.method, product.condition)
+
+
+def bare_integral_batch(
+    n: int,
+    lambda1: int,
+    lambda2: int,
+    k1: Sequence[float],
+    k2: Sequence[float],
+    alpha: Sequence[float],
+) -> tuple[Method, list[float]]:
+    """`bare_integral` at the points (k1[i], k2[i], alpha[i]) of one order.
+
+    Returns the route's method and the values, equal bit for bit to
+    `bare_integral(n, lambda1, lambda2, k1[i], k2[i], alpha[i]).value`.
+    The Q recurrences and the double sum run over all points at once.  A
+    point outside the batch's float regime (an invalid input, y - 1 below
+    1e-6, a non-finite term) takes `bare_integral` itself, so every error
+    is the one `bare_integral` raises: for the order first, then for the
+    first failing point.  A sum that cancels takes the same 40-digit
+    rescue as in `two_bessel_product`.
+    """
+    lambda3, offset = coupling_route(n, lambda1, lambda2)
+    lambda1, lambda2 = int(lambda1), int(lambda2)
+    k1, k2, alpha = (np.asarray(v, dtype=float) for v in (k1, k2, alpha))
+    with np.errstate(all="ignore"):
+        y = (k1 * k1 + k2 * k2 + alpha * alpha) / (2.0 * k1 * k2)
+        fast = (k1 > 0.0) & (k2 > 0.0) & (alpha > 0.0) & np.isfinite(y) & (y - 1.0 >= 1e-6)
+    values = np.empty_like(y)
+    live = np.flatnonzero(fast)
+    k1s, k2s, alphas, ys = k1[live], k2[live], alpha[live], y[live]
+    if offset == 1 and lambda3 == 0:
+        method = Method.EQ_2_9
+        values[live] = specfun.legendre_q_all(lambda1, ys)[lambda1] / (2.0 * k1s * k2s)
+    else:
+        method = Method.EQ_2_8 if offset == 1 else Method.EQ_2_11
+        cs = _coupling_set(lambda1, lambda2, lambda3)
+        w = _w3j000(lambda1, lambda2, lambda3)
+        m_order = lambda3 + offset - 1
+        rvals = specfun.paper_q_combination_all(cs.l_need, m_order, ys)
+        with np.errstate(over="ignore", invalid="ignore"):
+            contribs = _contributions(cs, lambda3, k2s / k1s, rvals)
+        finite = np.isfinite(contribs).all(axis=0).tolist()
+        peaks = np.abs(contribs).max(axis=0).tolist()
+        exact_terms = None
+        points = zip(live.tolist(), contribs.T.tolist(), finite, peaks,
+                     k1s.tolist(), k2s.tolist(), alphas.tolist(), ys.tolist())
+        for i, terms, is_finite, peak, a, b, c, yi in points:
+            if not is_finite:
+                fast[i] = False
+                continue
+            total = math.fsum(terms)
+            if _needs_rescue(peak, total, yi):
+                exact_terms = exact_terms or list(_coupling_terms(lambda1, lambda2, lambda3))
+                total = _decimal_weighted_sum(exact_terms, lambda3, m_order, a, b, yi, cs.l_need)
+            values[i] = _prefactor(lambda1, lambda2, lambda3, a, b, c, offset) * total / w
+    for i in np.flatnonzero(~fast).tolist():
+        values[i] = bare_integral(n, lambda1, lambda2, k1[i].item(), k2[i].item(), alpha[i].item()).value
+    return method, values.tolist()

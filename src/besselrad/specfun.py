@@ -28,6 +28,9 @@ Stability choices:
   differentiating (y^2 - 1) Q_L' = L (y Q_L - Q_{L-1}) M times; no numeric
   differentiation.
 
+The Q recurrences take y as a float or as an array of points; an array
+gets the same operations at each point, so batching changes no value.
+
 All functions are pure; the only module state is read-only quadrature
 nodes, so everything is safe for concurrent use.
 """
@@ -252,23 +255,37 @@ def _q_quadrature(lmax: int, y: float) -> np.ndarray:
     return out
 
 
-def legendre_q_all(lmax: int, y: float) -> np.ndarray:
-    """Q_0(y) .. Q_lmax(y) as an array, y > 1."""
-    if y - 1.0 < 1e-6:
-        return _q_quadrature(lmax, y)
-    q0 = math.atanh(1.0 / y)
-    out = np.empty(lmax + 1)
-    out[0] = q0
+def _pointwise(fn, y):
+    """fn at a float y, or at each point of a float64 array y."""
+    if np.ndim(y) == 0:
+        return fn(y)
+    return np.array([fn(v) for v in y.tolist()])
+
+
+def legendre_q_all(lmax: int, y) -> np.ndarray:
+    """Q_0(y) .. Q_lmax(y) along the first axis, y > 1.
+
+    y is a float or a float64 array of points with y - 1 >= 1e-6.  An array
+    takes the same operations point by point as a float (the continued
+    fraction and Q_0 run per point, the recurrence elementwise), so its
+    values equal the float ones bit for bit.
+    """
+    if np.ndim(y) == 0:
+        if y - 1.0 < 1e-6:
+            return _q_quadrature(lmax, y)
+    elif not np.all(y - 1.0 >= 1e-6):
+        raise ValueError("an array of points needs y - 1 >= 1e-6 at every point")
+    out = np.empty((lmax + 1,) + np.shape(y))
+    out[0] = _pointwise(lambda v: math.atanh(1.0 / v), y)
     if lmax == 0:
         return out
-    ratios = np.empty(lmax + 1)
-    r = _q_ratio_cf(lmax + 1, y)
+    r = _pointwise(lambda v: _q_ratio_cf(lmax + 1, v), y)
     for l in range(lmax, 0, -1):
         r = l / ((2 * l + 1) * y - (l + 1) * r)
-        ratios[l] = r
+        out[l] = r
+    # out[l] holds Q_l/Q_{l-1}; the running product turns the ratios into Q_l
     with np.errstate(under="ignore"):
-        for l in range(1, lmax + 1):
-            out[l] = out[l - 1] * ratios[l]
+        np.multiply.accumulate(out, axis=0, out=out)
     return out
 
 
@@ -284,28 +301,33 @@ def legendre_q(L: int, y: float) -> float:
     return float(legendre_q_all(L, y)[L])
 
 
-def paper_q_combination_all(lmax: int, M: int, y: float) -> np.ndarray:
-    """R(l, M, y) = (-1)^M d^M Q_l/dy^M for l = 0..lmax, as an array."""
+def paper_q_combination_all(lmax: int, M: int, y) -> np.ndarray:
+    """R(l, M, y) = (-1)^M d^M Q_l/dy^M for l = 0..lmax along the first axis.
+
+    y is a float or a float64 array of points, as for `legendre_q_all`.
+    Each derivative order is a few array operations over l (and the
+    points); they are the per-l products of the recurrence in the same
+    order, so the values do not depend on the shape of y.
+    """
     q = legendre_q_all(lmax, y)
     if M == 0:
         return q
     ym1 = y * y - 1.0
+    ls = np.arange(1.0, lmax + 1.0).reshape((-1,) + (1,) * np.ndim(y))
     d_prev = q                                  # order m - 1
-    d_curr = np.empty(lmax + 1)                 # order m
+    d_curr = np.empty_like(q)                   # order m
     d_curr[0] = -1.0 / ym1
-    for l in range(1, lmax + 1):
-        d_curr[l] = l * (y * d_prev[l] - d_prev[l - 1]) / ym1
+    d_curr[1:] = ls * (y * d_prev[1:] - d_prev[:-1]) / ym1
     for m in range(1, M):
-        d_next = np.empty(lmax + 1)
+        d_next = np.empty_like(q)
         d_next[0] = (-2 * m * y * d_curr[0] - m * (m - 1) * d_prev[0]) / ym1
-        for l in range(1, lmax + 1):
-            d_next[l] = (
-                l * (y * d_curr[l] + m * d_prev[l] - d_curr[l - 1])
-                - 2 * m * y * d_curr[l]
-                - m * (m - 1) * d_prev[l]
-            ) / ym1
+        d_next[1:] = (
+            ls * (y * d_curr[1:] + m * d_prev[1:] - d_curr[:-1])
+            - 2 * m * y * d_curr[1:]
+            - m * (m - 1) * d_prev[1:]
+        ) / ym1
         d_prev, d_curr = d_curr, d_next
-    return -d_curr if M % 2 else d_curr.copy()
+    return -d_curr if M % 2 else d_curr
 
 
 def paper_q_combination(L: int, M: int, y: float) -> float:

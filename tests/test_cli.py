@@ -1,11 +1,13 @@
+import itertools
 import json
 import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from besselrad import cli
+from besselrad import cli, closedform
 
 LOG5_OVER_4 = 0.25 * math.log(5.0)
 
@@ -77,6 +79,14 @@ class TestEval:
         with pytest.raises(SystemExit) as exc:
             cli.main(["eval", "--lambda1", "0"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("k", [["--k1", "1e200", "--k2", "1e200"], ["--k1", "1e-170", "--k2", "1e-170"]])
+    def test_wavenumbers_out_of_float_range_exit_2(self, capsys, k):
+        alpha = "1" if k[1] == "1e200" else "1e-170"
+        argv = ["eval", "--lambda1", "0", "--lambda2", "1", "--power", "2", *k, "--alpha", alpha]
+        code, out, err = run_cli(capsys, argv)
+        assert code == 2
+        assert out == "" and err.startswith("error: ") and "float arithmetic" in err
 
     def test_nonconvergence_exit_4(self, capsys, monkeypatch):
         monkeypatch.setenv("BESSELRAD_PANEL_BUDGET", "200")
@@ -182,6 +192,89 @@ class TestTable:
                 "--power", "1", "--k1", "1", "--k2", "1",
                 "--out", "/nonexistent-dir/x.csv", "--quiet"]
         assert run_cli(capsys, argv)[0] == 5
+
+
+def reference_table(sweeps, fixed):
+    """The CSV `table` must write, evaluated row by row with bare_integral."""
+    axes = []
+    for name, start, stop, count in sweeps:
+        values = [float(v) for v in np.linspace(start, stop, count)]
+        axes.append((name, [int(round(v)) for v in values] if name in cli.INT_PARAMS else values))
+    lines = ["lambda1,lambda2,power,k1,k2,alpha,value,method,condition"]
+    for combo in itertools.product(*[values for _, values in axes]):
+        p = {**fixed, **dict(zip([name for name, _ in axes], combo))}
+        l1, l2, n = int(p["lambda1"]), int(p["lambda2"]), int(p["power"])
+        k1, k2, alpha = float(p["k1"]), float(p["k2"]), float(p["alpha"])
+        try:
+            res = closedform.bare_integral(n, l1, l2, k1, k2, alpha)
+            value, method = format(res.value, ".17g"), res.method.value
+        except closedform.FormulaInapplicable:
+            value, method = "NA", "NA"
+        cells = [str(l1), str(l2), str(n)] + [format(v, ".17g") for v in (k1, k2, alpha)]
+        cond = format(closedform.condition_number(k1, k2, alpha), ".17g")
+        lines.append(",".join(cells + [value, method, cond]))
+    return "\n".join(lines) + "\n"
+
+
+def table_argv(sweeps, fixed, out_path):
+    argv = ["table", "--out", str(out_path), "--quiet"]
+    for name, start, stop, count in sweeps:
+        argv += ["--sweep", f"{name}={start!r}:{stop!r}:{count}"]
+    for name, v in fixed.items():
+        argv += [f"--{name}", repr(v)]
+    return argv
+
+
+class TestTableBatches:
+    """`table` evaluates orders with BATCH_MIN_ROWS rows or more as batches; the rows must not change."""
+
+    CASES = [
+        # equal order, power l3 + 1 and power l3 + 2, 150 rows each
+        ([("k2", 0.2, 0.4, 10), ("alpha", 0.1, 2.5, 15)], {"lambda1": 2, "lambda2": 2, "power": 1, "k1": 1.3}),
+        ([("k2", 2.7, 5.0, 10), ("alpha", 0.1, 2.5, 15)], {"lambda1": 3, "lambda2": 4, "power": 2, "k1": 0.8}),
+        ([("k2", 2.7, 5.0, 10), ("alpha", 0.1, 2.5, 15)], {"lambda1": 1, "lambda2": 3, "power": 4, "k1": 0.8}),
+        # rows that take the 40-digit rescue
+        ([("k2", 2.6, 3.6, 5)], {"lambda1": 4, "lambda2": 2, "power": 3, "k1": 1.0, "alpha": 0.5}),
+        # y - 1 below 1e-6 on some rows: the near-unity Q path
+        ([("alpha", 1e-4, 1e-2, 7)], {"lambda1": 1, "lambda2": 1, "power": 2, "k1": 1.0, "k2": 1.0}),
+        # lambda2 and power sweeps as in order_scan: NA rows, one row per order
+        ([("lambda2", 0, 6, 7), ("power", 1, 9, 9)], {"lambda1": 3, "k1": 1.1, "k2": 0.9, "alpha": 0.7}),
+        # the same orders with 3 and 4 rows each, below and at the batch threshold
+        ([("power", 1, 6, 6), ("alpha", 0.5, 1.5, cli.BATCH_MIN_ROWS - 1)],
+         {"lambda1": 2, "lambda2": 3, "k1": 1.0, "k2": 1.7}),
+        ([("power", 1, 6, 6), ("alpha", 0.5, 1.5, cli.BATCH_MIN_ROWS)],
+         {"lambda1": 2, "lambda2": 3, "k1": 1.0, "k2": 1.7}),
+    ]
+
+    @pytest.mark.parametrize("sweeps,fixed", CASES)
+    def test_rows_equal_row_by_row_reference(self, capsys, tmp_path, sweeps, fixed):
+        out_path = tmp_path / "t.csv"
+        assert run_cli(capsys, table_argv(sweeps, fixed, out_path)) == (0, "", "")
+        assert out_path.read_text(encoding="utf-8") == reference_table(sweeps, fixed)
+
+    def test_orders_are_batched(self, capsys, tmp_path, monkeypatch):
+        calls = []
+        batch = closedform.bare_integral_batch
+        monkeypatch.setattr(closedform, "bare_integral_batch", lambda *a: calls.append(a) or batch(*a))
+        for sweeps, fixed in self.CASES[-2:]:
+            calls.clear()
+            run_cli(capsys, table_argv(sweeps, fixed, tmp_path / "t.csv"))
+            rows = sweeps[1][3]
+            assert len(calls) == (6 if rows >= cli.BATCH_MIN_ROWS else 0)
+
+    @pytest.mark.parametrize("sweeps,fixed", [
+        # y rounds to 1 on the last alpha of both batched orders
+        ([("alpha", 1.0, 1e-9, 5), ("power", 1, 2, 2)], {"lambda1": 1, "lambda2": 1, "k1": 1.0, "k2": 1.0}),
+        # y overflows from the second k2 on
+        ([("k2", 1.0, 1e200, 5), ("power", 2, 3, 2)], {"lambda1": 1, "lambda2": 0, "k1": 1.0, "alpha": 1.0}),
+    ])
+    def test_bad_point_in_batch_matches_row_by_row(self, capsys, tmp_path, monkeypatch, sweeps, fixed):
+        batched = run_cli(capsys, table_argv(sweeps, fixed, tmp_path / "a.csv"))
+        monkeypatch.setattr(cli, "BATCH_MIN_ROWS", 10**9)
+        row_by_row = run_cli(capsys, table_argv(sweeps, fixed, tmp_path / "b.csv"))
+        assert batched == row_by_row
+        assert batched[0] == 2 and batched[2].startswith("error: ")
+        assert not (tmp_path / "a.csv").exists()
 
 
 class TestWignerCommands:

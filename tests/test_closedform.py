@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -261,3 +262,139 @@ class TestDataTypes:
     def test_eval_result_fields(self):
         res = EvalResult(1.0, Method.EQ_2_8, 2.0)
         assert res.oracle_value is None and res.oracle_error is None
+
+
+class TestOrderValidation:
+    def test_numpy_integer_orders(self):
+        expected = bare_integral(2, 0, 1, 1.0, 2.0, 0.5)
+        assert bare_integral(2, np.int64(0), np.int64(1), 1.0, 2.0, 0.5) == expected
+        assert bare_integral(np.int64(2), 0, 1, 1.0, 2.0, 0.5) == expected
+        spec = IntegralSpec(np.int64(1), np.int32(2), 1.0, 2.0, 0.5, np.int64(3))
+        assert (spec.lambda1, spec.lambda2, spec.n) == (1, 2, 3)
+        assert type(spec.n) is int
+        three = ThreeBesselSpec(np.int64(1), np.int64(1), np.int64(2), 1.0, 1.0, 1.5)
+        assert three_bessel_product(three) == three_bessel_product(ThreeBesselSpec(1, 1, 2, 1.0, 1.0, 1.5))
+
+    @pytest.mark.parametrize("bad", [-1, 1.0, "1", None, 21])
+    def test_rejected_orders(self, bad):
+        with pytest.raises(ValueError):
+            bare_integral(2, bad, 1, 1.0, 2.0, 0.5)
+        with pytest.raises(ValueError):
+            two_bessel_product(bad, 1, 1, 1.0, 2.0, 0.5, 1)
+
+    def test_rejected_power(self):
+        for n in (0, -1, 2.0):
+            with pytest.raises(ValueError):
+                bare_integral(n, 0, 1, 1.0, 2.0, 0.5)
+
+
+class TestFloatRange:
+    """y and 1/(y - 1) outside float range give ValueError, never another error."""
+
+    @pytest.mark.parametrize("k1,k2,alpha", [
+        (1e200, 1e200, 1.0),      # the squares overflow: y is NaN
+        (1e-170, 1e-170, 1e-170),  # the squares and 2 k1 k2 underflow: 0/0
+        (1.0, 1.0, 1e-9),          # y rounds to 1
+        (1e200, 1.0, 1.0),         # y overflows to inf
+    ])
+    def test_y_param_typed_error(self, k1, k2, alpha):
+        with pytest.raises(ValueError, match="float arithmetic"):
+            y_param(k1, k2, alpha)
+
+    def test_bare_integral_tiny_wavenumbers(self):
+        with pytest.raises(ValueError, match="float arithmetic"):
+            bare_integral(1, 0, 0, 1e-170, 1e-170, 1e-170)
+
+    def test_condition_number(self):
+        with pytest.raises(ValueError, match="not finite"):
+            closedform.condition_number(1e-170, 1e-170, 1e-170)
+        with pytest.raises(ValueError, match="not finite"):
+            closedform.condition_number(1e200, 1e200, 1.0)
+        assert closedform.condition_number(1e200, 1.0, 1.0) == 0.0
+        assert closedform.condition_number(1.0, 1.0, 1e-9) == pytest.approx(2e18, rel=1e-15)
+
+
+class TestCouplingRoute:
+    @given(st.integers(0, 20), st.integers(0, 20), st.integers(1, 30))
+    def test_parity_and_triangle(self, l1, l2, n):
+        l3 = n - 1 if (l1 + l2 + n - 1) % 2 == 0 else n - 2
+        if l3 < 0 or not abs(l1 - l2) <= l3 <= l1 + l2:
+            with pytest.raises(FormulaInapplicable):
+                closedform.coupling_route(n, l1, l2)
+            return
+        assert closedform.coupling_route(n, l1, l2) == (l3, n - l3)
+
+
+class TestCouplingSet:
+    @pytest.mark.parametrize("l1", range(7))
+    def test_reproduces_coupling_terms(self, l1):
+        for l2 in range(7):
+            for l3 in range(abs(l1 - l2), l1 + l2 + 1, 2):
+                terms = list(closedform._coupling_terms(l1, l2, l3))
+                cs = closedform._coupling_set(l1, l2, l3)
+                if not terms:
+                    assert cs is None
+                    continue
+                assert cs.index.tolist() == [[t[0] for t in terms], [t[1] for t in terms]]
+                binom, two_l1, weight = cs.factors.tolist()
+                assert binom == [specfun.binomial_sqrt(2 * l3, 2 * t[0]) for t in terms]
+                assert two_l1 == [float(2 * t[1] + 1) for t in terms]
+                assert weight == [t[2] * math.sqrt(float(t[3])) for t in terms]
+                assert cs.l_need == max(t[1] for t in terms)
+
+
+def _scalar_values(n, l1, l2, k1, k2, alpha):
+    return [bare_integral(n, l1, l2, a, b, c).value for a, b, c in zip(k1, k2, alpha)]
+
+
+class TestBareIntegralBatch:
+    @given(
+        st.integers(0, 6), st.integers(0, 6), st.integers(1, 12),
+        st.lists(
+            st.tuples(st.floats(0.3, 3.0), st.floats(0.3, 3.0), st.floats(1e-4, 3.0)),
+            min_size=1, max_size=12,
+        ),
+    )
+    def test_equals_scalar_bit_for_bit(self, l1, l2, n, points):
+        k1, k2, alpha = (list(v) for v in zip(*points))
+        try:
+            expected = _scalar_values(n, l1, l2, k1, k2, alpha)
+        except FormulaInapplicable:
+            with pytest.raises(FormulaInapplicable):
+                closedform.bare_integral_batch(n, l1, l2, k1, k2, alpha)
+            return
+        method, values = closedform.bare_integral_batch(n, l1, l2, k1, k2, alpha)
+        assert method is bare_integral(n, l1, l2, k1[0], k2[0], alpha[0]).method
+        assert [v.hex() for v in values] == [v.hex() for v in expected]
+
+    def test_rescue_and_near_unity_points(self, monkeypatch):
+        # (4, 2, 3) at k2/k1 in [2.6, 3.6], alpha 0.5 cancels and takes the
+        # 40-digit rescue; y - 1 < 1e-6 at k1 = k2, alpha <= 1e-3 takes the
+        # scalar near-unity Q path
+        rescues = []
+        dec = specfun.paper_q_combination_all_dec
+        monkeypatch.setattr(specfun, "paper_q_combination_all_dec",
+                            lambda *a, **k: rescues.append(a) or dec(*a, **k))
+        k1 = [1.0] * 8
+        k2 = [2.6, 3.0, 3.3, 3.6, 1.0, 1.0, 1.0, 1.0]
+        alpha = [0.5, 0.5, 0.5, 0.5, 1e-3, 5e-4, 1e-2, 1.0]
+        for n, l1, l2 in ((3, 4, 2), (1, 3, 3), (2, 1, 1)):
+            rescues.clear()
+            _, values = closedform.bare_integral_batch(n, l1, l2, k1, k2, alpha)
+            expected = _scalar_values(n, l1, l2, k1, k2, alpha)
+            assert [v.hex() for v in values] == [v.hex() for v in expected]
+        rescues.clear()
+        closedform.bare_integral_batch(3, 4, 2, k1, k2, alpha)
+        assert rescues
+
+    def test_errors_match_scalar(self):
+        with pytest.raises(FormulaInapplicable):
+            closedform.bare_integral_batch(1, 2, 0, [1.0], [1.0], [1.0])
+        with pytest.raises(ValueError, match="lambda1"):
+            closedform.bare_integral_batch(2, -1, 1, [1.0], [1.0], [1.0])
+        k1, k2, alpha = [1.0, 1.0, 1.0, 1.0], [1.0, 2.0, 1.0, 1.0], [1.0, -1.0, 1e-9, 0.5]
+        with pytest.raises(ValueError) as batch_err:
+            closedform.bare_integral_batch(2, 0, 1, k1, k2, alpha)
+        with pytest.raises(ValueError) as scalar_err:
+            _scalar_values(2, 0, 1, k1, k2, alpha)
+        assert str(batch_err.value) == str(scalar_err.value) == "alpha must be positive and finite, got -1.0"

@@ -197,6 +197,59 @@ class TestPaperQCombination:
             paper_q_combination(2, -1, 2.0)
 
 
+def q_combination_loop(lmax, M, y):
+    """Reference: the Q ratio and derivative recurrences one l at a time, in floats."""
+    q = [math.atanh(1.0 / y)] + [0.0] * lmax
+    ratios = [0.0] * (lmax + 1)
+    r = specfun._q_ratio_cf(lmax + 1, y) if lmax else 0.0
+    for l in range(lmax, 0, -1):
+        r = l / ((2 * l + 1) * y - (l + 1) * r)
+        ratios[l] = r
+    for l in range(1, lmax + 1):
+        q[l] = q[l - 1] * ratios[l]
+    if M == 0:
+        return q
+    ym1 = y * y - 1.0
+    d_prev = q
+    d_curr = [-1.0 / ym1] + [l * (y * d_prev[l] - d_prev[l - 1]) / ym1 for l in range(1, lmax + 1)]
+    for m in range(1, M):
+        d_next = [(-2 * m * y * d_curr[0] - m * (m - 1) * d_prev[0]) / ym1] + [
+            (l * (y * d_curr[l] + m * d_prev[l] - d_curr[l - 1])
+             - 2 * m * y * d_curr[l] - m * (m - 1) * d_prev[l]) / ym1
+            for l in range(1, lmax + 1)
+        ]
+        d_prev, d_curr = d_curr, d_next
+    return [-v for v in d_curr] if M % 2 else d_curr
+
+
+class TestPointArrays:
+    """The Q recurrences over an array of points equal the float form bit for bit."""
+
+    @given(
+        st.integers(0, 30), st.integers(0, 20),
+        st.lists(st.floats(-5.9, 2.0), min_size=1, max_size=20),
+    )
+    def test_array_equals_float_and_loop(self, lmax, M, log_gaps):
+        ys = 1.0 + 10.0 ** np.array(log_gaps)
+        with np.errstate(over="ignore", under="ignore"):
+            arr = specfun.paper_q_combination_all(lmax, M, ys)
+            for j, y in enumerate(ys.tolist()):
+                scalar = specfun.paper_q_combination_all(lmax, M, y)
+                reference = np.array(q_combination_loop(lmax, M, y))
+                assert scalar.tobytes() == reference.tobytes()
+                assert arr[:, j].tobytes() == scalar.tobytes()
+
+    def test_legendre_q_all_shape(self):
+        ys = np.array([1.5, 2.0, 10.0])
+        q = specfun.legendre_q_all(4, ys)
+        assert q.shape == (5, 3)
+        assert [q[4, j] for j in range(3)] == [legendre_q(4, y) for y in ys.tolist()]
+
+    def test_array_needs_continued_fraction_regime(self):
+        with pytest.raises(ValueError):
+            specfun.legendre_q_all(3, np.array([2.0, 1.0 + 1e-7]))
+
+
 class TestBinomialSqrt:
     def test_small_cases(self):
         assert binomial_sqrt(4, 2) == pytest.approx(math.sqrt(6), rel=1e-15)

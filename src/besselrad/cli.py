@@ -14,6 +14,7 @@ timestamped is ever printed.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import math
 import sys
@@ -586,9 +587,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The process's one parser, built on first use; parsing leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     return args.func(args)
 
 

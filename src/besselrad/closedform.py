@@ -312,13 +312,24 @@ def _contributions(cs: _CouplingSet, lambda3: int, ratio, rvals: np.ndarray) -> 
     return binom * powers[scr] * two_l1 * weight * rvals[l]
 
 
+def _float_range_error(k1: float, k2: float, alpha: float) -> ValueError:
+    return ValueError(
+        f"the closed form's powers of k1 and k2 or its terms leave the float range "
+        f"(k1={k1!r}, k2={k2!r}, alpha={alpha!r})"
+    )
+
+
 def _prefactor(
     lambda1: int, lambda2: int, lambda3: int, k1: float, k2: float, alpha: float, offset: int
 ) -> float:
+    """The factor before the double sum; ValueError when a power of k2 leaves the float range."""
     phase = _phase(lambda1, lambda2, lambda3)
-    if offset == 1:
-        return phase * math.sqrt(2 * lambda3 + 1) / (2.0 * k1 * k2 ** (lambda3 + 1))
-    return phase * alpha * math.sqrt(2 * lambda3 + 1) / (2.0 * k1 * k1 * k2 ** (lambda3 + 2))
+    try:
+        if offset == 1:
+            return phase * math.sqrt(2 * lambda3 + 1) / (2.0 * k1 * k2 ** (lambda3 + 1))
+        return phase * alpha * math.sqrt(2 * lambda3 + 1) / (2.0 * k1 * k1 * k2 ** (lambda3 + 2))
+    except (OverflowError, ZeroDivisionError):
+        raise _float_range_error(k1, k2, alpha) from None
 
 
 def _needs_rescue(peak: float, total: float, y: float) -> bool:
@@ -356,12 +367,16 @@ def two_bessel_product(
 
     m_order = lambda3 + offset - 1
     rvals = specfun.paper_q_combination_all(cs.l_need, m_order, y)
-    contribs = _contributions(cs, lambda3, k2 / k1, rvals).tolist()
+    pref = _prefactor(lambda1, lambda2, lambda3, k1, k2, alpha, offset)
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            contribs = _contributions(cs, lambda3, k2 / k1, rvals).tolist()
+    except ArithmeticError:  # float ** int overflow, or numpy's FloatingPointError
+        raise _float_range_error(k1, k2, alpha) from None
     total = math.fsum(contribs)
     if _needs_rescue(max(abs(c) for c in contribs), total, y):
         terms = list(_coupling_terms(lambda1, lambda2, lambda3))
         total = _decimal_weighted_sum(terms, lambda3, m_order, k1, k2, y, cs.l_need)
-    pref = _prefactor(lambda1, lambda2, lambda3, k1, k2, alpha, offset)
     return EvalResult(pref * total, method, condition)
 
 
@@ -496,14 +511,21 @@ def bare_integral_batch(
         w = _w3j000(lambda1, lambda2, lambda3)
         m_order = lambda3 + offset - 1
         rvals = specfun.paper_q_combination_all(cs.l_need, m_order, ys)
-        with np.errstate(over="ignore", invalid="ignore"):
-            contribs = _contributions(cs, lambda3, k2s / k1s, rvals)
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                contribs = _contributions(cs, lambda3, k2s / k1s, rvals)
+        except OverflowError:  # a power of k2/k1 leaves the float range: no point is fast
+            contribs = np.full(cs.index.shape[1:] + ys.shape, math.inf)
         finite = np.isfinite(contribs).all(axis=0).tolist()
         peaks = np.abs(contribs).max(axis=0).tolist()
         exact_terms = None
         points = zip(live.tolist(), contribs.T.tolist(), finite, peaks,
                      k1s.tolist(), k2s.tolist(), alphas.tolist(), ys.tolist())
         for i, terms, is_finite, peak, a, b, c, yi in points:
+            try:
+                pref = _prefactor(lambda1, lambda2, lambda3, a, b, c, offset)
+            except ValueError:
+                is_finite = False
             if not is_finite:
                 fast[i] = False
                 continue
@@ -511,7 +533,7 @@ def bare_integral_batch(
             if _needs_rescue(peak, total, yi):
                 exact_terms = exact_terms or list(_coupling_terms(lambda1, lambda2, lambda3))
                 total = _decimal_weighted_sum(exact_terms, lambda3, m_order, a, b, yi, cs.l_need)
-            values[i] = _prefactor(lambda1, lambda2, lambda3, a, b, c, offset) * total / w
+            values[i] = pref * total / w
     for i in np.flatnonzero(~fast).tolist():
         values[i] = bare_integral(n, lambda1, lambda2, k1[i].item(), k2[i].item(), alpha[i].item()).value
     return method, values.tolist()

@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from decimal import Decimal, localcontext
+from decimal import Decimal, getcontext, localcontext
 
 import numpy as np
 
@@ -356,8 +356,54 @@ def paper_q_combination(L: int, M: int, y: float) -> float:
 # The Wigner-weighted double sums cancel catastrophically as y -> 1 with a
 # high derivative order: individual terms can exceed the result by many
 # orders of magnitude.  When a caller detects that, it re-evaluates the
-# combination values (and the sum) in 40-digit decimal arithmetic.  The
-# recurrences are identical; only the scalar type changes.
+# combination values (and the sum) in 40-digit decimal arithmetic.
+#
+# Q_0..Q_lmax are seeded by the forward recurrence, run with guard digits.
+# It is the dominant solution P_l that grows along it, like xi^l with
+# xi = y + sqrt(y^2 - 1), while Q_l decays like xi^-l, so forward steps
+# lose about (2 lmax + 1) log10(xi) digits of Q_lmax (Gautschi, SIAM
+# Review 9 (1967) 24-82).  Near y = 1 that is a few digits, where the
+# continued fraction for Q_{lmax+1}/Q_lmax converges like xi^(-2j) and
+# needs ~1e4 terms at y - 1 = 1e-5.  Far from 1 the guard grows without
+# bound and the continued fraction is cheap, so it seeds Q there.  The
+# derivative recurrence is the same for both seeds.
+
+
+def _q0_dec(y: Decimal) -> Decimal:
+    """Q_0(y) = ln((y + 1)/(y - 1))/2 to the context's precision.
+
+    The quotient is 1 + 2/(y - 1); its logarithm keeps the digits of the
+    quotient past the leading 1 only, so log10(y) extra digits go to it.
+    """
+    with localcontext() as ctx:
+        ctx.prec += max(0, y.adjusted()) + 2
+        q0 = ((y + 1) / (y - 1)).ln() / 2
+    return +q0
+
+
+def _forward_guard_digits(lmax: int, y: float) -> int:
+    """Digits the forward recurrence loses from Q_0, Q_1 to Q_lmax at y, rounded up.
+
+    Float estimates: acosh(y) = ln xi, and Q_0 by log1p, which stays
+    finite and nonzero for every y the float path accepts.
+    """
+    q0 = 0.5 * math.log1p(2.0 / (y - 1.0))
+    return math.ceil(
+        (2 * lmax + 1) * math.acosh(y) / math.log(10)
+        + math.log10(max(1.0, q0))
+        + math.log10(lmax + 2)
+        + 3
+    )
+
+
+def _q_forward_dec(lmax: int, y: Decimal) -> list[Decimal]:
+    """Q_0..Q_lmax by the forward recurrence, in the context's precision."""
+    q = [_q0_dec(y)]
+    if lmax >= 1:
+        q.append(y * q[0] - 1)
+    for l in range(1, lmax):
+        q.append(((2 * l + 1) * y * q[l] - l * q[l - 1]) / (l + 1))
+    return q
 
 
 def _q_ratio_cf_dec(top: int, y: Decimal, tol: Decimal) -> Decimal:
@@ -385,29 +431,43 @@ def _q_ratio_cf_dec(top: int, y: Decimal, tol: Decimal) -> Decimal:
     raise RuntimeError(f"decimal Q ratio continued fraction stalled at y={y}")
 
 
+def _q_downward_dec(lmax: int, y: Decimal) -> list[Decimal]:
+    """Q_0..Q_lmax from a continued fraction at the top and downward ratios."""
+    q = [_q0_dec(y)]
+    if lmax >= 1:
+        tol = Decimal(10) ** (-(getcontext().prec - 4))
+        r = _q_ratio_cf_dec(lmax + 1, y, tol)
+        ratios = [Decimal(0)] * (lmax + 1)
+        for l in range(lmax, 0, -1):
+            r = l / ((2 * l + 1) * y - (l + 1) * r)
+            ratios[l] = r
+        for l in range(1, lmax + 1):
+            q.append(q[l - 1] * ratios[l])
+    return q
+
+
 def paper_q_combination_all_dec(lmax: int, M: int, y: float, prec: int = 40) -> list[Decimal]:
     """R(l, M, y) for l = 0..lmax in `prec`-digit decimal arithmetic.
 
-    Requires y - 1 >= 1e-6 (the continued-fraction regime); callers fall
-    back to the float path closer to 1.
+    Q_l is seeded by the forward recurrence at prec + g digits when its
+    guard g is at most prec, by the continued fraction otherwise.
+    Requires y - 1 >= 1e-6; callers fall back to the float path closer
+    to 1.
     """
     if not y - 1.0 >= 1e-6:
         raise ValueError(f"decimal path needs y - 1 >= 1e-6, got y={y!r}")
     with localcontext() as ctx:
         ctx.prec = prec
         y_d = Decimal(y)
-        tol = Decimal(10) ** (-(prec - 4))
         one = Decimal(1)
-        q = [Decimal(0)] * (lmax + 1)
-        q[0] = ((y_d + 1) / (y_d - 1)).ln() / 2
-        if lmax >= 1:
-            r = _q_ratio_cf_dec(lmax + 1, y_d, tol)
-            ratios = [Decimal(0)] * (lmax + 1)
-            for l in range(lmax, 0, -1):
-                r = l / ((2 * l + 1) * y_d - (l + 1) * r)
-                ratios[l] = r
-            for l in range(1, lmax + 1):
-                q[l] = q[l - 1] * ratios[l]
+        guard = _forward_guard_digits(lmax, y)
+        if guard <= prec:
+            ctx.prec = prec + guard
+            q = _q_forward_dec(lmax, y_d)
+            ctx.prec = prec
+            q = [+v for v in q]
+        else:
+            q = _q_downward_dec(lmax, y_d)
         if M == 0:
             return q
         ym1 = y_d * y_d - one

@@ -88,6 +88,13 @@ class TestEval:
         assert code == 2
         assert out == "" and err.startswith("error: ") and "float arithmetic" in err
 
+    def test_powers_out_of_float_range_exit_2(self, capsys):
+        argv = ["eval", "--lambda1", "10", "--lambda2", "10", "--power", "21",
+                "--k1", "1", "--k2", "1e16", "--alpha", "1"]
+        code, out, err = run_cli(capsys, argv)
+        assert code == 2
+        assert out == "" and err.startswith("error: ") and "leave the float range" in err
+
     def test_nonconvergence_exit_4(self, capsys, monkeypatch):
         monkeypatch.setenv("BESSELRAD_PANEL_BUDGET", "200")
         code, _, err = run_cli(capsys, BASE_EVAL + ["--oracle", "--rel-tol", "1e-12"])
@@ -267,6 +274,8 @@ class TestTableBatches:
         ([("alpha", 1.0, 1e-9, 5), ("power", 1, 2, 2)], {"lambda1": 1, "lambda2": 1, "k1": 1.0, "k2": 1.0}),
         # y overflows from the second k2 on
         ([("k2", 1.0, 1e200, 5), ("power", 2, 3, 2)], {"lambda1": 1, "lambda2": 0, "k1": 1.0, "alpha": 1.0}),
+        # powers of k2 overflow from the second k2 on
+        ([("k2", 1.0, 1e16, 5)], {"lambda1": 10, "lambda2": 10, "power": 21, "k1": 1.0, "alpha": 1.0}),
     ])
     def test_bad_point_in_batch_matches_row_by_row(self, capsys, tmp_path, monkeypatch, sweeps, fixed):
         batched = run_cli(capsys, table_argv(sweeps, fixed, tmp_path / "a.csv"))
@@ -275,6 +284,41 @@ class TestTableBatches:
         assert batched == row_by_row
         assert batched[0] == 2 and batched[2].startswith("error: ")
         assert not (tmp_path / "a.csv").exists()
+
+
+class TestParserReuse:
+    """`main` reuses one parser; no call may leave state for the next."""
+
+    def _parse_fresh(self, argv):
+        return vars(cli.build_parser().parse_args(argv))
+
+    def test_one_parser_per_process(self):
+        assert cli._parser() is cli._parser()
+
+    def test_sweep_list_then_none(self, capsys, tmp_path):
+        fixed = {"lambda1": 0, "lambda2": 0, "power": 1, "k1": 1.0, "k2": 1.0}
+        swept = table_argv([("alpha", 0.5, 1.5, 3)], fixed, tmp_path / "a.csv")
+        plain = table_argv([], {**fixed, "alpha": 1.0}, tmp_path / "b.csv")
+        assert run_cli(capsys, swept) == (0, "", "")
+        assert run_cli(capsys, plain) == (0, "", "")
+        assert (tmp_path / "b.csv").read_text(encoding="utf-8") == reference_table([], {**fixed, "alpha": 1.0})
+        assert vars(cli._parser().parse_args(plain)) == self._parse_fresh(plain)
+
+    def test_oracle_then_plain(self, capsys):
+        code, with_oracle, _ = run_cli(capsys, BASE_EVAL + ["--oracle"])
+        assert code == 0 and "oracle_value" in with_oracle
+        code, plain, _ = run_cli(capsys, BASE_EVAL)
+        assert code == 0 and "oracle_value" not in plain
+        assert with_oracle.startswith(plain)
+        assert vars(cli._parser().parse_args(BASE_EVAL)) == self._parse_fresh(BASE_EVAL)
+
+    def test_usage_error_then_valid(self, capsys):
+        code, first, _ = run_cli(capsys, BASE_EVAL)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["eval", "--lambda1", "0"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        assert run_cli(capsys, BASE_EVAL) == (code, first, "")
 
 
 class TestWignerCommands:

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -289,7 +290,7 @@ class TestOrderValidation:
 
 
 class TestFloatRange:
-    """y and 1/(y - 1) outside float range give ValueError, never another error."""
+    """y, 1/(y - 1) or the closed form's powers outside float range give ValueError, never another error."""
 
     @pytest.mark.parametrize("k1,k2,alpha", [
         (1e200, 1e200, 1.0),      # the squares overflow: y is NaN
@@ -305,6 +306,18 @@ class TestFloatRange:
         with pytest.raises(ValueError, match="float arithmetic"):
             bare_integral(1, 0, 0, 1e-170, 1e-170, 1e-170)
 
+    @pytest.mark.parametrize("k1,k2,alpha", [
+        (1.0, 1e16, 1.0),        # k2 ** 22 and (k2/k1) ** 20 overflow
+        (1e-16, 1.0, 1.0),       # (k2/k1) ** 20 overflows
+        (1e-16, 1e-16, 1e-16),   # k2 ** 22 underflows to 0
+    ])
+    def test_powers_out_of_float_range(self, k1, k2, alpha):
+        message = re.escape(f"leave the float range (k1={k1!r}, k2={k2!r}, alpha={alpha!r})")
+        with pytest.raises(ValueError, match=message):
+            bare_integral(21, 10, 10, k1, k2, alpha)
+        with pytest.raises(ValueError, match=message):
+            closedform.bare_integral_batch(21, 10, 10, [1.0, k1], [1.0, k2], [1.0, alpha])
+
     def test_condition_number(self):
         with pytest.raises(ValueError, match="not finite"):
             closedform.condition_number(1e-170, 1e-170, 1e-170)
@@ -312,6 +325,21 @@ class TestFloatRange:
             closedform.condition_number(1e200, 1e200, 1.0)
         assert closedform.condition_number(1e200, 1.0, 1.0) == 0.0
         assert closedform.condition_number(1.0, 1.0, 1e-9) == pytest.approx(2e18, rel=1e-15)
+
+
+class TestRescueAccuracy:
+    """Rows the 40-digit rescue takes, against perfbench/reference.py (mpmath, no besselrad import).
+
+    The continued-fraction seed missed both: 2.5e-5 and 8.9e-7.
+    """
+
+    @pytest.mark.parametrize("args,reference", [
+        ((13, 6, 6, 1.0, 1.0, 0.01), 1.9958781039877128e+31),
+        ((11, 5, 6, 0.903182338640532, 0.9018709491666433, 0.004031186492268727),
+         6.480844926575361e+25),
+    ])
+    def test_within_acceptance_tolerance(self, args, reference):
+        assert bare_integral(*args).value == pytest.approx(reference, rel=1e-7)
 
 
 class TestCouplingRoute:

@@ -35,8 +35,6 @@ from .oracle import (
     integrate_two_bessel,
 )
 from .specfun import (
-    BesselEval,
-    QEval,
     binomial_sqrt,
     legendre_p,
     legendre_q,
@@ -55,13 +53,11 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AngularMomenta3j",
-    "BesselEval",
     "EvalResult",
     "FormulaInapplicable",
     "IntegralSpec",
     "Method",
     "NonConvergence",
-    "QEval",
     "QuadratureResult",
     "ThreeBesselSpec",
     "WignerValue",

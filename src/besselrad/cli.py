@@ -52,9 +52,7 @@ def _json_scalar(v) -> str:
         return "null"
     if isinstance(v, str):
         return '"' + v + '"'
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    return format(float(v), ".17g")
+    return _fmt(v)
 
 
 def _json_object(pairs) -> str:

@@ -29,7 +29,8 @@ the same values for many points of one order at once.
 
 The coupling coefficients depend on the orders only.  Each (l1, l2, l3)
 set is compiled once into float factors (`_coupling_set`); the 40-digit
-rescue rebuilds the exact radicands from the Wigner symbol caches.
+rescue rebuilds the exact radicands from the Wigner symbol caches into
+Decimal factors (`_exact_coupling_set`) and runs the same term product.
 
 Everything here is a pure function apart from those read-only caches;
 parameter sweeps may call these concurrently without restriction.
@@ -50,6 +51,7 @@ from . import specfun
 from .wigner import AngularMomenta3j, WignerValue, threej_000_nonzero, wigner_3j, wigner_6j
 
 _LAMBDA_MAX = 20
+_RESCUE_DIGITS = 40  # precision of the rescue for sums that cancel in floats
 
 
 class Method(Enum):
@@ -120,8 +122,6 @@ class EvalResult:
     value: float
     method: Method
     condition: float
-    oracle_value: Optional[float] = None
-    oracle_error: Optional[float] = None
 
 
 def _positive_finite(**values: float) -> None:
@@ -269,7 +269,7 @@ def _coupling_terms(l1: int, l2: int, l3: int):
 
 
 class _CouplingSet(NamedTuple):
-    """The nonzero terms of one (l1, l2, l3) coupling set, in float form.
+    """The nonzero terms of one (l1, l2, l3) coupling set.
 
     Term i of the paper's double sum is
         binom[i] * (k2/k1)^scr[i] * two_l1[i] * weight[i] * R(l[i], M, y),
@@ -279,30 +279,52 @@ class _CouplingSet(NamedTuple):
     """
 
     index: np.ndarray     # (2, terms) ints: scr, l
-    factors: np.ndarray   # (3, terms) floats: binom, two_l1, weight
+    factors: np.ndarray   # (3, terms): binom, two_l1, weight, as floats or Decimals
     l_need: int           # largest l of the set
 
 
-@lru_cache(maxsize=None)
-def _coupling_set(l1: int, l2: int, l3: int) -> Optional[_CouplingSet]:
-    """The compiled coupling set of (l1, l2, l3), or None when it has no nonzero term."""
+def _compile(l1: int, l2: int, l3: int, binom_sqrt, rad_sqrt) -> Optional[_CouplingSet]:
+    """The coupling set with binom = binom_sqrt(2 l3, 2 scr) and weight = sign * rad_sqrt(radicand)."""
     terms = list(_coupling_terms(l1, l2, l3))
     if not terms:
         return None
     index = np.array([(scr, l) for scr, l, _, _ in terms]).T
     factors = np.array([
-        (specfun.binomial_sqrt(2 * l3, 2 * scr), 2 * l + 1, sign * math.sqrt(float(rad)))
+        (binom_sqrt(2 * l3, 2 * scr), 2 * l + 1, sign * rad_sqrt(rad))
         for scr, l, sign, rad in terms
     ]).T
     return _CouplingSet(index, factors, int(index[1].max()))
+
+
+@lru_cache(maxsize=None)
+def _coupling_set(l1: int, l2: int, l3: int) -> Optional[_CouplingSet]:
+    """The coupling set of (l1, l2, l3) in floats, compiled once per process; None when empty."""
+    return _compile(l1, l2, l3, specfun.binomial_sqrt, lambda rad: math.sqrt(float(rad)))
+
+
+def _exact_coupling_set(l1: int, l2: int, l3: int) -> Optional[_CouplingSet]:
+    """The coupling set in `_RESCUE_DIGITS`-digit Decimals, for the rescue.
+
+    Built per product or per batch rather than cached for the process, so
+    the rescue adds no memory that grows with the orders a process visits.
+    """
+    with localcontext() as ctx:
+        ctx.prec = _RESCUE_DIGITS
+        return _compile(
+            l1, l2, l3,
+            lambda n, k: Decimal(math.comb(n, k)).sqrt(),
+            lambda rad: (Decimal(rad.numerator) / Decimal(rad.denominator)).sqrt(),
+        )
 
 
 def _contributions(cs: _CouplingSet, lambda3: int, ratio, rvals: np.ndarray) -> np.ndarray:
     """The terms of the double sum, shape (terms,) + shape of ratio.
 
     ratio = k2/k1 is a float or an array of points and rvals the matching
-    R(l, M, y) of `specfun.paper_q_combination_all`.  The powers of the
-    ratio are taken with float ** int, as a scalar evaluation would.
+    R(l, M, y) of `specfun.paper_q_combination_all`; or, for the rescue,
+    ratio is a Decimal, rvals an object array of Decimals and cs exact,
+    run in the caller's context.  The powers of the ratio are taken with
+    ** int, as a scalar evaluation would.
     """
     points = np.reshape(ratio, -1).tolist()
     powers = np.array([[r**scr for r in points] for scr in range(lambda3 + 1)])
@@ -375,24 +397,20 @@ def two_bessel_product(
         raise _float_range_error(k1, k2, alpha) from None
     total = math.fsum(contribs)
     if _needs_rescue(max(abs(c) for c in contribs), total, y):
-        terms = list(_coupling_terms(lambda1, lambda2, lambda3))
-        total = _decimal_weighted_sum(terms, lambda3, m_order, k1, k2, y, cs.l_need)
+        exact = _exact_coupling_set(lambda1, lambda2, lambda3)
+        total = _decimal_weighted_sum(exact, lambda3, m_order, k1, k2, y)
     return EvalResult(pref * total, method, condition)
 
 
 def _decimal_weighted_sum(
-    terms, lambda3: int, m_order: int, k1: float, k2: float, y: float, l_need: int
+    exact: _CouplingSet, lambda3: int, m_order: int, k1: float, k2: float, y: float
 ) -> float:
-    rd = specfun.paper_q_combination_all_dec(l_need, m_order, y, prec=40)
+    """The double sum of `_contributions` over the exact set, in `_RESCUE_DIGITS` digits."""
+    rd = specfun.paper_q_combination_all_dec(exact.l_need, m_order, y, prec=_RESCUE_DIGITS)
     with localcontext() as ctx:
-        ctx.prec = 40
-        k_ratio = Decimal(k2) / Decimal(k1)
-        total = Decimal(0)
-        for scr, l, sign, rad in terms:
-            binom = Decimal(math.comb(2 * lambda3, 2 * scr)).sqrt()
-            w = (Decimal(rad.numerator) / Decimal(rad.denominator)).sqrt()
-            total += binom * k_ratio**scr * (2 * l + 1) * sign * w * rd[l]
-        return float(total)
+        ctx.prec = _RESCUE_DIGITS
+        terms = _contributions(exact, lambda3, Decimal(k2) / Decimal(k1), np.array(rd, dtype=object))
+        return float(sum(terms, Decimal(0)))
 
 
 def two_bessel_equal_order(L: int, k1: float, k2: float, alpha: float) -> EvalResult:
@@ -518,7 +536,7 @@ def bare_integral_batch(
             contribs = np.full(cs.index.shape[1:] + ys.shape, math.inf)
         finite = np.isfinite(contribs).all(axis=0).tolist()
         peaks = np.abs(contribs).max(axis=0).tolist()
-        exact_terms = None
+        exact = None
         points = zip(live.tolist(), contribs.T.tolist(), finite, peaks,
                      k1s.tolist(), k2s.tolist(), alphas.tolist(), ys.tolist())
         for i, terms, is_finite, peak, a, b, c, yi in points:
@@ -531,8 +549,8 @@ def bare_integral_batch(
                 continue
             total = math.fsum(terms)
             if _needs_rescue(peak, total, yi):
-                exact_terms = exact_terms or list(_coupling_terms(lambda1, lambda2, lambda3))
-                total = _decimal_weighted_sum(exact_terms, lambda3, m_order, a, b, yi, cs.l_need)
+                exact = exact or _exact_coupling_set(lambda1, lambda2, lambda3)
+                total = _decimal_weighted_sum(exact, lambda3, m_order, a, b, yi)
             values[i] = pref * total / w
     for i in np.flatnonzero(~fast).tolist():
         values[i] = bare_integral(n, lambda1, lambda2, k1[i].item(), k2[i].item(), alpha[i].item()).value

@@ -28,8 +28,14 @@ Stability choices:
   differentiating (y^2 - 1) Q_L' = L (y Q_L - Q_{L-1}) M times; no numeric
   differentiation.
 
-The Q recurrences take y as a float or as an array of points; an array
-gets the same operations at each point, so batching changes no value.
+The Q machinery (continued fraction, downward ratios, derivative
+recurrence) is written once and runs at two precisions.  In floats y is a
+float or an array of points; an array gets the same operations at each
+point, so batching changes no value.  The extended-precision rescue
+(`paper_q_combination_all_dec`) runs the same code on numpy object arrays
+of Decimals in a 40-digit context.  Only its forward-recurrence seed for
+Q_0..Q_lmax has no float counterpart: the forward direction loses digits
+that only a higher working precision can give back as guard digits.
 
 All functions are pure; the only module state is read-only quadrature
 nodes, so everything is safe for concurrent use.
@@ -38,8 +44,7 @@ nodes, so everything is safe for concurrent use.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from decimal import Decimal, getcontext, localcontext
+from decimal import Decimal, localcontext
 
 import numpy as np
 
@@ -202,26 +207,32 @@ def legendre_p(l: int, x: float) -> float:
 # Legendre Q_L on (1, inf)
 
 
-def _q_ratio_cf(top: int, y: float) -> float:
-    """Continued fraction for Q_top(y)/Q_{top-1}(y) (minimal solution)."""
-    tiny = 1e-300
+def _q_ratio_cf(top: int, y, tol=1e-16):
+    """Continued fraction for Q_top(y)/Q_{top-1}(y) (minimal solution).
+
+    y is a float, or a Decimal in the caller's context with a matching tol.
+    The constants take y's type: mixed int and float arithmetic would slow
+    the loop, which runs thousands of times near y = 1.
+    """
+    num = type(y)
+    tiny, zero, one = num("1e-300"), num(0), num(1)
     f = tiny
     c = tiny
-    d = 0.0
+    d = zero
     j = 1
     while j < 200000:
-        a = float(top) if j == 1 else -float((top + j - 1) ** 2)
+        a = num(top) if j == 1 else -num((top + j - 1) ** 2)
         b = (2 * (top + j) - 1) * y
         d = b + a * d
-        if d == 0.0:
+        if d == zero:
             d = tiny
         c = b + a / c
-        if c == 0.0:
+        if c == zero:
             c = tiny
-        d = 1.0 / d
+        d = one / d
         delta = c * d
         f *= delta
-        if abs(delta - 1.0) < 1e-16:
+        if abs(delta - one) < tol:
             return f
         j += 1
     raise RuntimeError(f"Q ratio continued fraction stalled at y={y!r}")
@@ -279,8 +290,16 @@ def legendre_q_all(lmax: int, y) -> np.ndarray:
     out[0] = _pointwise(lambda v: math.atanh(1.0 / v), y)
     if lmax == 0:
         return out
-    r = _pointwise(lambda v: _q_ratio_cf(lmax + 1, v), y)
-    for l in range(lmax, 0, -1):
+    return _q_downward(out, _pointwise(lambda v: _q_ratio_cf(lmax + 1, v), y), y)
+
+
+def _q_downward(out: np.ndarray, r, y) -> np.ndarray:
+    """Fill out[1:] with Q_1..Q_lmax, given Q_0 in out[0] and r = Q_{lmax+1}/Q_lmax.
+
+    out is a float64 array (y a float or an array of points) or an object
+    array of Decimals (y a Decimal, run in the caller's context).
+    """
+    for l in range(len(out) - 1, 0, -1):
         r = l / ((2 * l + 1) * y - (l + 1) * r)
         out[l] = r
     # out[l] holds Q_l/Q_{l-1}; the running product turns the ratios into Q_l
@@ -309,14 +328,22 @@ def paper_q_combination_all(lmax: int, M: int, y) -> np.ndarray:
     points); they are the per-l products of the recurrence in the same
     order, so the values do not depend on the shape of y.
     """
-    q = legendre_q_all(lmax, y)
+    return _r_derivatives(legendre_q_all(lmax, y), M, y)
+
+
+def _r_derivatives(q: np.ndarray, M: int, y) -> np.ndarray:
+    """R(l, M, y) for l = 0..lmax from Q_0..Q_lmax in q, by the derivative recurrence.
+
+    q is a float64 array (y a float or an array of points) or an object
+    array of Decimals (y a Decimal, run in the caller's context).
+    """
     if M == 0:
         return q
-    ym1 = y * y - 1.0
-    ls = np.arange(1.0, lmax + 1.0).reshape((-1,) + (1,) * np.ndim(y))
+    ym1 = y * y - 1
+    ls = np.arange(1, len(q)).astype(q.dtype).reshape((-1,) + (1,) * np.ndim(y))
     d_prev = q                                  # order m - 1
     d_curr = np.empty_like(q)                   # order m
-    d_curr[0] = -1.0 / ym1
+    d_curr[0] = -1 / ym1
     d_curr[1:] = ls * (y * d_prev[1:] - d_prev[:-1]) / ym1
     for m in range(1, M):
         d_next = np.empty_like(q)
@@ -351,12 +378,14 @@ def paper_q_combination(L: int, M: int, y: float) -> float:
 
 
 # ----------------------------------------------------------------------
-# extended-precision twins of the Q machinery
+# the Q machinery in extended precision
 #
 # The Wigner-weighted double sums cancel catastrophically as y -> 1 with a
 # high derivative order: individual terms can exceed the result by many
 # orders of magnitude.  When a caller detects that, it re-evaluates the
-# combination values (and the sum) in 40-digit decimal arithmetic.
+# combination values (and the sum) in 40-digit decimal arithmetic, through
+# the same continued fraction, downward ratios and derivative recurrence
+# as the float path.
 #
 # Q_0..Q_lmax are seeded by the forward recurrence, run with guard digits.
 # It is the dominant solution P_l that grows along it, like xi^l with
@@ -366,7 +395,8 @@ def paper_q_combination(L: int, M: int, y: float) -> float:
 # continued fraction for Q_{lmax+1}/Q_lmax converges like xi^(-2j) and
 # needs ~1e4 terms at y - 1 = 1e-5.  Far from 1 the guard grows without
 # bound and the continued fraction is cheap, so it seeds Q there.  The
-# derivative recurrence is the same for both seeds.
+# float path has no guard digits to spend, so the forward seed is
+# Decimal-only.
 
 
 def _q0_dec(y: Decimal) -> Decimal:
@@ -406,46 +436,6 @@ def _q_forward_dec(lmax: int, y: Decimal) -> list[Decimal]:
     return q
 
 
-def _q_ratio_cf_dec(top: int, y: Decimal, tol: Decimal) -> Decimal:
-    tiny = Decimal("1e-300")
-    f = tiny
-    c = tiny
-    d = Decimal(0)
-    one = Decimal(1)
-    j = 1
-    while j < 200000:
-        a = Decimal(top) if j == 1 else Decimal(-((top + j - 1) ** 2))
-        b = (2 * (top + j) - 1) * y
-        d = b + a * d
-        if d == 0:
-            d = tiny
-        c = b + a / c
-        if c == 0:
-            c = tiny
-        d = one / d
-        delta = c * d
-        f *= delta
-        if abs(delta - one) < tol:
-            return f
-        j += 1
-    raise RuntimeError(f"decimal Q ratio continued fraction stalled at y={y}")
-
-
-def _q_downward_dec(lmax: int, y: Decimal) -> list[Decimal]:
-    """Q_0..Q_lmax from a continued fraction at the top and downward ratios."""
-    q = [_q0_dec(y)]
-    if lmax >= 1:
-        tol = Decimal(10) ** (-(getcontext().prec - 4))
-        r = _q_ratio_cf_dec(lmax + 1, y, tol)
-        ratios = [Decimal(0)] * (lmax + 1)
-        for l in range(lmax, 0, -1):
-            r = l / ((2 * l + 1) * y - (l + 1) * r)
-            ratios[l] = r
-        for l in range(1, lmax + 1):
-            q.append(q[l - 1] * ratios[l])
-    return q
-
-
 def paper_q_combination_all_dec(lmax: int, M: int, y: float, prec: int = 40) -> list[Decimal]:
     """R(l, M, y) for l = 0..lmax in `prec`-digit decimal arithmetic.
 
@@ -459,36 +449,18 @@ def paper_q_combination_all_dec(lmax: int, M: int, y: float, prec: int = 40) -> 
     with localcontext() as ctx:
         ctx.prec = prec
         y_d = Decimal(y)
-        one = Decimal(1)
         guard = _forward_guard_digits(lmax, y)
         if guard <= prec:
             ctx.prec = prec + guard
             q = _q_forward_dec(lmax, y_d)
             ctx.prec = prec
-            q = [+v for v in q]
+            q = np.array([+v for v in q], dtype=object)
         else:
-            q = _q_downward_dec(lmax, y_d)
-        if M == 0:
-            return q
-        ym1 = y_d * y_d - one
-        d_prev = q
-        d_curr = [Decimal(0)] * (lmax + 1)
-        d_curr[0] = -one / ym1
-        for l in range(1, lmax + 1):
-            d_curr[l] = l * (y_d * d_prev[l] - d_prev[l - 1]) / ym1
-        for m in range(1, M):
-            d_next = [Decimal(0)] * (lmax + 1)
-            d_next[0] = (-2 * m * y_d * d_curr[0] - m * (m - 1) * d_prev[0]) / ym1
-            for l in range(1, lmax + 1):
-                d_next[l] = (
-                    l * (y_d * d_curr[l] + m * d_prev[l] - d_curr[l - 1])
-                    - 2 * m * y_d * d_curr[l]
-                    - m * (m - 1) * d_prev[l]
-                ) / ym1
-            d_prev, d_curr = d_curr, d_next
-        if M % 2:
-            return [-v for v in d_curr]
-        return d_curr
+            q = np.full(lmax + 1, _q0_dec(y_d), dtype=object)
+            if lmax >= 1:
+                tol = Decimal(10) ** (4 - prec)
+                _q_downward(q, _q_ratio_cf(lmax + 1, y_d, tol), y_d)
+        return _r_derivatives(q, M, y_d).tolist()
 
 
 # ----------------------------------------------------------------------
@@ -506,34 +478,3 @@ def binomial_sqrt(n: int, k: int) -> float:
     if n > 200:
         raise ValueError(f"n exceeds the supported maximum 200, got {n}")
     return math.sqrt(math.comb(int(n), int(k)))
-
-
-# ----------------------------------------------------------------------
-# evaluation records
-
-
-@dataclass(frozen=True)
-class QEval:
-    """A combination value R(L, M, y) together with the point it was taken at."""
-
-    L: int
-    M: int
-    y: float
-    value: float
-
-    @classmethod
-    def evaluate(cls, L: int, M: int, y: float) -> "QEval":
-        return cls(L=L, M=M, y=float(y), value=paper_q_combination(L, M, y))
-
-
-@dataclass(frozen=True)
-class BesselEval:
-    """A spherical Bessel value j_l(x) together with its evaluation point."""
-
-    l: int
-    x: float
-    value: float
-
-    @classmethod
-    def evaluate(cls, l: int, x: float) -> "BesselEval":
-        return cls(l=l, x=float(x), value=spherical_bessel_j(l, x))

@@ -59,9 +59,6 @@ class WignerValue:
         # rounding: conversion stays within a couple of ulp
         return self.sign * math.sqrt(float(self.radicand))
 
-    def to_float(self) -> float:
-        return float(self)
-
     def exact_str(self) -> str:
         """Render as '0', 'sqrt(p/q)' or '-sqrt(p/q)'."""
         if self.sign == 0:

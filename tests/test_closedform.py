@@ -7,7 +7,6 @@ from hypothesis import given, strategies as st
 
 from besselrad import closedform, specfun
 from besselrad.closedform import (
-    EvalResult,
     FormulaInapplicable,
     IntegralSpec,
     Method,
@@ -259,10 +258,6 @@ class TestDataTypes:
     def test_three_bessel_spec_delta(self):
         spec = ThreeBesselSpec(0, 0, 0, 3.0, 4.0, 5.0)
         assert spec.delta == 0.0
-
-    def test_eval_result_fields(self):
-        res = EvalResult(1.0, Method.EQ_2_8, 2.0)
-        assert res.oracle_value is None and res.oracle_error is None
 
 
 class TestOrderValidation:

@@ -9,8 +9,6 @@ from hypothesis import given, strategies as st
 
 from besselrad import specfun
 from besselrad.specfun import (
-    BesselEval,
-    QEval,
     binomial_sqrt,
     legendre_p,
     legendre_q,
@@ -186,7 +184,7 @@ class TestPaperQCombination:
             vals = specfun.paper_q_combination_all(10, M, y)
             assert np.all(vals[vals != 0.0] > 0.0)
 
-    def test_decimal_twin_matches_float(self):
+    def test_40_digits_agree_with_float(self):
         for (L, M, y) in [(6, 4, 1.2), (10, 9, 2.0), (4, 1, 1.5)]:
             dec = specfun.paper_q_combination_all_dec(L, M, y)
             flt = specfun.paper_q_combination_all(L, M, y)
@@ -341,8 +339,8 @@ class TestDecimalSeed:
     @pytest.mark.parametrize("lmax", [0, 1, 8, 20, 30, 40])
     def test_continued_fraction_only_past_the_guard_rule(self, monkeypatch, y, lmax):
         calls = []
-        cf = specfun._q_ratio_cf_dec
-        monkeypatch.setattr(specfun, "_q_ratio_cf_dec", lambda *a: calls.append(a) or cf(*a))
+        cf = specfun._q_ratio_cf
+        monkeypatch.setattr(specfun, "_q_ratio_cf", lambda *a: calls.append(a) or cf(*a))
         specfun.paper_q_combination_all_dec(lmax, 2, y)
         guard = specfun._forward_guard_digits(lmax, y)
         assert guard > 0
@@ -366,15 +364,3 @@ class TestBinomialSqrt:
                 binomial_sqrt(n, k)
         else:
             assert binomial_sqrt(n, k) ** 2 == pytest.approx(math.comb(n, k), rel=1e-13)
-
-
-class TestEvalRecords:
-    def test_qeval(self):
-        q = QEval.evaluate(2, 3, 1.5)
-        assert (q.L, q.M, q.y) == (2, 3, 1.5)
-        assert q.value == pytest.approx(4.096, rel=1e-12)
-
-    def test_besseleval(self):
-        b = BesselEval.evaluate(1, 1.0)
-        assert abs(b.value) <= 1.0
-        assert b.value == pytest.approx(0.3011686789397568, rel=1e-13)

@@ -14,11 +14,8 @@ from .closedform import (
     Method,
     ThreeBesselSpec,
     bare_integral,
-    beta_step,
     condition_number,
-    delta_param,
     laplace_single_bessel,
-    summation_bounds,
     three_bessel_product,
     two_bessel_equal_order,
     two_bessel_product,
@@ -35,7 +32,6 @@ from .oracle import (
     integrate_two_bessel,
 )
 from .specfun import (
-    binomial_sqrt,
     legendre_p,
     legendre_q,
     paper_q_combination,
@@ -44,7 +40,6 @@ from .specfun import (
 from .wigner import (
     AngularMomenta3j,
     WignerValue,
-    threej_000_nonzero,
     wigner_3j,
     wigner_6j,
 )
@@ -62,12 +57,9 @@ __all__ = [
     "ThreeBesselSpec",
     "WignerValue",
     "bare_integral",
-    "beta_step",
-    "binomial_sqrt",
     "check_eq_2_12",
     "check_eq_2_6",
     "condition_number",
-    "delta_param",
     "integrate_q_definition",
     "integrate_single_bessel",
     "integrate_three_bessel_regularized",
@@ -77,9 +69,7 @@ __all__ = [
     "legendre_q",
     "paper_q_combination",
     "spherical_bessel_j",
-    "summation_bounds",
     "three_bessel_product",
-    "threej_000_nonzero",
     "two_bessel_equal_order",
     "two_bessel_product",
     "wigner_3j",

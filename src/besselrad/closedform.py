@@ -354,10 +354,10 @@ def _prefactor(
         raise _float_range_error(k1, k2, alpha) from None
 
 
-def _needs_rescue(peak: float, total: float, y: float) -> bool:
+def _needs_rescue(peak: float, total: float) -> bool:
     # the sum cancels catastrophically as y -> 1 with high lambda3; it is
     # redone in 40-digit decimals when more than ~2 digits cancel
-    return peak > 100.0 * abs(total) and y - 1.0 >= 1e-6
+    return peak > 100.0 * abs(total)
 
 
 def two_bessel_product(
@@ -396,7 +396,7 @@ def two_bessel_product(
     except ArithmeticError:  # float ** int overflow, or numpy's FloatingPointError
         raise _float_range_error(k1, k2, alpha) from None
     total = math.fsum(contribs)
-    if _needs_rescue(max(abs(c) for c in contribs), total, y):
+    if _needs_rescue(max(abs(c) for c in contribs), total):
         exact = _exact_coupling_set(lambda1, lambda2, lambda3)
         total = _decimal_weighted_sum(exact, lambda3, m_order, k1, k2, y)
     return EvalResult(pref * total, method, condition)
@@ -504,19 +504,19 @@ def bare_integral_batch(
 
     Returns the route's method and the values, equal bit for bit to
     `bare_integral(n, lambda1, lambda2, k1[i], k2[i], alpha[i]).value`.
-    The Q recurrences and the double sum run over all points at once.  A
-    point outside the batch's float regime (an invalid input, y - 1 below
-    1e-6, a non-finite term) takes `bare_integral` itself, so every error
-    is the one `bare_integral` raises: for the order first, then for the
-    first failing point.  A sum that cancels takes the same 40-digit
-    rescue as in `two_bessel_product`.
+    The Q recurrences and the double sum run over all points at once, at
+    any y > 1.  A point the batch cannot take (an invalid input, y not a
+    finite number above 1 in floats, a non-finite term) takes
+    `bare_integral` itself, so every error is the one `bare_integral`
+    raises: for the order first, then for the first failing point.  A sum
+    that cancels takes the same 40-digit rescue as in `two_bessel_product`.
     """
     lambda3, offset = coupling_route(n, lambda1, lambda2)
     lambda1, lambda2 = int(lambda1), int(lambda2)
     k1, k2, alpha = (np.asarray(v, dtype=float) for v in (k1, k2, alpha))
     with np.errstate(all="ignore"):
         y = (k1 * k1 + k2 * k2 + alpha * alpha) / (2.0 * k1 * k2)
-        fast = (k1 > 0.0) & (k2 > 0.0) & (alpha > 0.0) & np.isfinite(y) & (y - 1.0 >= 1e-6)
+        fast = (k1 > 0.0) & (k2 > 0.0) & (alpha > 0.0) & np.isfinite(y) & (y > 1.0)
     values = np.empty_like(y)
     live = np.flatnonzero(fast)
     k1s, k2s, alphas, ys = k1[live], k2[live], alpha[live], y[live]
@@ -548,7 +548,7 @@ def bare_integral_batch(
                 fast[i] = False
                 continue
             total = math.fsum(terms)
-            if _needs_rescue(peak, total, yi):
+            if _needs_rescue(peak, total):
                 exact = exact or _exact_coupling_set(lambda1, lambda2, lambda3)
                 total = _decimal_weighted_sum(exact, lambda3, m_order, a, b, yi)
             values[i] = pref * total / w

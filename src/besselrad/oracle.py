@@ -32,7 +32,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import specfun
-from .closedform import IntegralSpec, ThreeBesselSpec
+from .closedform import IntegralSpec, ThreeBesselSpec, _order, _positive_finite
 
 _G15_X, _G15_W = np.polynomial.legendre.leggauss(15)
 _G7_X, _G7_W = np.polynomial.legendre.leggauss(7)
@@ -217,11 +217,8 @@ def integrate_single_bessel(
     """Quadrature of integral_0^inf r^(l3+offset) e^(-ar) j_l3(k3 r) dr, offset in {1, 2}."""
     if offset not in (1, 2):
         raise ValueError(f"offset must be 1 or 2, got {offset!r}")
-    if not isinstance(lambda3, int) or lambda3 < 0 or lambda3 > 50:
-        raise ValueError(f"lambda3 must be an integer in [0, 50], got {lambda3!r}")
-    for name, v in (("alpha", alpha), ("k3", k3)):
-        if not (v > 0.0 and math.isfinite(v)):
-            raise ValueError(f"{name} must be positive and finite, got {v!r}")
+    lambda3 = _order("lambda3", lambda3, maximum=50)
+    _positive_finite(alpha=alpha, k3=k3)
     n = lambda3 + offset
 
     def f(r: np.ndarray) -> np.ndarray:
@@ -249,10 +246,7 @@ def integrate_q_definition(L: int, M: int, y: float, rel_tol: float = 1e-10) -> 
     scale.  This stays a direct quadrature of the defining integral; none
     of the recurrence machinery behind paper_q_combination enters.
     """
-    if not isinstance(L, (int, np.integer)) or L < 0 or L > 20:
-        raise ValueError(f"L must be an integer in [0, 20], got {L!r}")
-    if not isinstance(M, (int, np.integer)) or M < 0 or M > 8:
-        raise ValueError(f"M must be an integer in [0, 8], got {M!r}")
+    L, M = _order("L", L, maximum=20), _order("M", M, maximum=8)
     y = float(y)
     if not (y > 1.0):
         raise ValueError(f"argument must satisfy y > 1, got {y!r}")
@@ -351,13 +345,8 @@ def check_eq_2_6(
     factor is 1.  The caller compares against
     R(l, l3, y) / ((2 k1 k2)^l3 l3!).
     """
-    if not isinstance(l, (int, np.integer)) or l < 0 or l > 20:
-        raise ValueError(f"l must be an integer in [0, 20], got {l!r}")
-    if not isinstance(lambda3, (int, np.integer)) or lambda3 < 0 or lambda3 > 20:
-        raise ValueError(f"lambda3 must be an integer in [0, 20], got {lambda3!r}")
-    for name, v in (("k1", k1), ("k2", k2), ("alpha", alpha)):
-        if not (v > 0.0 and math.isfinite(v)):
-            raise ValueError(f"{name} must be positive and finite, got {v!r}")
+    l, lambda3 = _order("l", l), _order("lambda3", lambda3)
+    _positive_finite(k1=k1, k2=k2, alpha=alpha)
     lo = abs(k1 - k2)
     hi = k1 + k2
     two_k1k2 = 2.0 * k1 * k2
@@ -380,10 +369,7 @@ def check_eq_2_12(l: int, L: int, y0: float, rel_tol: float = 1e-8) -> Quadratur
     y = 1 + (B-1)/t, whose integrand ~ t^(l+L) is smooth on (0, 1], so no
     explicit tail bound is needed.
     """
-    if not isinstance(l, (int, np.integer)) or l < 0 or l > 20:
-        raise ValueError(f"l must be an integer in [0, 20], got {l!r}")
-    if not isinstance(L, (int, np.integer)) or L < 0 or L > 12:
-        raise ValueError(f"L must be an integer in [0, 12], got {L!r}")
+    l, L = _order("l", l), _order("L", L, maximum=12)
     y0 = float(y0)
     if not (y0 > 1.0):
         raise ValueError(f"lower limit must satisfy y0 > 1, got {y0!r}")

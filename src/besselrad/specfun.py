@@ -18,27 +18,25 @@ Stability choices:
   the minimal solution, so the ratio j_l/j_{l-1} is obtained from a Lentz
   continued fraction and propagated downward, normalized against j_0 or
   j_1 (whichever trial value is larger, since they have no common zeros).
-- Q_L: the forward three-term recurrence in L is unstable on (1, inf)
-  because the polynomial-type solution dominates.  Ratios Q_L/Q_{L-1} are
-  seeded by a continued fraction at the top order, recursed downward, and
-  normalized by the closed form Q_0(y) = atanh(1/y).  For y - 1 < 1e-6 the
-  continued fraction stalls and a clustered quadrature of the defining
-  integral takes over.
+- Q_L: the forward three-term recurrence in L loses digits on (1, inf)
+  because the polynomial-type solution dominates, but only a few near
+  y = 1.  Q_0..Q_L come from the forward recurrence where the digits it
+  loses fit the working precision's budget, and elsewhere from ratios
+  Q_L/Q_{L-1} seeded by a continued fraction at the top order, recursed
+  downward and normalized by Q_0(y) = atanh(1/y).
 - d^M Q_L/dy^M: finite recurrence over the derivative order obtained by
   differentiating (y^2 - 1) Q_L' = L (y Q_L - Q_{L-1}) M times; no numeric
   differentiation.
 
-The Q machinery (continued fraction, downward ratios, derivative
-recurrence) is written once and runs at two precisions.  In floats y is a
-float or an array of points; an array gets the same operations at each
-point, so batching changes no value.  The extended-precision rescue
-(`paper_q_combination_all_dec`) runs the same code on numpy object arrays
-of Decimals in a 40-digit context.  Only its forward-recurrence seed for
-Q_0..Q_lmax has no float counterpart: the forward direction loses digits
-that only a higher working precision can give back as guard digits.
+The Q machinery (forward recurrence, continued fraction, downward ratios,
+derivative recurrence) is written once and runs at two precisions.  In
+floats y is a float or an array of points; an array gets the same
+operations at each point, so batching changes no value.  The
+extended-precision rescue (`paper_q_combination_all_dec`) runs the same
+code on numpy object arrays of Decimals in a 40-digit context.
 
-All functions are pure; the only module state is read-only quadrature
-nodes, so everything is safe for concurrent use.
+All functions are pure and keep no module state, so everything is safe
+for concurrent use.
 """
 
 from __future__ import annotations
@@ -52,9 +50,6 @@ _L_MAX_BESSEL = 50
 _L_MAX_P = 100
 _L_MAX_Q = 60
 _M_MAX_Q = 40
-
-# fixed Gauss-Legendre rule for the near-unity Q fallback quadrature
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 
 
 # ----------------------------------------------------------------------
@@ -205,6 +200,51 @@ def legendre_p(l: int, x: float) -> float:
 
 # ----------------------------------------------------------------------
 # Legendre Q_L on (1, inf)
+#
+# Q_0..Q_lmax come from one seed rule at both precisions.  The forward
+# recurrence Q_{l+1} = ((2l + 1) y Q_l - l Q_{l-1})/(l + 1) follows the
+# dominant solution P_l, which grows like xi^l with xi = y + sqrt(y^2 - 1),
+# while Q_l decays like xi^-l, so forward steps lose about
+# (2 lmax + 1) log10(xi) digits of Q_lmax (Gautschi, SIAM Review 9 (1967)
+# 24-82; DLMF 14.10).  Near y = 1 that is a few digits, where the continued
+# fraction for Q_{lmax+1}/Q_lmax converges like xi^(-2j) and needs ~1e4
+# terms at y - 1 = 1e-5.  Far from 1 the loss grows without bound and the
+# continued fraction is cheap.  So the forward recurrence runs wherever the
+# digits it loses fit the precision's budget, and the continued fraction
+# plus downward ratios elsewhere.  A Decimal context pays the loss back
+# with guard digits (`_forward_guard_digits`) and spends up to its own
+# precision on them.  Floats have no guard digits, so their budget is the
+# loss itself, chosen by measurement.  Against 50-digit values over
+# lmax = 0, 2, .., 60 and y - 1 from 10^-6 to 10, the relative error of
+# Q_0..Q_lmax is 3.6e-14 on average and 2.1e-12 at worst with a budget of
+# 1 digit, 1.6e-13 and 1.4e-11 with half a digit, 1.7e-14 and 9.3e-13
+# with 2.  But 2 digits put low orders far from 1, where the continued
+# fraction is exact to rounding, on forward steps that lose up to 2
+# digits, and cancelling coupling sums pass that on: on the benchmark's
+# `sweep_far` and `oracle_check` rows it costs 0.003 and 0.014 correct
+# digits per row against a budget of 1.
+_FLOAT_FORWARD_DIGITS = 1.0
+
+
+def _forward_digits(lmax: int, y: float) -> float:
+    """(2 lmax + 1) log10(xi): the digits forward steps lose from Q_0, Q_1 to Q_lmax at y."""
+    return (2 * lmax + 1) * math.acosh(y) / math.log(10)
+
+
+def _forward_guard_digits(lmax: int, y: float) -> int:
+    """Guard digits that give back what the forward recurrence loses, rounded up.
+
+    `_forward_digits` plus the digits of Q_0 itself and the rounding of
+    lmax steps.  Float estimates: acosh(y) = ln xi, and Q_0 by log1p, which
+    stays finite and nonzero for every y the float path accepts.
+    """
+    q0 = 0.5 * math.log1p(2.0 / (y - 1.0))
+    return math.ceil(
+        _forward_digits(lmax, y)
+        + math.log10(max(1.0, q0))
+        + math.log10(lmax + 2)
+        + 3
+    )
 
 
 def _q_ratio_cf(top: int, y, tol=1e-16):
@@ -238,34 +278,6 @@ def _q_ratio_cf(top: int, y, tol=1e-16):
     raise RuntimeError(f"Q ratio continued fraction stalled at y={y!r}")
 
 
-def _q_quadrature(lmax: int, y: float) -> np.ndarray:
-    """Q_0..Q_lmax by quadrature of the defining integral, for y -> 1+.
-
-    The substitution x = 1 - (y-1)(e^u - 1) turns (1/2) int P_L(x)/(y-x) dx
-    into (1/2) int_0^U P_L(x(u)) du with U = log((y+1)/(y-1)); the integrand
-    is bounded by 1 and smooth, so composite Gauss panels resolve it.
-    """
-    u_top = math.log((y + 1.0) / (y - 1.0))
-    n_panels = 8 * (lmax + 2)
-    edges = np.linspace(0.0, u_top, n_panels + 1)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 * (edges[1:] - edges[:-1])
-    u = (mid[:, None] + half[:, None] * _GL_NODES[None, :]).ravel()
-    w = (half[:, None] * _GL_WEIGHTS[None, :]).ravel()
-    x = 1.0 - (y - 1.0) * np.expm1(u)
-    np.clip(x, -1.0, 1.0, out=x)
-    out = np.empty(lmax + 1)
-    pm = np.ones_like(x)
-    out[0] = 0.5 * float(w @ pm)
-    if lmax >= 1:
-        pc = x.copy()
-        out[1] = 0.5 * float(w @ pc)
-        for m in range(1, lmax):
-            pm, pc = pc, ((2 * m + 1) * x * pc - m * pm) / (m + 1)
-            out[m + 1] = 0.5 * float(w @ pc)
-    return out
-
-
 def _pointwise(fn, y):
     """fn at a float y, or at each point of a float64 array y."""
     if np.ndim(y) == 0:
@@ -276,21 +288,47 @@ def _pointwise(fn, y):
 def legendre_q_all(lmax: int, y) -> np.ndarray:
     """Q_0(y) .. Q_lmax(y) along the first axis, y > 1.
 
-    y is a float or a float64 array of points with y - 1 >= 1e-6.  An array
-    takes the same operations point by point as a float (the continued
-    fraction and Q_0 run per point, the recurrence elementwise), so its
-    values equal the float ones bit for bit.
+    y is a float or a float64 array of points.  A point takes the forward
+    recurrence from Q_0 = log1p(2/(y - 1))/2 where it loses at most
+    `_FLOAT_FORWARD_DIGITS` digits, else the continued fraction.  An array takes
+    the same operations point by point as a float (the seed choice, the
+    continued fraction and Q_0 per point, the recurrences elementwise), so
+    its values equal the float ones bit for bit.
     """
     if np.ndim(y) == 0:
-        if y - 1.0 < 1e-6:
-            return _q_quadrature(lmax, y)
-    elif not np.all(y - 1.0 >= 1e-6):
-        raise ValueError("an array of points needs y - 1 >= 1e-6 at every point")
+        return _q_float(lmax, y, _forward_digits(lmax, y) <= _FLOAT_FORWARD_DIGITS)
+    forward = np.array([_forward_digits(lmax, v) <= _FLOAT_FORWARD_DIGITS for v in y.tolist()],
+                       dtype=bool)
+    out = np.empty((lmax + 1,) + y.shape)
+    for points, seed in ((forward, True), (~forward, False)):
+        if points.any():
+            out[:, points] = _q_float(lmax, y[points], seed)
+    return out
+
+
+def _q_float(lmax: int, y, forward: bool) -> np.ndarray:
+    """Q_0..Q_lmax in floats by the forward recurrence or by the continued fraction."""
     out = np.empty((lmax + 1,) + np.shape(y))
+    if forward:
+        out[0] = _pointwise(lambda v: 0.5 * math.log1p(2.0 / (v - 1.0)), y)
+        return _q_forward(out, y)
     out[0] = _pointwise(lambda v: math.atanh(1.0 / v), y)
     if lmax == 0:
         return out
     return _q_downward(out, _pointwise(lambda v: _q_ratio_cf(lmax + 1, v), y), y)
+
+
+def _q_forward(out: np.ndarray, y) -> np.ndarray:
+    """Fill out[1:] with Q_1..Q_lmax by the forward recurrence, given Q_0 in out[0].
+
+    out is a float64 array (y a float or an array of points) or an object
+    array of Decimals (y a Decimal, run in the caller's context).
+    """
+    if len(out) > 1:
+        out[1] = y * out[0] - 1
+    for l in range(1, len(out) - 1):
+        out[l + 1] = ((2 * l + 1) * y * out[l] - l * out[l - 1]) / (l + 1)
+    return out
 
 
 def _q_downward(out: np.ndarray, r, y) -> np.ndarray:
@@ -339,7 +377,7 @@ def _r_derivatives(q: np.ndarray, M: int, y) -> np.ndarray:
     """
     if M == 0:
         return q
-    ym1 = y * y - 1
+    ym1 = (y - 1) * (y + 1)  # y^2 - 1 without the cancellation of y * y - 1 near y = 1
     ls = np.arange(1, len(q)).astype(q.dtype).reshape((-1,) + (1,) * np.ndim(y))
     d_prev = q                                  # order m - 1
     d_curr = np.empty_like(q)                   # order m
@@ -384,19 +422,7 @@ def paper_q_combination(L: int, M: int, y: float) -> float:
 # high derivative order: individual terms can exceed the result by many
 # orders of magnitude.  When a caller detects that, it re-evaluates the
 # combination values (and the sum) in 40-digit decimal arithmetic, through
-# the same continued fraction, downward ratios and derivative recurrence
-# as the float path.
-#
-# Q_0..Q_lmax are seeded by the forward recurrence, run with guard digits.
-# It is the dominant solution P_l that grows along it, like xi^l with
-# xi = y + sqrt(y^2 - 1), while Q_l decays like xi^-l, so forward steps
-# lose about (2 lmax + 1) log10(xi) digits of Q_lmax (Gautschi, SIAM
-# Review 9 (1967) 24-82).  Near y = 1 that is a few digits, where the
-# continued fraction for Q_{lmax+1}/Q_lmax converges like xi^(-2j) and
-# needs ~1e4 terms at y - 1 = 1e-5.  Far from 1 the guard grows without
-# bound and the continued fraction is cheap, so it seeds Q there.  The
-# float path has no guard digits to spend, so the forward seed is
-# Decimal-only.
+# the same seed rule and recurrences as the float path.
 
 
 def _q0_dec(y: Decimal) -> Decimal:
@@ -411,52 +437,27 @@ def _q0_dec(y: Decimal) -> Decimal:
     return +q0
 
 
-def _forward_guard_digits(lmax: int, y: float) -> int:
-    """Digits the forward recurrence loses from Q_0, Q_1 to Q_lmax at y, rounded up.
-
-    Float estimates: acosh(y) = ln xi, and Q_0 by log1p, which stays
-    finite and nonzero for every y the float path accepts.
-    """
-    q0 = 0.5 * math.log1p(2.0 / (y - 1.0))
-    return math.ceil(
-        (2 * lmax + 1) * math.acosh(y) / math.log(10)
-        + math.log10(max(1.0, q0))
-        + math.log10(lmax + 2)
-        + 3
-    )
-
-
-def _q_forward_dec(lmax: int, y: Decimal) -> list[Decimal]:
-    """Q_0..Q_lmax by the forward recurrence, in the context's precision."""
-    q = [_q0_dec(y)]
-    if lmax >= 1:
-        q.append(y * q[0] - 1)
-    for l in range(1, lmax):
-        q.append(((2 * l + 1) * y * q[l] - l * q[l - 1]) / (l + 1))
-    return q
-
-
 def paper_q_combination_all_dec(lmax: int, M: int, y: float, prec: int = 40) -> list[Decimal]:
-    """R(l, M, y) for l = 0..lmax in `prec`-digit decimal arithmetic.
+    """R(l, M, y) for l = 0..lmax in `prec`-digit decimal arithmetic, y > 1.
 
     Q_l is seeded by the forward recurrence at prec + g digits when its
     guard g is at most prec, by the continued fraction otherwise.
-    Requires y - 1 >= 1e-6; callers fall back to the float path closer
-    to 1.
     """
-    if not y - 1.0 >= 1e-6:
-        raise ValueError(f"decimal path needs y - 1 >= 1e-6, got y={y!r}")
+    if not y > 1.0:
+        raise ValueError(f"argument must satisfy y > 1, got {y!r}")
     with localcontext() as ctx:
         ctx.prec = prec
         y_d = Decimal(y)
         guard = _forward_guard_digits(lmax, y)
+        q = np.empty(lmax + 1, dtype=object)
         if guard <= prec:
             ctx.prec = prec + guard
-            q = _q_forward_dec(lmax, y_d)
+            q[0] = _q0_dec(y_d)
+            _q_forward(q, y_d)
             ctx.prec = prec
-            q = np.array([+v for v in q], dtype=object)
+            q = np.array([+v for v in q.tolist()], dtype=object)
         else:
-            q = np.full(lmax + 1, _q0_dec(y_d), dtype=object)
+            q[0] = _q0_dec(y_d)
             if lmax >= 1:
                 tol = Decimal(10) ** (4 - prec)
                 _q_downward(q, _q_ratio_cf(lmax + 1, y_d, tol), y_d)

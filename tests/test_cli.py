@@ -242,7 +242,7 @@ class TestTableBatches:
         ([("k2", 2.7, 5.0, 10), ("alpha", 0.1, 2.5, 15)], {"lambda1": 1, "lambda2": 3, "power": 4, "k1": 0.8}),
         # rows that take the 40-digit rescue
         ([("k2", 2.6, 3.6, 5)], {"lambda1": 4, "lambda2": 2, "power": 3, "k1": 1.0, "alpha": 0.5}),
-        # y - 1 below 1e-6 on some rows: the near-unity Q path
+        # y - 1 below 1e-6 on some rows: Q seeded by the forward recurrence
         ([("alpha", 1e-4, 1e-2, 7)], {"lambda1": 1, "lambda2": 1, "power": 2, "k1": 1.0, "k2": 1.0}),
         # lambda2 and power sweeps as in order_scan: NA rows, one row per order
         ([("lambda2", 0, 6, 7), ("power", 1, 9, 9)], {"lambda1": 3, "k1": 1.1, "k2": 0.9, "alpha": 0.7}),

@@ -325,13 +325,18 @@ class TestFloatRange:
 class TestRescueAccuracy:
     """Rows the 40-digit rescue takes, against perfbench/reference.py (mpmath, no besselrad import).
 
-    The continued-fraction seed missed both: 2.5e-5 and 8.9e-7.
+    The continued-fraction seed missed the first two: 2.5e-5 and 8.9e-7.  The
+    last three lie below y - 1 = 1e-6, where the rescue was not tried and the
+    float sum returned -1.5e40, 4.6e18 and -9.9e36.
     """
 
     @pytest.mark.parametrize("args,reference", [
         ((13, 6, 6, 1.0, 1.0, 0.01), 1.9958781039877128e+31),
         ((11, 5, 6, 0.903182338640532, 0.9018709491666433, 0.004031186492268727),
          6.480844926575361e+25),
+        ((9, 4, 4, 1.0, 1.0, 1e-3), 2.5200006000004044e+27),
+        ((5, 2, 2, 1.0, 1.0, 1e-4), 3.000000015000003e+16),
+        ((7, 3, 3, 1.0, 1.0, 1e-4), 6.0000000179999985e+25),
     ])
     def test_within_acceptance_tolerance(self, args, reference):
         assert bare_integral(*args).value == pytest.approx(reference, rel=1e-7)
@@ -392,19 +397,22 @@ class TestBareIntegralBatch:
 
     def test_rescue_and_near_unity_points(self, monkeypatch):
         # (4, 2, 3) at k2/k1 in [2.6, 3.6], alpha 0.5 cancels and takes the
-        # 40-digit rescue; y - 1 < 1e-6 at k1 = k2, alpha <= 1e-3 takes the
-        # scalar near-unity Q path
+        # 40-digit rescue; k1 = k2, alpha <= 1e-3 puts y - 1 below 1e-6,
+        # where Q is seeded by the forward recurrence, in the batch too
         rescues = []
         dec = specfun.paper_q_combination_all_dec
         monkeypatch.setattr(specfun, "paper_q_combination_all_dec",
                             lambda *a, **k: rescues.append(a) or dec(*a, **k))
-        k1 = [1.0] * 8
-        k2 = [2.6, 3.0, 3.3, 3.6, 1.0, 1.0, 1.0, 1.0]
-        alpha = [0.5, 0.5, 0.5, 0.5, 1e-3, 5e-4, 1e-2, 1.0]
-        for n, l1, l2 in ((3, 4, 2), (1, 3, 3), (2, 1, 1)):
+        k1 = [1.0] * 9
+        k2 = [2.6, 3.0, 3.3, 3.6, 1.0, 1.0, 1.0, 1.0, 1.0]
+        alpha = [0.5, 0.5, 0.5, 0.5, 1e-3, 5e-4, 1e-5, 1e-2, 1.0]
+        for n, l1, l2 in ((3, 4, 2), (1, 3, 3), (2, 1, 1), (9, 4, 4)):
             rescues.clear()
-            _, values = closedform.bare_integral_batch(n, l1, l2, k1, k2, alpha)
             expected = _scalar_values(n, l1, l2, k1, k2, alpha)
+            scalar = closedform.bare_integral
+            monkeypatch.setattr(closedform, "bare_integral", None)  # every point stays in the batch
+            _, values = closedform.bare_integral_batch(n, l1, l2, k1, k2, alpha)
+            monkeypatch.setattr(closedform, "bare_integral", scalar)
             assert [v.hex() for v in values] == [v.hex() for v in expected]
         rescues.clear()
         closedform.bare_integral_batch(3, 4, 2, k1, k2, alpha)

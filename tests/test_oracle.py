@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from besselrad import closedform, oracle, specfun
@@ -158,3 +159,30 @@ class TestDerivativeOrderIdentity:
         q = oracle.check_eq_2_12(l, L, y0, 1e-8)
         target = specfun.paper_q_combination(l, L, y0)
         assert q.value == pytest.approx(target, rel=1e-7)
+
+
+class TestOrderValidation:
+    """The oracle checks orders and wavenumbers as the closed forms do."""
+
+    @pytest.mark.parametrize("call", [
+        lambda l: integrate_single_bessel(l(2), 1.0, 1.0, 1),
+        lambda l: integrate_q_definition(l(2), l(1), 2.0),
+        lambda l: oracle.check_eq_2_6(l(1), l(0), 1.0, 1.0, 1.0),
+        lambda l: oracle.check_eq_2_12(l(0), l(0), 2.0),
+    ])
+    def test_numpy_integer_orders(self, call):
+        assert call(np.int64) == call(int)
+
+    @pytest.mark.parametrize("call", [
+        lambda: integrate_single_bessel(51, 1.0, 1.0, 1),
+        lambda: integrate_single_bessel(2, 1.0, math.inf, 1),
+        lambda: integrate_q_definition(21, 0, 2.0),
+        lambda: integrate_q_definition(0, 9, 2.0),
+        lambda: oracle.check_eq_2_6(21, 0, 1.0, 1.0, 1.0),
+        lambda: oracle.check_eq_2_6(0, 0, 1.0, -1.0, 1.0),
+        lambda: oracle.check_eq_2_12(0, 13, 2.0),
+        lambda: oracle.check_eq_2_12(1.0, 0, 2.0),
+    ])
+    def test_rejected(self, call):
+        with pytest.raises(ValueError):
+            call()

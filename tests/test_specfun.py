@@ -143,11 +143,11 @@ class TestLegendreQ:
         nonzero = q[q > 0]
         assert np.all(np.diff(nonzero) < 0)
 
-    def test_quadrature_fallback_region(self):
-        # y - 1 < 1e-6 switches to clustered quadrature of the integral form
+    def test_forward_seed_near_one(self):
+        # y - 1 < 1e-6 takes the forward recurrence, cheap and accurate there
         y = 1.0 + 5e-7
         ref = float(q_integral_oracle(3, 0, y))
-        assert legendre_q(3, y) == pytest.approx(ref, rel=1e-9)
+        assert legendre_q(3, y) == pytest.approx(ref, rel=1e-14)
 
     def test_domain_error(self):
         with pytest.raises(ValueError):
@@ -198,18 +198,25 @@ class TestPaperQCombination:
 
 
 def q_combination_loop(lmax, M, y):
-    """Reference: the Q ratio and derivative recurrences one l at a time, in floats."""
-    q = [math.atanh(1.0 / y)] + [0.0] * lmax
-    ratios = [0.0] * (lmax + 1)
-    r = specfun._q_ratio_cf(lmax + 1, y) if lmax else 0.0
-    for l in range(lmax, 0, -1):
-        r = l / ((2 * l + 1) * y - (l + 1) * r)
-        ratios[l] = r
-    for l in range(1, lmax + 1):
-        q[l] = q[l - 1] * ratios[l]
+    """Reference: the Q seed rule and recurrences one l at a time, in floats."""
+    if specfun._forward_digits(lmax, y) <= specfun._FLOAT_FORWARD_DIGITS:
+        q = [0.5 * math.log1p(2.0 / (y - 1.0))]
+        if lmax >= 1:
+            q.append(y * q[0] - 1.0)
+        for l in range(1, lmax):
+            q.append(((2 * l + 1) * y * q[l] - l * q[l - 1]) / (l + 1))
+    else:
+        q = [math.atanh(1.0 / y)] + [0.0] * lmax
+        ratios = [0.0] * (lmax + 1)
+        r = specfun._q_ratio_cf(lmax + 1, y) if lmax else 0.0
+        for l in range(lmax, 0, -1):
+            r = l / ((2 * l + 1) * y - (l + 1) * r)
+            ratios[l] = r
+        for l in range(1, lmax + 1):
+            q[l] = q[l - 1] * ratios[l]
     if M == 0:
         return q
-    ym1 = y * y - 1.0
+    ym1 = (y - 1.0) * (y + 1.0)
     d_prev = q
     d_curr = [-1.0 / ym1] + [l * (y * d_prev[l] - d_prev[l - 1]) / ym1 for l in range(1, lmax + 1)]
     for m in range(1, M):
@@ -227,7 +234,7 @@ class TestPointArrays:
 
     @given(
         st.integers(0, 30), st.integers(0, 20),
-        st.lists(st.floats(-5.9, 2.0), min_size=1, max_size=20),
+        st.lists(st.floats(-12.0, 2.0), min_size=1, max_size=20),
     )
     def test_array_equals_float_and_loop(self, lmax, M, log_gaps):
         ys = 1.0 + 10.0 ** np.array(log_gaps)
@@ -244,10 +251,6 @@ class TestPointArrays:
         q = specfun.legendre_q_all(4, ys)
         assert q.shape == (5, 3)
         assert [q[4, j] for j in range(3)] == [legendre_q(4, y) for y in ys.tolist()]
-
-    def test_array_needs_continued_fraction_regime(self):
-        with pytest.raises(ValueError):
-            specfun.legendre_q_all(3, np.array([2.0, 1.0 + 1e-7]))
 
 
 @functools.lru_cache(maxsize=None)
@@ -304,13 +307,16 @@ def q_combination_closed_form(lmax, M, y):
     return out
 
 
-SEED_GRID_Y = [1.0 + g for g in (1.01e-6, 1e-5, 1e-3, 0.1, 1.5, 10.0, 1e3, 1e6)] + [1e20]
+SEED_GRID_Y = [1.0 + g for g in (1e-12, 1e-9, 1.01e-6, 1e-5, 1e-3, 0.1, 1.5, 10.0, 1e3, 1e6)] + [1e20]
 SEED_GRID_ORDERS = [(0, 0), (1, 3), (8, 12), (20, 20), (30, 5), (40, 0), (40, 12), (40, 20)]
 # At lmax = 40 and M >= 12 near y = 1 the derivative recurrence itself, run
-# at 40 digits, amplifies its rounding to 1e-31 .. 1e-29 whichever seed
-# feeds it.  At these three points neither seed passes 1e-30: the
-# continued-fraction seed gives 1.0e-30 .. 2.9e-30.
-DERIVATIVE_RECURRENCE_SHORT = {(1.0 + 1.01e-6, 40, 12), (1.0 + 1e-5, 40, 12), (1.0 + 1e-5, 40, 20)}
+# at 40 digits, amplifies its rounding to 1e-31 .. 1e-28 whichever seed
+# feeds it.  At these points neither seed passes 1e-30: the
+# continued-fraction seed gives 1.0e-30 .. 2.9e-30 at the first three; the
+# four below y - 1 = 1e-6, which only the forward seed reaches, give
+# 3.5e-30 .. 8.5e-29.
+DERIVATIVE_RECURRENCE_SHORT = {(1.0 + 1.01e-6, 40, 12), (1.0 + 1e-5, 40, 12), (1.0 + 1e-5, 40, 20)} | {
+    (1.0 + g, 40, M) for g in (1e-12, 1e-9) for M in (12, 20)}
 
 
 class TestDecimalSeed:
@@ -346,9 +352,69 @@ class TestDecimalSeed:
         assert guard > 0
         assert bool(calls) == (guard > 40 and lmax > 0)
 
-    def test_near_unity_still_refused(self):
-        with pytest.raises(ValueError, match="1e-6"):
-            specfun.paper_q_combination_all_dec(3, 2, 1.0 + 9e-7)
+
+def float_r_bound(lmax, M):
+    """Stated bound on the relative error of the float R(l, M, y), l <= lmax.
+
+    The seed costs at most 1e-12 (M = 0).  Near y = 1 the derivative
+    recurrence amplifies rounding as lmax and M grow, whichever seed feeds
+    it: at lmax = 40, M = 12 it keeps about 5 digits in floats (1.1e-5) and
+    29 in 40-digit Decimals (DERIVATIVE_RECURRENCE_SHORT).
+    """
+    return 1e-12 * 10 ** (lmax * M / 48)
+
+
+def assert_float_r_near(lmax, M, y, ref):
+    with np.errstate(under="ignore"):
+        got = specfun.paper_q_combination_all(lmax, M, y)
+    for l in range(lmax + 1):
+        if abs(ref[l]) < mp.mpf("1e-290"):  # the float value underflows
+            continue
+        rel = abs(mp.mpf(float(got[l])) / ref[l] - 1)
+        assert rel <= float_r_bound(lmax, M), (l, M, y, rel)
+
+
+FLOAT_GRID_Y = [1.0 + g for g in (1e-12, 1e-9, 1e-6, 1e-3, 0.1, 10.0, 1e3, 1e6)]
+FLOAT_GRID_LMAX = (0, 1, 2, 5, 12, 20, 40)
+FLOAT_GRID_M = (0, 1, 3, 6, 12)
+
+
+class TestFloatSeed:
+    """The float Q_l and R(l, M, y) against the closed form of Q_l, and the seed rule."""
+
+    @pytest.mark.parametrize("M", FLOAT_GRID_M)
+    @pytest.mark.parametrize("y", FLOAT_GRID_Y)
+    def test_against_closed_form(self, y, M):
+        ref = q_combination_closed_form(max(FLOAT_GRID_LMAX), M, y)
+        for lmax in FLOAT_GRID_LMAX:
+            assert_float_r_near(lmax, M, y, ref)
+
+    @pytest.mark.parametrize("side", [-1, 1])
+    @pytest.mark.parametrize("lmax", FLOAT_GRID_LMAX)
+    def test_both_sides_of_the_budget(self, lmax, side):
+        # the y at which the forward recurrence loses exactly the float budget
+        t = math.cosh(specfun._FLOAT_FORWARD_DIGITS * math.log(10) / (2 * lmax + 1)) - 1.0
+        y = 1.0 + t * (1.0 + side * 1e-6)
+        assert (specfun._forward_digits(lmax, y) <= specfun._FLOAT_FORWARD_DIGITS) == (side < 0)
+        for M in FLOAT_GRID_M:
+            assert_float_r_near(lmax, M, y, q_combination_closed_form(lmax, M, y))
+
+    @pytest.mark.parametrize("lmax", [0, 1, 8, 20, 30, 40])
+    def test_continued_fraction_only_past_the_budget(self, monkeypatch, lmax):
+        calls = []
+        cf = specfun._q_ratio_cf
+        monkeypatch.setattr(specfun, "_q_ratio_cf", lambda *a: calls.append(a) or cf(*a))
+        ys = SEED_GRID_Y + [1e300]
+        past = [specfun._forward_digits(lmax, y) > specfun._FLOAT_FORWARD_DIGITS and lmax > 0
+                for y in ys]
+        with np.errstate(all="ignore"):
+            for y, expected in zip(ys, past):
+                calls.clear()
+                specfun.paper_q_combination_all(lmax, 2, y)
+                assert bool(calls) == expected
+            calls.clear()
+            specfun.paper_q_combination_all(lmax, 2, np.array(ys))
+        assert len(calls) == sum(past)
 
 
 class TestBinomialSqrt:

@@ -28,9 +28,9 @@ a genuine coverage boundary, not a failure.  `bare_integral_batch` gives
 the same values for many points of one order at once.
 
 The coupling coefficients depend on the orders only.  Each (l1, l2, l3)
-set is compiled once into float factors (`_coupling_set`); the 40-digit
-rescue rebuilds the exact radicands from the Wigner symbol caches into
-Decimal factors (`_exact_coupling_set`) and runs the same term product.
+set is compiled once per process (`_coupling_set`), in one pass over its
+Wigner symbols, into float factors and the 40-digit Decimal factors of
+the rescue, which runs the same term product on them.
 
 Everything here is a pure function apart from those read-only caches;
 parameter sweeps may call these concurrently without restriction.
@@ -179,9 +179,20 @@ def condition_number(k1: float, k2: float, alpha: float) -> float:
 
 
 def delta_param(k1: float, k2: float, k3: float) -> float:
-    """Triangle parameter (k1^2 + k2^2 - k3^2) / (2 k1 k2)."""
+    """Triangle parameter (k1^2 + k2^2 - k3^2) / (2 k1 k2).
+
+    Raises ValueError when the float arithmetic gives no finite value: the
+    squares overflow (NaN) or 2 k1 k2 underflows to 0.
+    """
     _positive_finite(k1=k1, k2=k2, k3=k3)
-    return (k1 * k1 + k2 * k2 - k3 * k3) / (2.0 * k1 * k2)
+    den = 2.0 * k1 * k2
+    delta = (k1 * k1 + k2 * k2 - k3 * k3) / den if den > 0.0 else math.nan
+    if not math.isfinite(delta):
+        raise ValueError(
+            f"delta = (k1^2 + k2^2 - k3^2) / (2 k1 k2) is not finite in float arithmetic "
+            f"(k1={k1!r}, k2={k2!r}, k3={k3!r})"
+        )
+    return delta
 
 
 def beta_step(delta: float) -> float:
@@ -208,14 +219,27 @@ def laplace_single_bessel(lambda3: int, alpha: float, k3: float, offset: int) ->
     """
     lambda3 = _order("lambda3", lambda3, maximum=50)
     _positive_finite(alpha=alpha, k3=k3)
-    if offset == 1:
-        return (2.0 * k3) ** lambda3 * math.factorial(lambda3) / (k3 * k3 + alpha * alpha) ** (lambda3 + 1)
-    if offset == 2:
-        return (
-            2.0 * alpha * (2.0 * k3) ** lambda3 * math.factorial(lambda3 + 1)
-            / (k3 * k3 + alpha * alpha) ** (lambda3 + 2)
+    if offset not in (1, 2):
+        raise ValueError(f"offset must be 1 or 2, got {offset!r}")
+    try:
+        if offset == 1:
+            value = (
+                (2.0 * k3) ** lambda3 * math.factorial(lambda3)
+                / (k3 * k3 + alpha * alpha) ** (lambda3 + 1)
+            )
+        else:
+            value = (
+                2.0 * alpha * (2.0 * k3) ** lambda3 * math.factorial(lambda3 + 1)
+                / (k3 * k3 + alpha * alpha) ** (lambda3 + 2)
+            )
+    except (OverflowError, ZeroDivisionError):
+        value = math.nan
+    if not math.isfinite(value):
+        raise ValueError(
+            f"the single-Bessel transform leaves the float range "
+            f"(lambda3={lambda3}, alpha={alpha!r}, k3={k3!r}, offset={offset})"
         )
-    raise ValueError(f"offset must be 1 or 2, got {offset!r}")
+    return value
 
 
 def summation_bounds(lambda1: int, lambda2: int, lambda3: int, script_l: int) -> tuple[int, int]:
@@ -269,68 +293,74 @@ def _coupling_terms(l1: int, l2: int, l3: int):
 
 
 class _CouplingSet(NamedTuple):
-    """The nonzero terms of one (l1, l2, l3) coupling set.
+    """The nonzero terms of one (l1, l2, l3) coupling set, at both precisions.
 
     Term i of the paper's double sum is
         binom[i] * (k2/k1)^scr[i] * two_l1[i] * weight[i] * R(l[i], M, y),
     multiplied in that order, with binom = sqrt(C(2 l3, 2 scr)),
     two_l1 = 2 l + 1 and weight = sign * sqrt(radicand).  The sign is
     exact, so folding it into the weight leaves every product unchanged.
+    `factors` holds these in floats; `exact` holds them for the 40-digit
+    rescue, binom and weight as `_RESCUE_DIGITS`-digit Decimals (binom
+    shared per l3) and two_l1 as an int.
     """
 
     index: np.ndarray     # (2, terms) ints: scr, l
-    factors: np.ndarray   # (3, terms): binom, two_l1, weight, as floats or Decimals
+    factors: np.ndarray   # (3, terms) floats: binom, two_l1, weight
+    exact: np.ndarray     # (3, terms) objects: Decimal binom, int two_l1, Decimal weight
     l_need: int           # largest l of the set
 
 
-def _compile(l1: int, l2: int, l3: int, binom_sqrt, rad_sqrt) -> Optional[_CouplingSet]:
-    """The coupling set with binom = binom_sqrt(2 l3, 2 scr) and weight = sign * rad_sqrt(radicand)."""
+@lru_cache(maxsize=None)
+def _binom_dec(lambda3: int) -> tuple[Decimal, ...]:
+    """sqrt(C(2 l3, 2 scr)) for scr = 0..l3 in `_RESCUE_DIGITS`-digit Decimals."""
+    with localcontext() as ctx:
+        ctx.prec = _RESCUE_DIGITS
+        return tuple(Decimal(math.comb(2 * lambda3, 2 * scr)).sqrt() for scr in range(lambda3 + 1))
+
+
+@lru_cache(maxsize=None)
+def _coupling_set(l1: int, l2: int, l3: int) -> Optional[_CouplingSet]:
+    """The coupling set of (l1, l2, l3), compiled once per process; None when empty.
+
+    One pass over `_coupling_terms` gives both precisions, so each Wigner
+    symbol of the set is evaluated once per process.
+    """
     terms = list(_coupling_terms(l1, l2, l3))
     if not terms:
         return None
     index = np.array([(scr, l) for scr, l, _, _ in terms]).T
     factors = np.array([
-        (binom_sqrt(2 * l3, 2 * scr), 2 * l + 1, sign * rad_sqrt(rad))
+        (specfun.binomial_sqrt(2 * l3, 2 * scr), 2 * l + 1, sign * math.sqrt(float(rad)))
         for scr, l, sign, rad in terms
     ]).T
-    return _CouplingSet(index, factors, int(index[1].max()))
-
-
-@lru_cache(maxsize=None)
-def _coupling_set(l1: int, l2: int, l3: int) -> Optional[_CouplingSet]:
-    """The coupling set of (l1, l2, l3) in floats, compiled once per process; None when empty."""
-    return _compile(l1, l2, l3, specfun.binomial_sqrt, lambda rad: math.sqrt(float(rad)))
-
-
-def _exact_coupling_set(l1: int, l2: int, l3: int) -> Optional[_CouplingSet]:
-    """The coupling set in `_RESCUE_DIGITS`-digit Decimals, for the rescue.
-
-    Built per product or per batch rather than cached for the process, so
-    the rescue adds no memory that grows with the orders a process visits.
-    """
+    binom = _binom_dec(l3)
     with localcontext() as ctx:
         ctx.prec = _RESCUE_DIGITS
-        return _compile(
-            l1, l2, l3,
-            lambda n, k: Decimal(math.comb(n, k)).sqrt(),
-            lambda rad: (Decimal(rad.numerator) / Decimal(rad.denominator)).sqrt(),
-        )
+        exact = np.array([
+            (binom[scr], 2 * l + 1, sign * (Decimal(rad.numerator) / Decimal(rad.denominator)).sqrt())
+            for scr, l, sign, rad in terms
+        ], dtype=object).T
+    return _CouplingSet(index, factors, exact, int(index[1].max()))
 
 
-def _contributions(cs: _CouplingSet, lambda3: int, ratio, rvals: np.ndarray) -> np.ndarray:
+def _contributions(
+    cs: _CouplingSet, lambda3: int, ratio, rvals: np.ndarray, exact: bool = False
+) -> np.ndarray:
     """The terms of the double sum, shape (terms,) + shape of ratio.
 
     ratio = k2/k1 is a float or an array of points and rvals the matching
-    R(l, M, y) of `specfun.paper_q_combination_all`; or, for the rescue,
-    ratio is a Decimal, rvals an object array of Decimals and cs exact,
-    run in the caller's context.  The powers of the ratio are taken with
-    ** int, as a scalar evaluation would.
+    R(l, M, y) of `specfun.paper_q_combination_all`; or, for the rescue
+    (exact), ratio is a Decimal and rvals an object array of Decimals,
+    run in the caller's context on the set's exact factors.  The powers
+    of the ratio are taken with ** int, as a scalar evaluation would.
     """
     points = np.reshape(ratio, -1).tolist()
     powers = np.array([[r**scr for r in points] for scr in range(lambda3 + 1)])
     powers = powers.reshape((lambda3 + 1,) + np.shape(ratio))
     scr, l = cs.index
-    binom, two_l1, weight = cs.factors.reshape(cs.factors.shape + (1,) * np.ndim(ratio))
+    factors = cs.exact if exact else cs.factors
+    binom, two_l1, weight = factors.reshape(factors.shape + (1,) * np.ndim(ratio))
     return binom * powers[scr] * two_l1 * weight * rvals[l]
 
 
@@ -388,8 +418,11 @@ def two_bessel_product(
         return EvalResult(0.0, method, condition)
 
     m_order = lambda3 + offset - 1
-    rvals = specfun.paper_q_combination_all(cs.l_need, m_order, y)
+    with np.errstate(over="ignore", invalid="ignore"):  # R overflows near y = 1 at high M
+        rvals = specfun.paper_q_combination_all(cs.l_need, m_order, y)
     pref = _prefactor(lambda1, lambda2, lambda3, k1, k2, alpha, offset)
+    if not np.isfinite(rvals).all():
+        raise _float_range_error(k1, k2, alpha)
     try:
         with np.errstate(over="raise", invalid="raise"):
             contribs = _contributions(cs, lambda3, k2 / k1, rvals).tolist()
@@ -397,19 +430,19 @@ def two_bessel_product(
         raise _float_range_error(k1, k2, alpha) from None
     total = math.fsum(contribs)
     if _needs_rescue(max(abs(c) for c in contribs), total):
-        exact = _exact_coupling_set(lambda1, lambda2, lambda3)
-        total = _decimal_weighted_sum(exact, lambda3, m_order, k1, k2, y)
+        total = _decimal_weighted_sum(cs, lambda3, m_order, k1, k2, y)
     return EvalResult(pref * total, method, condition)
 
 
 def _decimal_weighted_sum(
-    exact: _CouplingSet, lambda3: int, m_order: int, k1: float, k2: float, y: float
+    cs: _CouplingSet, lambda3: int, m_order: int, k1: float, k2: float, y: float
 ) -> float:
-    """The double sum of `_contributions` over the exact set, in `_RESCUE_DIGITS` digits."""
-    rd = specfun.paper_q_combination_all_dec(exact.l_need, m_order, y, prec=_RESCUE_DIGITS)
+    """The double sum of `_contributions` over the set's exact factors, in `_RESCUE_DIGITS` digits."""
+    rd = specfun.paper_q_combination_all_dec(cs.l_need, m_order, y, prec=_RESCUE_DIGITS)
     with localcontext() as ctx:
         ctx.prec = _RESCUE_DIGITS
-        terms = _contributions(exact, lambda3, Decimal(k2) / Decimal(k1), np.array(rd, dtype=object))
+        ratio = Decimal(k2) / Decimal(k1)
+        terms = _contributions(cs, lambda3, ratio, np.array(rd, dtype=object), exact=True)
         return float(sum(terms, Decimal(0)))
 
 
@@ -425,7 +458,8 @@ def three_bessel_product(spec: ThreeBesselSpec) -> float:
     """3j-weighted product of the triple-Bessel integral, in closed form.
 
     Zero whenever the wavenumbers violate their triangle (beta = 0) or the
-    angular parity kills the 3j weight.
+    angular parity kills the 3j weight.  Raises ValueError when the powers
+    of the wavenumbers or the terms leave the float range.
     """
     l1, l2, l3 = spec.lambda1, spec.lambda2, spec.lambda3
     if (l1 + l2 + l3) % 2 == 1:
@@ -437,16 +471,26 @@ def three_bessel_product(spec: ThreeBesselSpec) -> float:
     k1, k2, k3 = spec.k1, spec.k2, spec.k3
     cs = _coupling_set(l1, l2, l3)
     total = 0.0
-    if cs is not None:
-        pvals = np.array([specfun.legendre_p(l, delta) for l in range(cs.l_need + 1)])
-        total = math.fsum(_contributions(cs, l3, k2 / k1, pvals).tolist())
-    pref = (
-        math.pi * beta / (4.0 * k1 * k2 * k3)
-        * _phase(l1, l2, l3)
-        * math.sqrt(2 * l3 + 1)
-        * (k1 / k3) ** l3
-    )
-    return pref * total
+    try:
+        if cs is not None:
+            pvals = np.array([specfun.legendre_p(l, delta) for l in range(cs.l_need + 1)])
+            with np.errstate(over="raise", invalid="raise"):
+                total = math.fsum(_contributions(cs, l3, k2 / k1, pvals).tolist())
+        pref = (
+            math.pi * beta / (4.0 * k1 * k2 * k3)
+            * _phase(l1, l2, l3)
+            * math.sqrt(2 * l3 + 1)
+            * (k1 / k3) ** l3
+        )
+        value = pref * total
+    except ArithmeticError:  # ** overflow, division by 0, or numpy's FloatingPointError
+        value = math.nan
+    if not math.isfinite(value):
+        raise ValueError(
+            f"the three-Bessel closed form leaves the float range "
+            f"(k1={k1!r}, k2={k2!r}, k3={k3!r})"
+        )
+    return value
 
 
 def coupling_route(n: int, lambda1: int, lambda2: int) -> tuple[int, int]:
@@ -528,15 +572,14 @@ def bare_integral_batch(
         cs = _coupling_set(lambda1, lambda2, lambda3)
         w = _w3j000(lambda1, lambda2, lambda3)
         m_order = lambda3 + offset - 1
-        rvals = specfun.paper_q_combination_all(cs.l_need, m_order, ys)
         try:
             with np.errstate(over="ignore", invalid="ignore"):
+                rvals = specfun.paper_q_combination_all(cs.l_need, m_order, ys)
                 contribs = _contributions(cs, lambda3, k2s / k1s, rvals)
         except OverflowError:  # a power of k2/k1 leaves the float range: no point is fast
             contribs = np.full(cs.index.shape[1:] + ys.shape, math.inf)
         finite = np.isfinite(contribs).all(axis=0).tolist()
         peaks = np.abs(contribs).max(axis=0).tolist()
-        exact = None
         points = zip(live.tolist(), contribs.T.tolist(), finite, peaks,
                      k1s.tolist(), k2s.tolist(), alphas.tolist(), ys.tolist())
         for i, terms, is_finite, peak, a, b, c, yi in points:
@@ -549,8 +592,7 @@ def bare_integral_batch(
                 continue
             total = math.fsum(terms)
             if _needs_rescue(peak, total):
-                exact = exact or _exact_coupling_set(lambda1, lambda2, lambda3)
-                total = _decimal_weighted_sum(exact, lambda3, m_order, a, b, yi)
+                total = _decimal_weighted_sum(cs, lambda3, m_order, a, b, yi)
             values[i] = pref * total / w
     for i in np.flatnonzero(~fast).tolist():
         values[i] = bare_integral(n, lambda1, lambda2, k1[i].item(), k2[i].item(), alpha[i].item()).value

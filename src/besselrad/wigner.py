@@ -13,8 +13,10 @@ Evaluation is total: non-triangular triads or projections that do not sum
 to zero yield an exact zero value rather than an error.
 
 All functions are pure.  The factorial table is built once at import and
-never mutated; the per-symbol caches are internally locked, so concurrent
-use is safe.
+never mutated; the 3j symbols are kept in a per-symbol cache, which is
+internally locked, so concurrent use is safe.  The 6j symbols are not
+cached: the closed form asks for each one once per process, when it
+compiles the coupling set that needs it, and keeps the result there.
 """
 
 from __future__ import annotations
@@ -155,7 +157,6 @@ def wigner_3j(a: AngularMomenta3j) -> WignerValue:
     return _three_j(a.j1, a.j2, a.j3, a.m1, a.m2, a.m3)
 
 
-@lru_cache(maxsize=None)
 def _six_j(j1: int, j2: int, j3: int, j4: int, j5: int, j6: int) -> WignerValue:
     triads = ((j1, j2, j3), (j1, j5, j6), (j4, j2, j6), (j4, j5, j3))
     if not all(_triangle_ok(*t) for t in triads):

@@ -276,7 +276,10 @@ class TestTableBatches:
         ([("k2", 1.0, 1e200, 5), ("power", 2, 3, 2)], {"lambda1": 1, "lambda2": 0, "k1": 1.0, "alpha": 1.0}),
         # powers of k2 overflow from the second k2 on
         ([("k2", 1.0, 1e16, 5)], {"lambda1": 10, "lambda2": 10, "power": 21, "k1": 1.0, "alpha": 1.0}),
+        # R overflows in floats on the last alpha (y - 1 ~ 5e-16)
+        ([("alpha", 1.0, 3e-8, 5)], {"lambda1": 10, "lambda2": 10, "power": 21, "k1": 1.0, "k2": 1.0}),
     ])
+    @pytest.mark.filterwarnings("error")
     def test_bad_point_in_batch_matches_row_by_row(self, capsys, tmp_path, monkeypatch, sweeps, fixed):
         batched = run_cli(capsys, table_argv(sweeps, fixed, tmp_path / "a.csv"))
         monkeypatch.setattr(cli, "BATCH_MIN_ROWS", 10**9)

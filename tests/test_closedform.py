@@ -1,5 +1,6 @@
 import math
 import re
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -81,6 +82,16 @@ class TestLaplaceSingleBessel:
         with pytest.raises(ValueError):
             laplace_single_bessel(1, 1.0, 1.0, 3)
 
+    @pytest.mark.parametrize("args", [
+        (50, 1.0, 1e200, 1),      # (2 k3) ** 50 overflows
+        (50, 1e-200, 1e-200, 2),  # k3^2 + alpha^2 underflows to 0
+    ])
+    def test_float_range(self, args):
+        lambda3, alpha, k3, offset = args
+        message = re.escape(f"(lambda3={lambda3}, alpha={alpha!r}, k3={k3!r}, offset={offset})")
+        with pytest.raises(ValueError, match="float range " + message):
+            laplace_single_bessel(*args)
+
 
 class TestSummationBounds:
     def test_examples(self):
@@ -127,6 +138,17 @@ class TestThreeBessel:
     def test_parity_zero(self):
         spec = ThreeBesselSpec(1, 1, 1, 1.0, 1.0, 1.0)
         assert three_bessel_product(spec) == 0.0
+
+    @pytest.mark.parametrize("ks,match", [
+        ((1e-200, 1e-200, 1e-200), "delta .* not finite"),  # 2 k1 k2 underflows to 0
+        ((1e200, 1e200, 1e200), "delta .* not finite"),     # the squares overflow
+        ((1e-120, 1e-120, 1e-120), "float range"),          # 4 k1 k2 k3 underflows to 0
+        ((1e-100, 1e100, 1e100), "float range"),            # (k2/k1) ** scr overflows
+    ])
+    def test_float_range(self, ks, match):
+        message = re.escape(f"(k1={ks[0]!r}, k2={ks[1]!r}, k3={ks[2]!r})")
+        with pytest.raises(ValueError, match=match + ".*" + message):
+            three_bessel_product(ThreeBesselSpec(10, 10, 20, *ks))
 
 
 class TestTwoBesselProduct:
@@ -313,6 +335,15 @@ class TestFloatRange:
         with pytest.raises(ValueError, match=message):
             closedform.bare_integral_batch(21, 10, 10, [1.0, k1], [1.0, k2], [1.0, alpha])
 
+    @pytest.mark.filterwarnings("error")
+    def test_r_out_of_float_range(self):
+        # R(l, 21, y) overflows in floats at y - 1 ~ 5e-16
+        message = re.escape("leave the float range (k1=1.0, k2=1.0, alpha=3e-08)")
+        with pytest.raises(ValueError, match=message):
+            bare_integral(21, 10, 10, 1.0, 1.0, 3e-8)
+        with pytest.raises(ValueError, match=message):
+            closedform.bare_integral_batch(21, 10, 10, [1.0] * 4, [1.0] * 4, [1.0, 0.5, 3e-8, 0.1])
+
     def test_condition_number(self):
         with pytest.raises(ValueError, match="not finite"):
             closedform.condition_number(1e-170, 1e-170, 1e-170)
@@ -354,9 +385,10 @@ class TestCouplingRoute:
 
 
 class TestCouplingSet:
-    @pytest.mark.parametrize("l1", range(7))
+    @pytest.mark.parametrize("l1", range(11))
     def test_reproduces_coupling_terms(self, l1):
-        for l2 in range(7):
+        # every set with l1, l2 <= 10 (those of the benchmark's order_scan), at both precisions
+        for l2 in range(11):
             for l3 in range(abs(l1 - l2), l1 + l2 + 1, 2):
                 terms = list(closedform._coupling_terms(l1, l2, l3))
                 cs = closedform._coupling_set(l1, l2, l3)
@@ -369,6 +401,31 @@ class TestCouplingSet:
                 assert two_l1 == [float(2 * t[1] + 1) for t in terms]
                 assert weight == [t[2] * math.sqrt(float(t[3])) for t in terms]
                 assert cs.l_need == max(t[1] for t in terms)
+                with localcontext() as ctx:
+                    ctx.prec = closedform._RESCUE_DIGITS
+                    exact = [
+                        [Decimal(math.comb(2 * l3, 2 * scr)).sqrt() for scr, _, _, _ in terms],
+                        [2 * l + 1 for _, l, _, _ in terms],
+                        [sign * (Decimal(rad.numerator) / Decimal(rad.denominator)).sqrt()
+                         for _, _, sign, rad in terms],
+                    ]
+                # repr tells Decimal('3') from 3 and Decimal('3.0') from Decimal('3')
+                got = [list(map(repr, row)) for row in cs.exact.tolist()]
+                assert got == [list(map(repr, row)) for row in exact]
+
+    def test_rescue_reuses_compiled_set(self, monkeypatch):
+        # both calls take the 40-digit rescue; the set's symbols are evaluated once, by its compile
+        sixj, rescues = [], []
+        w6 = closedform.wigner_6j
+        monkeypatch.setattr(closedform, "wigner_6j", lambda *a: sixj.append(a) or w6(*a))
+        dec = specfun.paper_q_combination_all_dec
+        monkeypatch.setattr(specfun, "paper_q_combination_all_dec",
+                            lambda *a, **k: rescues.append(a) or dec(*a, **k))
+        closedform._coupling_set.cache_clear()
+        bare_integral(13, 6, 6, 1.0, 1.0, 0.01)
+        bare_integral(13, 6, 6, 1.0, 1.0, 0.02)
+        assert len(rescues) == 2
+        assert len(sixj) == closedform._coupling_set(6, 6, 12).index.shape[1]
 
 
 def _scalar_values(n, l1, l2, k1, k2, alpha):

@@ -110,6 +110,11 @@ class TestSixJ:
     def test_triad_violation_zero(self):
         assert wigner_6j(1, 1, 3, 1, 1, 1) == WignerValue.zero()
 
+    def test_repeated_calls_equal(self):
+        js = [(2, 2, 2, 2, 2, 2), (6, 6, 12, 5, 7, 9), (10, 10, 20, 10, 10, 10), (1, 1, 3, 1, 1, 1)]
+        first = [wigner_6j(*j) for j in js]
+        assert [wigner_6j(*j) for j in js] == first
+
     def test_sympy_cross_check(self):
         for js in [(2, 2, 2, 2, 2, 2), (3, 2, 1, 2, 3, 2), (4, 4, 4, 4, 4, 4), (5, 4, 3, 2, 3, 4)]:
             mine = wigner_6j(*js)

@@ -10,7 +10,6 @@ either programmatically or through the `besselrad check` command line.
 from .closedform import (
     EvalResult,
     FormulaInapplicable,
-    IntegralSpec,
     Method,
     ThreeBesselSpec,
     bare_integral,
@@ -50,7 +49,6 @@ __all__ = [
     "AngularMomenta3j",
     "EvalResult",
     "FormulaInapplicable",
-    "IntegralSpec",
     "Method",
     "NonConvergence",
     "QuadratureResult",

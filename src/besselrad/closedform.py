@@ -25,7 +25,10 @@ outside the wavenumber triangle via the step factor beta.
 out the exact 3j symbol; when the parity-selected l3 violates the triangle
 rule there is no closed form and `FormulaInapplicable` is raised; that is
 a genuine coverage boundary, not a failure.  `bare_integral_batch` gives
-the same values for many points of one order at once.
+the same values for many points of one order at once.  Both run one
+implementation of the prefactor, the double sum and its 40-digit rescue
+(`_products`), which takes one point or arrays of points and raises the
+error of the first point that fails.
 
 The coupling coefficients depend on the orders only.  Each (l1, l2, l3)
 set is compiled once per process (`_coupling_set`), in one pass over its
@@ -48,6 +51,7 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from . import specfun
+from .specfun import _order, _positive_finite
 from .wigner import AngularMomenta3j, WignerValue, threej_000_nonzero, wigner_3j, wigner_6j
 
 _LAMBDA_MAX = 20
@@ -70,31 +74,6 @@ class FormulaInapplicable(Exception):
 
 
 @dataclass(frozen=True)
-class IntegralSpec:
-    """Problem statement for integral_0^inf r^n e^(-alpha r) j_l1(k1 r) j_l2(k2 r) dr."""
-
-    lambda1: int
-    lambda2: int
-    k1: float
-    k2: float
-    alpha: float
-    n: int
-
-    def __post_init__(self) -> None:
-        for name in ("lambda1", "lambda2", "n"):
-            object.__setattr__(self, name, _order(name, getattr(self, name), maximum=None))
-        _positive_finite(k1=float(self.k1), k2=float(self.k2), alpha=float(self.alpha))
-
-    @property
-    def y(self) -> float:
-        return y_param(self.k1, self.k2, self.alpha)
-
-    @property
-    def condition(self) -> float:
-        return condition_number(self.k1, self.k2, self.alpha)
-
-
-@dataclass(frozen=True)
 class ThreeBesselSpec:
     """Problem statement for the triple product r^2 j_l1(k1 r) j_l2(k2 r) j_l3(k3 r)."""
 
@@ -107,7 +86,7 @@ class ThreeBesselSpec:
 
     def __post_init__(self) -> None:
         for name in ("lambda1", "lambda2", "lambda3"):
-            object.__setattr__(self, name, _order(name, getattr(self, name)))
+            object.__setattr__(self, name, _order(name, getattr(self, name), _LAMBDA_MAX))
         _positive_finite(k1=float(self.k1), k2=float(self.k2), k3=float(self.k3))
 
     @property
@@ -122,22 +101,6 @@ class EvalResult:
     value: float
     method: Method
     condition: float
-
-
-def _positive_finite(**values: float) -> None:
-    """Raise ValueError naming the first value that is not positive and finite."""
-    for name, v in values.items():
-        if not (v > 0.0 and math.isfinite(v)):
-            raise ValueError(f"{name} must be positive and finite, got {v!r}")
-
-
-def _order(name: str, v, minimum: int = 0, maximum: Optional[int] = _LAMBDA_MAX) -> int:
-    """v as an int, if it is an integer (numpy integers included) in [minimum, maximum]."""
-    if not isinstance(v, (int, np.integer)) or v < minimum:
-        raise ValueError(f"{name} must be an integer >= {minimum}, got {v!r}")
-    if maximum is not None and v > maximum:
-        raise ValueError(f"{name}={v} exceeds the supported maximum {maximum}")
-    return int(v)
 
 
 def y_param(k1: float, k2: float, alpha: float) -> float:
@@ -216,25 +179,27 @@ def laplace_single_bessel(lambda3: int, alpha: float, k3: float, offset: int) ->
 
     offset 1:  integral r^(l3+1) e^(-a r) j_l3(k r) dr = (2k)^l3 l3! / (k^2+a^2)^(l3+1)
     offset 2:  integral r^(l3+2) e^(-a r) j_l3(k r) dr = 2a (2k)^l3 (l3+1)! / (k^2+a^2)^(l3+2)
+
+    With s = hypot(k, a) both are (l3 + offset - 1)! (2k/s)^l3 (2a/s)^(offset-1)
+    / s^(l3+offset+1), where 2k/s and 2a/s lie in (0, 2].  Each factor is split
+    into a mantissa and a power of 2 (`math.frexp`), so only the result can
+    leave the float range; a result that overflows or underflows to 0
+    raises ValueError.
     """
     lambda3 = _order("lambda3", lambda3, maximum=50)
     _positive_finite(alpha=alpha, k3=k3)
     if offset not in (1, 2):
         raise ValueError(f"offset must be 1 or 2, got {offset!r}")
+    n = lambda3 + offset + 1
+    s = math.hypot(k3, alpha)
+    damping = 2.0 * alpha / s if offset == 2 else 1.0
+    (mk, ek), (ma, ea), (ms, es) = map(math.frexp, (2.0 * k3 / s, damping, s))
+    mantissa = math.factorial(n - 2) * mk**lambda3 * ma / ms**n
     try:
-        if offset == 1:
-            value = (
-                (2.0 * k3) ** lambda3 * math.factorial(lambda3)
-                / (k3 * k3 + alpha * alpha) ** (lambda3 + 1)
-            )
-        else:
-            value = (
-                2.0 * alpha * (2.0 * k3) ** lambda3 * math.factorial(lambda3 + 1)
-                / (k3 * k3 + alpha * alpha) ** (lambda3 + 2)
-            )
-    except (OverflowError, ZeroDivisionError):
-        value = math.nan
-    if not math.isfinite(value):
+        value = math.ldexp(mantissa, ek * lambda3 + ea - es * n)
+    except OverflowError:
+        value = math.inf
+    if not (value > 0.0 and math.isfinite(value)):
         raise ValueError(
             f"the single-Bessel transform leaves the float range "
             f"(lambda3={lambda3}, alpha={alpha!r}, k3={k3!r}, offset={offset})"
@@ -331,7 +296,7 @@ def _coupling_set(l1: int, l2: int, l3: int) -> Optional[_CouplingSet]:
         return None
     index = np.array([(scr, l) for scr, l, _, _ in terms]).T
     factors = np.array([
-        (specfun.binomial_sqrt(2 * l3, 2 * scr), 2 * l + 1, sign * math.sqrt(float(rad)))
+        (math.sqrt(math.comb(2 * l3, 2 * scr)), 2 * l + 1, sign * math.sqrt(float(rad)))
         for scr, l, sign, rad in terms
     ]).T
     binom = _binom_dec(l3)
@@ -342,6 +307,14 @@ def _coupling_set(l1: int, l2: int, l3: int) -> Optional[_CouplingSet]:
             for scr, l, sign, rad in terms
         ], dtype=object).T
     return _CouplingSet(index, factors, exact, int(index[1].max()))
+
+
+def _power(base, exponent: int):
+    """base ** exponent, or inf where a float power overflows."""
+    try:
+        return base**exponent
+    except OverflowError:
+        return math.inf
 
 
 def _contributions(
@@ -356,7 +329,7 @@ def _contributions(
     of the ratio are taken with ** int, as a scalar evaluation would.
     """
     points = np.reshape(ratio, -1).tolist()
-    powers = np.array([[r**scr for r in points] for scr in range(lambda3 + 1)])
+    powers = np.array([[_power(r, scr) for r in points] for scr in range(lambda3 + 1)])
     powers = powers.reshape((lambda3 + 1,) + np.shape(ratio))
     scr, l = cs.index
     factors = cs.exact if exact else cs.factors
@@ -374,20 +347,55 @@ def _float_range_error(k1: float, k2: float, alpha: float) -> ValueError:
 def _prefactor(
     lambda1: int, lambda2: int, lambda3: int, k1: float, k2: float, alpha: float, offset: int
 ) -> float:
-    """The factor before the double sum; ValueError when a power of k2 leaves the float range."""
+    """The factor before the double sum; NaN when a power of k2 leaves the float range."""
     phase = _phase(lambda1, lambda2, lambda3)
     try:
         if offset == 1:
             return phase * math.sqrt(2 * lambda3 + 1) / (2.0 * k1 * k2 ** (lambda3 + 1))
         return phase * alpha * math.sqrt(2 * lambda3 + 1) / (2.0 * k1 * k1 * k2 ** (lambda3 + 2))
     except (OverflowError, ZeroDivisionError):
-        raise _float_range_error(k1, k2, alpha) from None
+        return math.nan
 
 
 def _needs_rescue(peak: float, total: float) -> bool:
     # the sum cancels catastrophically as y -> 1 with high lambda3; it is
     # redone in 40-digit decimals when more than ~2 digits cancel
     return peak > 100.0 * abs(total)
+
+
+def _products(
+    cs: _CouplingSet, lambda1: int, lambda2: int, lambda3: int, offset: int, k1, k2, alpha, y
+) -> list[float]:
+    """The 3j-weighted product, prefactor times double sum, at each point.
+
+    k1, k2, alpha and y = `y_param(k1, k2, alpha)` are floats (one point)
+    or float64 arrays of points that `y_param` and `condition_number`
+    accept; R and the terms are computed for all points at once.  A point
+    whose sum cancels takes the 40-digit rescue.  Raises
+    `_float_range_error` for the first point at which R, a power of k2/k1,
+    a term or the prefactor is not finite.
+    """
+    m_order = lambda3 + offset - 1
+    with np.errstate(all="ignore"):  # R overflows near y = 1 at high M: checked per point below
+        rvals = specfun.paper_q_combination_all(cs.l_need, m_order, y)
+        terms = _contributions(cs, lambda3, k2 / k1, rvals)
+    rvals, terms = (v.reshape(len(v), -1).T for v in (rvals, terms))  # one row per point
+    finite = (np.isfinite(rvals).all(axis=1) & np.isfinite(terms).all(axis=1)).tolist()
+    peaks = np.abs(terms).max(axis=1).tolist()
+    if np.ndim(y) == 0:
+        points = [(k1, k2, alpha, y)]
+    else:
+        points = zip(k1.tolist(), k2.tolist(), alpha.tolist(), y.tolist())
+    values = []
+    for (a, b, c, yi), point_terms, ok, peak in zip(points, terms.tolist(), finite, peaks):
+        pref = _prefactor(lambda1, lambda2, lambda3, a, b, c, offset)
+        if not (ok and math.isfinite(pref)):
+            raise _float_range_error(a, b, c)
+        total = math.fsum(point_terms)
+        if _needs_rescue(peak, total):
+            total = _decimal_weighted_sum(cs, lambda3, m_order, a, b, yi)
+        values.append(pref * total)
+    return values
 
 
 def two_bessel_product(
@@ -404,34 +412,19 @@ def two_bessel_product(
     Returns exact 0 (without touching any Q function) whenever
     lambda1 + lambda2 + lambda3 is odd, since the 3j weight then vanishes.
     """
-    lambda1, lambda2 = _order("lambda1", lambda1), _order("lambda2", lambda2)
-    lambda3 = _order("lambda3", lambda3)
+    lambda1 = _order("lambda1", lambda1, _LAMBDA_MAX)
+    lambda2 = _order("lambda2", lambda2, _LAMBDA_MAX)
+    lambda3 = _order("lambda3", lambda3, _LAMBDA_MAX)
     if offset not in (1, 2):
         raise ValueError(f"offset must be 1 or 2, got {offset!r}")
     y = y_param(k1, k2, alpha)
     condition = condition_number(k1, k2, alpha)
     method = Method.EQ_2_8 if offset == 1 else Method.EQ_2_11
-    if (lambda1 + lambda2 + lambda3) % 2 == 1:
-        return EvalResult(0.0, method, condition)
-    cs = _coupling_set(lambda1, lambda2, lambda3)
+    cs = None if (lambda1 + lambda2 + lambda3) % 2 else _coupling_set(lambda1, lambda2, lambda3)
     if cs is None:
         return EvalResult(0.0, method, condition)
-
-    m_order = lambda3 + offset - 1
-    with np.errstate(over="ignore", invalid="ignore"):  # R overflows near y = 1 at high M
-        rvals = specfun.paper_q_combination_all(cs.l_need, m_order, y)
-    pref = _prefactor(lambda1, lambda2, lambda3, k1, k2, alpha, offset)
-    if not np.isfinite(rvals).all():
-        raise _float_range_error(k1, k2, alpha)
-    try:
-        with np.errstate(over="raise", invalid="raise"):
-            contribs = _contributions(cs, lambda3, k2 / k1, rvals).tolist()
-    except ArithmeticError:  # float ** int overflow, or numpy's FloatingPointError
-        raise _float_range_error(k1, k2, alpha) from None
-    total = math.fsum(contribs)
-    if _needs_rescue(max(abs(c) for c in contribs), total):
-        total = _decimal_weighted_sum(cs, lambda3, m_order, k1, k2, y)
-    return EvalResult(pref * total, method, condition)
+    (value,) = _products(cs, lambda1, lambda2, lambda3, offset, k1, k2, alpha, y)
+    return EvalResult(value, method, condition)
 
 
 def _decimal_weighted_sum(
@@ -448,7 +441,7 @@ def _decimal_weighted_sum(
 
 def two_bessel_equal_order(L: int, k1: float, k2: float, alpha: float) -> EvalResult:
     """Equal-order special case: integral r e^(-a r) j_L(k1 r) j_L(k2 r) dr = Q_L(y)/(2 k1 k2)."""
-    L = _order("L", L)
+    L = _order("L", L, _LAMBDA_MAX)
     y = y_param(k1, k2, alpha)
     value = specfun.legendre_q(L, y) / (2.0 * k1 * k2)
     return EvalResult(value, Method.EQ_2_9, condition_number(k1, k2, alpha))
@@ -483,7 +476,8 @@ def three_bessel_product(spec: ThreeBesselSpec) -> float:
             * (k1 / k3) ** l3
         )
         value = pref * total
-    except ArithmeticError:  # ** overflow, division by 0, or numpy's FloatingPointError
+    except (ArithmeticError, ValueError):
+        # ** overflow, division by 0, numpy's FloatingPointError, or inf - inf in fsum
         value = math.nan
     if not math.isfinite(value):
         raise ValueError(
@@ -502,8 +496,9 @@ def coupling_route(n: int, lambda1: int, lambda2: int) -> tuple[int, int]:
     product carries no information about the bare integral, and
     FormulaInapplicable is raised.
     """
-    n = _order("n", n, minimum=1, maximum=None)
-    lambda1, lambda2 = _order("lambda1", lambda1), _order("lambda2", lambda2)
+    n = _order("n", n, maximum=None, minimum=1)
+    lambda1 = _order("lambda1", lambda1, _LAMBDA_MAX)
+    lambda2 = _order("lambda2", lambda2, _LAMBDA_MAX)
     if (lambda1 + lambda2 + n - 1) % 2 == 0:
         lambda3, offset = n - 1, 1
     elif n >= 2:
@@ -536,6 +531,35 @@ def bare_integral(n: int, lambda1: int, lambda2: int, k1: float, k2: float, alph
     return EvalResult(product.value / w, product.method, product.condition)
 
 
+def _valid_prefix(
+    k1: np.ndarray, k2: np.ndarray, alpha: np.ndarray
+) -> tuple[np.ndarray, Optional[ValueError]]:
+    """y up to the first point `y_param` or `condition_number` refuses, and their error there.
+
+    The error is None when every point is valid.  A vectorized filter
+    clears the points that both certainly accept: y is the same float as
+    `y_param`'s, and (k1 - k2)^2 + alpha^2 stays far from underflow and
+    1/(y - 1) far from overflow.  Every other point is decided by calling
+    them, so its error is theirs.
+    """
+    with np.errstate(all="ignore"):
+        two_k1k2 = 2.0 * k1 * k2
+        y = (k1 * k1 + k2 * k2 + alpha * alpha) / two_k1k2
+        den = (k1 - k2) ** 2 + alpha**2
+        clear = (
+            (k1 > 0.0) & (k2 > 0.0) & (alpha > 0.0) & (y > 1.0) & np.isfinite(y)
+            & (den > 1e-290) & (two_k1k2 / den < 1e300)
+        )
+    for i in np.flatnonzero(~clear).tolist():
+        point = k1[i].item(), k2[i].item(), alpha[i].item()
+        try:
+            y_param(*point)
+            condition_number(*point)
+        except ValueError as exc:
+            return y[:i], exc
+    return y, None
+
+
 def bare_integral_batch(
     n: int,
     lambda1: int,
@@ -548,52 +572,26 @@ def bare_integral_batch(
 
     Returns the route's method and the values, equal bit for bit to
     `bare_integral(n, lambda1, lambda2, k1[i], k2[i], alpha[i]).value`.
-    The Q recurrences and the double sum run over all points at once, at
-    any y > 1.  A point the batch cannot take (an invalid input, y not a
-    finite number above 1 in floats, a non-finite term) takes
-    `bare_integral` itself, so every error is the one `bare_integral`
-    raises: for the order first, then for the first failing point.  A sum
-    that cancels takes the same 40-digit rescue as in `two_bessel_product`.
+    The Q recurrences and the terms run over all points at once, at any
+    y > 1, through the same `_products` as `two_bessel_product`, so a sum
+    that cancels takes the same 40-digit rescue.  The error is the one
+    `bare_integral` raises: for the order first, then for the first
+    failing point.
     """
     lambda3, offset = coupling_route(n, lambda1, lambda2)
     lambda1, lambda2 = int(lambda1), int(lambda2)
     k1, k2, alpha = (np.asarray(v, dtype=float) for v in (k1, k2, alpha))
-    with np.errstate(all="ignore"):
-        y = (k1 * k1 + k2 * k2 + alpha * alpha) / (2.0 * k1 * k2)
-        fast = (k1 > 0.0) & (k2 > 0.0) & (alpha > 0.0) & np.isfinite(y) & (y > 1.0)
-    values = np.empty_like(y)
-    live = np.flatnonzero(fast)
-    k1s, k2s, alphas, ys = k1[live], k2[live], alpha[live], y[live]
+    y, invalid = _valid_prefix(k1, k2, alpha)
+    k1, k2, alpha = k1[: len(y)], k2[: len(y)], alpha[: len(y)]
     if offset == 1 and lambda3 == 0:
         method = Method.EQ_2_9
-        values[live] = specfun.legendre_q_all(lambda1, ys)[lambda1] / (2.0 * k1s * k2s)
+        values = (specfun.legendre_q_all(lambda1, y)[lambda1] / (2.0 * k1 * k2)).tolist()
     else:
         method = Method.EQ_2_8 if offset == 1 else Method.EQ_2_11
         cs = _coupling_set(lambda1, lambda2, lambda3)
         w = _w3j000(lambda1, lambda2, lambda3)
-        m_order = lambda3 + offset - 1
-        try:
-            with np.errstate(over="ignore", invalid="ignore"):
-                rvals = specfun.paper_q_combination_all(cs.l_need, m_order, ys)
-                contribs = _contributions(cs, lambda3, k2s / k1s, rvals)
-        except OverflowError:  # a power of k2/k1 leaves the float range: no point is fast
-            contribs = np.full(cs.index.shape[1:] + ys.shape, math.inf)
-        finite = np.isfinite(contribs).all(axis=0).tolist()
-        peaks = np.abs(contribs).max(axis=0).tolist()
-        points = zip(live.tolist(), contribs.T.tolist(), finite, peaks,
-                     k1s.tolist(), k2s.tolist(), alphas.tolist(), ys.tolist())
-        for i, terms, is_finite, peak, a, b, c, yi in points:
-            try:
-                pref = _prefactor(lambda1, lambda2, lambda3, a, b, c, offset)
-            except ValueError:
-                is_finite = False
-            if not is_finite:
-                fast[i] = False
-                continue
-            total = math.fsum(terms)
-            if _needs_rescue(peak, total):
-                total = _decimal_weighted_sum(cs, lambda3, m_order, a, b, yi)
-            values[i] = pref * total / w
-    for i in np.flatnonzero(~fast).tolist():
-        values[i] = bare_integral(n, lambda1, lambda2, k1[i].item(), k2[i].item(), alpha[i].item()).value
-    return method, values.tolist()
+        products = _products(cs, lambda1, lambda2, lambda3, offset, k1, k2, alpha, y)
+        values = [v / w for v in products]
+    if invalid is not None:
+        raise invalid
+    return method, values

@@ -32,7 +32,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import specfun
-from .closedform import IntegralSpec, ThreeBesselSpec, _order, _positive_finite
+from .closedform import _LAMBDA_MAX, ThreeBesselSpec
+from .specfun import _order, _positive_finite
 
 _G15_X, _G15_W = np.polynomial.legendre.leggauss(15)
 _G7_X, _G7_W = np.polynomial.legendre.leggauss(7)
@@ -188,7 +189,9 @@ def integrate_two_bessel(
     rel_tol: float = 1e-10,
 ) -> QuadratureResult:
     """Adaptive quadrature of integral_0^inf r^n e^(-ar) j_l1(k1 r) j_l2(k2 r) dr."""
-    IntegralSpec(lambda1, lambda2, k1, k2, alpha, n)  # validates
+    for name, v in (("lambda1", lambda1), ("lambda2", lambda2), ("n", n)):
+        _order(name, v, maximum=None)
+    _positive_finite(k1=k1, k2=k2, alpha=alpha)
     if rel_tol < 1e-12:
         raise ValueError(f"rel_tol must be >= 1e-12, got {rel_tol!r}")
 
@@ -345,7 +348,7 @@ def check_eq_2_6(
     factor is 1.  The caller compares against
     R(l, l3, y) / ((2 k1 k2)^l3 l3!).
     """
-    l, lambda3 = _order("l", l), _order("lambda3", lambda3)
+    l, lambda3 = _order("l", l, _LAMBDA_MAX), _order("lambda3", lambda3, _LAMBDA_MAX)
     _positive_finite(k1=k1, k2=k2, alpha=alpha)
     lo = abs(k1 - k2)
     hi = k1 + k2
@@ -369,7 +372,7 @@ def check_eq_2_12(l: int, L: int, y0: float, rel_tol: float = 1e-8) -> Quadratur
     y = 1 + (B-1)/t, whose integrand ~ t^(l+L) is smooth on (0, 1], so no
     explicit tail bound is needed.
     """
-    l, L = _order("l", l), _order("L", L, maximum=12)
+    l, L = _order("l", l, _LAMBDA_MAX), _order("L", L, maximum=12)
     y0 = float(y0)
     if not (y0 > 1.0):
         raise ValueError(f"lower limit must satisfy y0 > 1, got {y0!r}")

@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import math
 from decimal import Decimal, localcontext
+from typing import Optional
 
 import numpy as np
 
@@ -50,6 +51,22 @@ _L_MAX_BESSEL = 50
 _L_MAX_P = 100
 _L_MAX_Q = 60
 _M_MAX_Q = 40
+
+
+def _positive_finite(**values: float) -> None:
+    """Raise ValueError naming the first value that is not positive and finite."""
+    for name, v in values.items():
+        if not (v > 0.0 and math.isfinite(v)):
+            raise ValueError(f"{name} must be positive and finite, got {v!r}")
+
+
+def _order(name: str, v, maximum: Optional[int], minimum: int = 0) -> int:
+    """v as an int, if it is an integer (numpy integers included) in [minimum, maximum]."""
+    if not isinstance(v, (int, np.integer)) or v < minimum:
+        raise ValueError(f"{name} must be an integer >= {minimum}, got {v!r}")
+    if maximum is not None and v > maximum:
+        raise ValueError(f"{name}={v} exceeds the supported maximum {maximum}")
+    return int(v)
 
 
 # ----------------------------------------------------------------------
@@ -160,10 +177,7 @@ def spherical_bessel_j_array(l: int, x: np.ndarray) -> np.ndarray:
 
 def spherical_bessel_j(l: int, x: float) -> float:
     """Spherical Bessel function of the first kind, j_l(x) for x >= 0."""
-    if not isinstance(l, (int, np.integer)) or l < 0:
-        raise ValueError(f"order must be a non-negative integer, got {l!r}")
-    if l > _L_MAX_BESSEL:
-        raise ValueError(f"order {l} exceeds the supported maximum {_L_MAX_BESSEL}")
+    l = _order("l", l, _L_MAX_BESSEL)
     x = float(x)
     if not math.isfinite(x) or x < 0.0:
         raise ValueError(f"argument must be finite and non-negative, got {x!r}")
@@ -188,10 +202,7 @@ def legendre_p_array(l: int, x: np.ndarray) -> np.ndarray:
 
 def legendre_p(l: int, x: float) -> float:
     """Legendre polynomial P_l(x) for |x| <= 1."""
-    if not isinstance(l, (int, np.integer)) or l < 0:
-        raise ValueError(f"degree must be a non-negative integer, got {l!r}")
-    if l > _L_MAX_P:
-        raise ValueError(f"degree {l} exceeds the supported maximum {_L_MAX_P}")
+    l = _order("l", l, _L_MAX_P)
     x = float(x)
     if not (-1.0 <= x <= 1.0):
         raise ValueError(f"argument must lie in [-1, 1], got {x!r}")
@@ -348,10 +359,7 @@ def _q_downward(out: np.ndarray, r, y) -> np.ndarray:
 
 def legendre_q(L: int, y: float) -> float:
     """Legendre function of the second kind Q_L(y) on the real branch y > 1."""
-    if not isinstance(L, (int, np.integer)) or L < 0:
-        raise ValueError(f"degree must be a non-negative integer, got {L!r}")
-    if L > _L_MAX_Q:
-        raise ValueError(f"degree {L} exceeds the supported maximum {_L_MAX_Q}")
+    L = _order("L", L, _L_MAX_Q)
     y = float(y)
     if not (y > 1.0):
         raise ValueError(f"argument must satisfy y > 1, got {y!r}")
@@ -401,14 +409,7 @@ def paper_q_combination(L: int, M: int, y: float) -> float:
     Equals (M!/2) * integral_{-1}^{1} P_L(x)/(y - x)^(M+1) dx; for M = 0 it
     reduces to Q_L(y).
     """
-    if not isinstance(L, (int, np.integer)) or L < 0:
-        raise ValueError(f"degree must be a non-negative integer, got {L!r}")
-    if L > _L_MAX_Q:
-        raise ValueError(f"degree {L} exceeds the supported maximum {_L_MAX_Q}")
-    if not isinstance(M, (int, np.integer)) or M < 0:
-        raise ValueError(f"order must be a non-negative integer, got {M!r}")
-    if M > _M_MAX_Q:
-        raise ValueError(f"order {M} exceeds the supported maximum {_M_MAX_Q}")
+    L, M = _order("L", L, _L_MAX_Q), _order("M", M, _M_MAX_Q)
     y = float(y)
     if not (y > 1.0):
         raise ValueError(f"argument must satisfy y > 1, got {y!r}")
@@ -463,19 +464,3 @@ def paper_q_combination_all_dec(lmax: int, M: int, y: float, prec: int = 40) -> 
                 _q_downward(q, _q_ratio_cf(lmax + 1, y_d, tol), y_d)
         return _r_derivatives(q, M, y_d).tolist()
 
-
-# ----------------------------------------------------------------------
-# combinatorics
-
-
-def binomial_sqrt(n: int, k: int) -> float:
-    """sqrt(C(n, k)) from the exact integer binomial coefficient."""
-    if not isinstance(n, (int, np.integer)) or n < 0:
-        raise ValueError(f"n must be a non-negative integer, got {n!r}")
-    if not isinstance(k, (int, np.integer)) or k < 0:
-        raise ValueError(f"k must be a non-negative integer, got {k!r}")
-    if k > n:
-        raise ValueError(f"k must not exceed n, got k={k}, n={n}")
-    if n > 200:
-        raise ValueError(f"n exceeds the supported maximum 200, got {n}")
-    return math.sqrt(math.comb(int(n), int(k)))

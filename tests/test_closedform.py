@@ -4,12 +4,11 @@ from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from besselrad import closedform, specfun
 from besselrad.closedform import (
     FormulaInapplicable,
-    IntegralSpec,
     Method,
     ThreeBesselSpec,
     bare_integral,
@@ -32,6 +31,7 @@ class TestParameters:
     def test_y_param_values(self):
         assert y_param(1.0, 1.0, 1.0) == pytest.approx(1.5, rel=1e-15)
         assert y_param(1.0, 2.0, 0.5) == pytest.approx(1.3125, rel=1e-15)
+        assert closedform.condition_number(1.0, 2.0, 0.5) == pytest.approx(1.0 / 0.3125, rel=1e-14)
 
     def test_y_param_limit_direction(self):
         assert y_param(1.0, 1.0, 1e-7) > 1.0
@@ -82,9 +82,19 @@ class TestLaplaceSingleBessel:
         with pytest.raises(ValueError):
             laplace_single_bessel(1, 1.0, 1.0, 3)
 
+    @pytest.mark.parametrize("args,reference", [
+        # mpmath at 40 digits; (2 k3)^l3 l3! and (k3^2 + alpha^2)^(l3 + 1) overflow on their own
+        ((50, 1e5, 1e5, 1), 1.520704660085668902e-196),
+        ((30, 1e6, 1e6, 2), 4.111419327088961409e-165),
+        ((50, 1e7, 1e7, 1), 1.520704660085668902e-300),
+    ])
+    def test_intermediates_in_float_range(self, args, reference):
+        assert laplace_single_bessel(*args) == pytest.approx(reference, rel=1e-13)
+
     @pytest.mark.parametrize("args", [
-        (50, 1.0, 1e200, 1),      # (2 k3) ** 50 overflows
-        (50, 1e-200, 1e-200, 2),  # k3^2 + alpha^2 underflows to 0
+        (50, 1.0, 1e200, 1),      # 3.4e-10321: underflows
+        (50, 1e-200, 1e-200, 2),  # 7.8e10665: overflows
+        (50, 1e-5, 1e-5, 1),      # 1.52e324: overflows
     ])
     def test_float_range(self, args):
         lambda3, alpha, k3, offset = args
@@ -262,21 +272,6 @@ class TestBareIntegral:
 
 
 class TestDataTypes:
-    def test_integral_spec_invariants(self):
-        spec = IntegralSpec(1, 2, 1.0, 2.0, 0.5, 3)
-        assert spec.y == pytest.approx(1.3125, rel=1e-15)
-        assert spec.condition == pytest.approx(1.0 / 0.3125, rel=1e-14)
-
-    @given(positive, positive, positive)
-    def test_integral_spec_y_above_one(self, k1, k2, alpha):
-        assert IntegralSpec(0, 0, k1, k2, alpha, 1).y > 1.0
-
-    def test_integral_spec_validation(self):
-        with pytest.raises(ValueError):
-            IntegralSpec(-1, 0, 1.0, 1.0, 1.0, 1)
-        with pytest.raises(ValueError):
-            IntegralSpec(0, 0, 1.0, 1.0, 0.0, 1)
-
     def test_three_bessel_spec_delta(self):
         spec = ThreeBesselSpec(0, 0, 0, 3.0, 4.0, 5.0)
         assert spec.delta == 0.0
@@ -287,9 +282,9 @@ class TestOrderValidation:
         expected = bare_integral(2, 0, 1, 1.0, 2.0, 0.5)
         assert bare_integral(2, np.int64(0), np.int64(1), 1.0, 2.0, 0.5) == expected
         assert bare_integral(np.int64(2), 0, 1, 1.0, 2.0, 0.5) == expected
-        spec = IntegralSpec(np.int64(1), np.int32(2), 1.0, 2.0, 0.5, np.int64(3))
-        assert (spec.lambda1, spec.lambda2, spec.n) == (1, 2, 3)
-        assert type(spec.n) is int
+        route = closedform.coupling_route(np.int64(3), np.int64(1), np.int32(2))
+        assert route == (1, 2)
+        assert type(route[0]) is int
         three = ThreeBesselSpec(np.int64(1), np.int64(1), np.int64(2), 1.0, 1.0, 1.5)
         assert three_bessel_product(three) == three_bessel_product(ThreeBesselSpec(1, 1, 2, 1.0, 1.0, 1.5))
 
@@ -397,7 +392,7 @@ class TestCouplingSet:
                     continue
                 assert cs.index.tolist() == [[t[0] for t in terms], [t[1] for t in terms]]
                 binom, two_l1, weight = cs.factors.tolist()
-                assert binom == [specfun.binomial_sqrt(2 * l3, 2 * t[0]) for t in terms]
+                assert binom == [math.sqrt(math.comb(2 * l3, 2 * t[0])) for t in terms]
                 assert two_l1 == [float(2 * t[1] + 1) for t in terms]
                 assert weight == [t[2] * math.sqrt(float(t[3])) for t in terms]
                 assert cs.l_need == max(t[1] for t in terms)
@@ -486,3 +481,46 @@ class TestBareIntegralBatch:
         with pytest.raises(ValueError) as scalar_err:
             _scalar_values(2, 0, 1, k1, k2, alpha)
         assert str(batch_err.value) == str(scalar_err.value) == "alpha must be positive and finite, got -1.0"
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("k1,k2,alpha", [
+        ([1.0, 1.0], [1.0, 1.0], [3e-8, -1.0]),              # R overflows before an invalid alpha
+        ([1.0, 1.0], [1.0, 1.0], [-1.0, 3e-8]),              # an invalid alpha before R overflows
+        ([1.0, 1.0, 1.0], [1.0, 1e16, 1.0], [0.5, 1.0, 1.0]),  # powers of k2 overflow between valid points
+    ])
+    def test_first_failing_point(self, k1, k2, alpha):
+        with pytest.raises(ValueError) as batch_err:
+            closedform.bare_integral_batch(21, 10, 10, k1, k2, alpha)
+        with pytest.raises(ValueError) as scalar_err:
+            _scalar_values(21, 10, 10, k1, k2, alpha)
+        assert type(batch_err.value) is type(scalar_err.value)
+        assert str(batch_err.value) == str(scalar_err.value)
+
+    # 1.3e-160, 1.3e-160, 1e-170 has y > 1 in floats but no finite 1/(y - 1)
+    edge = st.sampled_from([1.0, 0.7, 2.5, 1e-3, 3e-8, 0.0, -1.0, math.inf, math.nan,
+                            1e-170, 1.3e-160, 1e200, 1e16, 1e-16])
+
+    @given(st.sampled_from([(1, 0, 0), (2, 0, 1), (3, 4, 2), (21, 10, 10)]),
+           st.lists(st.tuples(edge, edge, edge), min_size=1, max_size=5))
+    @example((1, 0, 0), [(1.0, 1.0, 1.0), (1.3e-160, 1.3e-160, 1e-170)])
+    @example((3, 4, 2), [(1.0, 1.0, 1.0), (1.3e-160, 1.3e-160, 1e-170)])
+    def test_edge_inputs_match_scalar(self, order, points):
+        k1, k2, alpha = (list(v) for v in zip(*points))
+        with np.errstate(all="ignore"):
+            try:
+                expected = _scalar_values(*order, k1, k2, alpha)
+            except ValueError as exc:
+                with pytest.raises(ValueError) as batch_err:
+                    closedform.bare_integral_batch(*order, k1, k2, alpha)
+                assert str(batch_err.value) == str(exc)
+                return
+            _, values = closedform.bare_integral_batch(*order, k1, k2, alpha)
+        assert [v.hex() for v in values] == [v.hex() for v in expected]
+
+    def test_prefactor_out_of_float_range(self):
+        # sqrt(3) / (2 k1 k2^2) overflows to inf (the closed form returned inf)
+        message = re.escape("leave the float range (k1=1e-103, k2=1e-103, alpha=1e-103)")
+        with pytest.raises(ValueError, match=message):
+            bare_integral(2, 0, 1, 1e-103, 1e-103, 1e-103)
+        with pytest.raises(ValueError, match=message):
+            closedform.bare_integral_batch(2, 0, 1, [1.0, 1e-103], [1.0, 1e-103], [1.0, 1e-103])

@@ -186,3 +186,17 @@ class TestOrderValidation:
     def test_rejected(self, call):
         with pytest.raises(ValueError):
             call()
+
+    @pytest.mark.parametrize("args,name", [
+        ((1, -1, 0, 1.0, 1.0, 1.0), "lambda1"),
+        ((1, 0, 1.5, 1.0, 1.0, 1.0), "lambda2"),
+        ((1.0, 0, 0, 1.0, 1.0, 1.0), "n"),
+        ((-1, 0, 0, 1.0, 1.0, 1.0), "n"),
+        ((1, 0, 0, 0.0, 1.0, 1.0), "k1"),
+        ((1, 0, 0, 1.0, -2.0, 1.0), "k2"),
+        ((1, 0, 0, 1.0, 1.0, 0.0), "alpha"),
+    ], ids=["negative_lambda1", "float_lambda2", "float_n", "negative_n",
+            "zero_k1", "negative_k2", "zero_alpha"])
+    def test_two_bessel_rejected(self, args, name):
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            integrate_two_bessel(*args)

@@ -9,7 +9,6 @@ from hypothesis import given, strategies as st
 
 from besselrad import specfun
 from besselrad.specfun import (
-    binomial_sqrt,
     legendre_p,
     legendre_q,
     paper_q_combination,
@@ -415,18 +414,3 @@ class TestFloatSeed:
             calls.clear()
             specfun.paper_q_combination_all(lmax, 2, np.array(ys))
         assert len(calls) == sum(past)
-
-
-class TestBinomialSqrt:
-    def test_small_cases(self):
-        assert binomial_sqrt(4, 2) == pytest.approx(math.sqrt(6), rel=1e-15)
-        assert binomial_sqrt(0, 0) == 1.0
-        assert binomial_sqrt(6, 4) == pytest.approx(math.sqrt(15), rel=1e-15)
-
-    @given(st.integers(0, 200), st.integers(0, 200))
-    def test_square_recovers_integer(self, n, k):
-        if k > n:
-            with pytest.raises(ValueError):
-                binomial_sqrt(n, k)
-        else:
-            assert binomial_sqrt(n, k) ** 2 == pytest.approx(math.comb(n, k), rel=1e-13)

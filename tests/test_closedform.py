@@ -272,6 +272,20 @@ class TestBareIntegral:
 
 
 class TestDataTypes:
+    def test_integral_spec_invariants(self):
+        # The integral (n, lambda1, lambda2, k1, k2, alpha) = (3, 1, 2, 1, 2, 0.5):
+        # its y and the 1/(y - 1) that its closed-form result carries.
+        assert y_param(1.0, 2.0, 0.5) == pytest.approx(1.3125, rel=1e-15)
+        res = bare_integral(3, 1, 2, 1.0, 2.0, 0.5)
+        assert res.condition == pytest.approx(1.0 / 0.3125, rel=1e-14)
+        assert res.condition == closedform.condition_number(1.0, 2.0, 0.5)
+
+    @given(positive, positive, positive)
+    def test_integral_spec_y_above_one(self, k1, k2, alpha):
+        y = y_param(k1, k2, alpha)
+        assert y > 1.0
+        assert closedform.condition_number(k1, k2, alpha) == pytest.approx(1.0 / (y - 1.0), rel=1e-6)
+
     def test_three_bessel_spec_delta(self):
         spec = ThreeBesselSpec(0, 0, 0, 3.0, 4.0, 5.0)
         assert spec.delta == 0.0

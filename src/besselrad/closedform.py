@@ -440,11 +440,17 @@ def _decimal_weighted_sum(
 
 
 def two_bessel_equal_order(L: int, k1: float, k2: float, alpha: float) -> EvalResult:
-    """Equal-order special case: integral r e^(-a r) j_L(k1 r) j_L(k2 r) dr = Q_L(y)/(2 k1 k2)."""
+    """Equal-order special case: integral r e^(-a r) j_L(k1 r) j_L(k2 r) dr = Q_L(y)/(2 k1 k2).
+
+    Raises `_float_range_error` when the value leaves the float range.
+    """
     L = _order("L", L, _LAMBDA_MAX)
     y = y_param(k1, k2, alpha)
+    condition = condition_number(k1, k2, alpha)
     value = specfun.legendre_q(L, y) / (2.0 * k1 * k2)
-    return EvalResult(value, Method.EQ_2_9, condition_number(k1, k2, alpha))
+    if not math.isfinite(value):
+        raise _float_range_error(k1, k2, alpha)
+    return EvalResult(value, Method.EQ_2_9, condition)
 
 
 def three_bessel_product(spec: ThreeBesselSpec) -> float:
@@ -585,7 +591,12 @@ def bare_integral_batch(
     k1, k2, alpha = k1[: len(y)], k2[: len(y)], alpha[: len(y)]
     if offset == 1 and lambda3 == 0:
         method = Method.EQ_2_9
-        values = (specfun.legendre_q_all(lambda1, y)[lambda1] / (2.0 * k1 * k2)).tolist()
+        with np.errstate(over="ignore"):  # Q_L/(2 k1 k2) overflows where 2 k1 k2 is subnormal
+            values = specfun.legendre_q_all(lambda1, y)[lambda1] / (2.0 * k1 * k2)
+        bad = np.flatnonzero(~np.isfinite(values))
+        if bad.size:
+            raise _float_range_error(k1[bad[0]].item(), k2[bad[0]].item(), alpha[bad[0]].item())
+        values = values.tolist()
     else:
         method = Method.EQ_2_8 if offset == 1 else Method.EQ_2_11
         cs = _coupling_set(lambda1, lambda2, lambda3)

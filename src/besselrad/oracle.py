@@ -1,13 +1,19 @@
 """Independent numerical verification of every closed form in the package.
 
-Adaptive panel quadrature with a fixed high-order Gauss rule (15-point)
-and an embedded lower-order estimate (7-point) for the per-panel error.
-Panels are never wider than half the shortest oscillation period of the
-integrand, so the embedded estimate stays honest on the oscillatory
+Adaptive panel quadrature with the nested Gauss–Kronrod (7, 15) rule of
+QUADPACK's `qk15`: the integrand is evaluated once on a panel's 15 Kronrod
+nodes, the 15-point Kronrod sum is the panel's value, and its distance from
+the 7-point Gauss sum on the odd-indexed nodes is the panel's error
+estimate.  Panels are never wider than half the shortest oscillation period
+of the integrand, so the embedded estimate stays honest on the oscillatory
 spherical-Bessel products.  Truncation of the semi-infinite radial range
 is controlled by an analytic tail bound: beyond the turning points every
 j_l(kr) envelope is below 1.16/(kr), so the neglected tail is bounded by
-an exponential-polynomial integral with a closed form.
+an exponential-polynomial integral with a closed form.  The radial
+integrals keep one set of panels per integral: a coarse pass to 1e-4 sets
+the scale of the tail bound, panels are appended only where the truncation
+radius moves outward, and the same panels are then refined to the
+requested tolerance.
 
 The conditionally convergent triple-Bessel integral has no damping of its
 own; it is regularized with an exponential factor e^(-eps r) and the
@@ -18,8 +24,8 @@ scale) than the damped integrals.
 
 Everything is deterministic: no randomized quadrature anywhere, identical
 inputs produce identical outputs.  The evaluation budget (default 10^6
-integrand evaluations) can be overridden with the BESSELRAD_PANEL_BUDGET
-environment variable.
+integrand evaluations per integral, over all of its passes) can be
+overridden with the BESSELRAD_PANEL_BUDGET environment variable.
 """
 
 from __future__ import annotations
@@ -27,7 +33,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -35,8 +41,40 @@ from . import specfun
 from .closedform import _LAMBDA_MAX, ThreeBesselSpec
 from .specfun import _order, _positive_finite
 
-_G15_X, _G15_W = np.polynomial.legendre.leggauss(15)
-_G7_X, _G7_W = np.polynomial.legendre.leggauss(7)
+# QUADPACK qk15 (Piessens et al. 1983): Kronrod nodes x >= 0 and their
+# weights, and the weights of the 7-point Gauss rule on the nodes xgk[1::2]
+_XGK = (
+    0.991455371120812639206854697526329,
+    0.949107912342758524526189684047851,
+    0.864864423359769072789712788640926,
+    0.741531185599394439863864773280788,
+    0.586087235467691130294144845693013,
+    0.405845151377397166906606412076961,
+    0.207784955007898467600689403773245,
+    0.000000000000000000000000000000000,
+)
+_WGK = (
+    0.022935322010529224963732008058970,
+    0.063092092629978553290700663189204,
+    0.104790010322250183839876322541518,
+    0.140653259715525918745189590510238,
+    0.169004726639267902826583426598550,
+    0.190350578064785409913256402421014,
+    0.204432940075298892414161999234649,
+    0.209482141084727828012999174891714,
+)
+_WG = (
+    0.129484966168869693270611432679082,
+    0.279705391489276667901467771423780,
+    0.381830050505118944950369775488975,
+    0.417959183673469387755102040816327,
+)
+# the 15 nodes in ascending order, and one weight column per rule:
+# Kronrod 15 on every node, Gauss 7 on the odd-indexed nodes
+_GK15_X = np.concatenate([-np.array(_XGK[:-1]), _XGK[::-1]])
+_GK15_W = np.zeros((15, 2))
+_GK15_W[:, 0] = _WGK + _WGK[-2::-1]
+_GK15_W[1::2, 1] = _WG + _WG[-2::-1]
 
 _ENVELOPE = 1.16          # sup of x|j_l(x)| over x >= 2(l+1), all l <= 50
 _BUDGET_ENV = "BESSELRAD_PANEL_BUDGET"
@@ -49,10 +87,21 @@ class NonConvergence(Exception):
 
 @dataclass(frozen=True)
 class QuadratureResult:
+    """An oracle value with what was spent on it.
+
+    `evaluations` counts integrand evaluations over all passes;
+    `truncation_radius` is where a semi-infinite range was cut (None for
+    a finite range) and `tail_bound` the analytic bound on what was cut
+    off, already included in `abs_error_estimate`.
+    """
+
     value: float
     abs_error_estimate: float
     panels_used: int
     converged: bool
+    evaluations: int
+    truncation_radius: Optional[float] = None
+    tail_bound: float = 0.0
 
 
 def _budget() -> int:
@@ -65,63 +114,71 @@ def _budget() -> int:
         raise ValueError(f"{_BUDGET_ENV} must be an integer, got {raw!r}") from None
 
 
-def _adaptive(
-    f: Callable[[np.ndarray], np.ndarray],
-    edges: np.ndarray,
-    rel_tol: float,
-    budget: int,
-    context: str,
-) -> tuple[float, float, int, int]:
-    """Refine panels until the summed error estimate meets rel_tol.
+class _Panels:
+    """Adaptive Gauss–Kronrod state of one integral, refined in passes.
 
-    Returns (value, error_estimate, panels, evaluations); raises
-    NonConvergence when the evaluation budget runs out first.
+    The panels start on `edges`; `add` evaluates more panels, and
+    `refine` splits panels until the summed error estimate meets a
+    tolerance.  The evaluation budget covers every pass over the integral.
     """
-    lo = edges[:-1].astype(float)
-    hi = edges[1:].astype(float)
 
-    def panel_eval(plo: np.ndarray, phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        mid = 0.5 * (plo + phi)
-        half = 0.5 * (phi - plo)
-        x15 = mid[:, None] + half[:, None] * _G15_X[None, :]
-        x7 = mid[:, None] + half[:, None] * _G7_X[None, :]
-        f15 = np.asarray(f(x15.ravel()), dtype=float).reshape(x15.shape)
-        f7 = np.asarray(f(x7.ravel()), dtype=float).reshape(x7.shape)
-        v15 = (f15 * _G15_W[None, :]).sum(axis=1) * half
-        v7 = (f7 * _G7_W[None, :]).sum(axis=1) * half
-        return v15, np.abs(v15 - v7)
+    def __init__(self, f: Callable[[np.ndarray], np.ndarray], edges: np.ndarray, context: str) -> None:
+        self.f, self.context, self.budget = f, context, _budget()
+        self.lo = self.hi = self.val = self.err = np.empty(0)
+        self.evaluations = 0
+        self.add(edges)
 
-    val, err = panel_eval(lo, hi)
-    evals = 22 * lo.size
-    while True:
-        total = float(val.sum())
-        toterr = float(err.sum())
-        target = rel_tol * max(abs(total), 1e-300)
-        # roundoff floor: once panel values cancel down to machine noise,
-        # further splitting cannot reduce the estimate (zero crossings of
-        # oscillatory integrals); return the honest absolute error instead
-        noise = 32.0 * np.finfo(float).eps * float(np.abs(val).sum())
-        if toterr <= max(target, noise):
-            return total, toterr, lo.size, evals
-        if evals >= budget:
-            raise NonConvergence(
-                f"{context}: budget of {budget} evaluations exhausted "
-                f"(error {toterr:.3e} vs target {target:.3e})"
-            )
-        split = err > target / err.size
-        if not split.any():
-            split = err == err.max()
-        keep = ~split
-        ls, hs = lo[split], hi[split]
-        mids = 0.5 * (ls + hs)
-        new_lo = np.concatenate([ls, mids])
-        new_hi = np.concatenate([mids, hs])
-        new_val, new_err = panel_eval(new_lo, new_hi)
-        evals += 22 * new_lo.size
-        lo = np.concatenate([lo[keep], new_lo])
-        hi = np.concatenate([hi[keep], new_hi])
-        val = np.concatenate([val[keep], new_val])
-        err = np.concatenate([err[keep], new_err])
+    def add(self, edges: np.ndarray) -> None:
+        self._extend(np.ones(self.lo.size, dtype=bool), edges[:-1], edges[1:])
+
+    def _extend(self, keep: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> None:
+        """Keep the current panels where `keep` is set and evaluate the panels [lo, hi]."""
+        half = 0.5 * (hi - lo)
+        x = (0.5 * (lo + hi))[:, None] + half[:, None] * _GK15_X
+        fx = np.asarray(self.f(x.ravel()), dtype=float).reshape(x.shape)
+        self.evaluations += x.size
+        kronrod, gauss = ((fx @ _GK15_W) * half[:, None]).T
+        self.lo = np.concatenate([self.lo[keep], lo])
+        self.hi = np.concatenate([self.hi[keep], hi])
+        self.val = np.concatenate([self.val[keep], kronrod])
+        self.err = np.concatenate([self.err[keep], np.abs(kronrod - gauss)])
+
+    def refine(self, rel_tol: float) -> tuple[float, float]:
+        """(value, error estimate) once the estimate meets rel_tol.
+
+        Raises NonConvergence when the evaluation budget runs out first.
+        """
+        while True:
+            total = float(self.val.sum())
+            toterr = float(self.err.sum())
+            target = rel_tol * max(abs(total), 1e-300)
+            # roundoff floor: once panel values cancel down to machine noise,
+            # further splitting cannot reduce the estimate (zero crossings of
+            # oscillatory integrals); return the honest absolute error instead
+            noise = 32.0 * np.finfo(float).eps * float(np.abs(self.val).sum())
+            if toterr <= max(target, noise):
+                return total, toterr
+            if self.evaluations >= self.budget:
+                raise NonConvergence(
+                    f"{self.context}: budget of {self.budget} evaluations exhausted "
+                    f"(error {toterr:.3e} vs target {target:.3e})"
+                )
+            split = self.err > target / self.err.size
+            if not split.any():
+                split = self.err == self.err.max()
+            ls, hs = self.lo[split], self.hi[split]
+            mids = 0.5 * (ls + hs)
+            self._extend(~split, np.concatenate([ls, mids]), np.concatenate([mids, hs]))
+
+
+def _result(
+    value: float, err: float, rel_tol: float, panels: int, evaluations: int,
+    truncation_radius: Optional[float] = None, tail_bound: float = 0.0,
+) -> QuadratureResult:
+    return QuadratureResult(
+        value, err, panels, err <= rel_tol * max(1.0, abs(value)), evaluations,
+        truncation_radius, tail_bound,
+    )
 
 
 def _initial_edges(a: float, b: float, max_width: float, min_panels: int = 8) -> np.ndarray:
@@ -156,27 +213,28 @@ def _radial_quadrature(
     ls: Sequence[int],
     rel_tol: float,
     context: str,
-) -> tuple[float, float, int, int]:
+) -> QuadratureResult:
     """Common driver for the damped radial integrals.
 
     Picks a truncation radius from the analytic tail bound (scaled by a
-    coarse pass), then refines panels no wider than half the shortest
-    oscillation period.
+    coarse pass), appends panels up to it, then refines the same panels,
+    none wider than half the shortest oscillation period.
     """
-    budget = _budget()
-    kmax = max(ks)
-    max_width = math.pi / kmax
+    max_width = math.pi / max(ks)
     r_end = max(40.0 / alpha, 6.0 * max_width, *[2.0 * (l + 1) / k for l, k in zip(ls, ks)])
-    coarse, _, _, ev0 = _adaptive(f, _initial_edges(0.0, r_end, max_width), 1e-4, budget, context)
+    panels = _Panels(f, _initial_edges(0.0, r_end, max_width), context)
+    coarse, _ = panels.refine(1e-4)
     scale = max(abs(coarse), 1e-300)
+    r_coarse = r_end
     while _radial_tail_bound(n, alpha, ks, r_end) > 0.3 * rel_tol * scale:
         if r_end > 1e9:
             raise NonConvergence(f"{context}: truncation radius grew without bound")
         r_end *= 1.5
-    value, err, panels, ev = _adaptive(
-        f, _initial_edges(0.0, r_end, max_width), rel_tol, budget, context
-    )
-    return value, err + _radial_tail_bound(n, alpha, ks, r_end), panels, ev0 + ev
+    if r_end > r_coarse:
+        panels.add(_initial_edges(r_coarse, r_end, max_width, min_panels=1))
+    value, err = panels.refine(rel_tol)
+    tail = _radial_tail_bound(n, alpha, ks, r_end)
+    return _result(value, err + tail, rel_tol, panels.lo.size, panels.evaluations, r_end, tail)
 
 
 def integrate_two_bessel(
@@ -203,11 +261,10 @@ def integrate_two_bessel(
             * specfun.spherical_bessel_j_array(lambda2, k2 * r)
         )
 
-    value, err, panels, _ = _radial_quadrature(
+    return _radial_quadrature(
         f, n, alpha, (k1, k2), (lambda1, lambda2), rel_tol,
         f"two-Bessel integral n={n} l=({lambda1},{lambda2})",
     )
-    return QuadratureResult(value, err, panels, err <= rel_tol * max(1.0, abs(value)))
 
 
 def integrate_single_bessel(
@@ -227,10 +284,9 @@ def integrate_single_bessel(
     def f(r: np.ndarray) -> np.ndarray:
         return r**n * np.exp(-alpha * r) * specfun.spherical_bessel_j_array(lambda3, k3 * r)
 
-    value, err, panels, _ = _radial_quadrature(
+    return _radial_quadrature(
         f, n, alpha, (k3,), (lambda3,), rel_tol, f"single-Bessel transform l3={lambda3}"
     )
-    return QuadratureResult(value, err, panels, err <= rel_tol * max(1.0, abs(value)))
 
 
 def integrate_q_definition(L: int, M: int, y: float, rel_tol: float = 1e-10) -> QuadratureResult:
@@ -253,7 +309,6 @@ def integrate_q_definition(L: int, M: int, y: float, rel_tol: float = 1e-10) -> 
     y = float(y)
     if not (y > 1.0):
         raise ValueError(f"argument must satisfy y > 1, got {y!r}")
-    budget = _budget()
     u_top = math.log((y + 1.0) / (y - 1.0))
     ym1 = y - 1.0
     power = M + L
@@ -264,14 +319,13 @@ def integrate_q_definition(L: int, M: int, y: float, rel_tol: float = 1e-10) -> 
         np.clip(one_minus_x2, 0.0, None, out=one_minus_x2)
         return one_minus_x2**L * np.exp(-power * u)
 
-    edges = _initial_edges(0.0, u_top, u_top / max(8, L + 2))
-    value, err, panels, _ = _adaptive(f, edges, rel_tol, budget, "Q-definition integral")
+    panels = _Panels(f, _initial_edges(0.0, u_top, u_top / max(8, L + 2)), "Q-definition integral")
+    value, err = panels.refine(rel_tol)
     scale = (
         math.factorial(M + L) / (math.factorial(M) * 2**L * math.factorial(L))
         * ym1 ** (-power)
     )
-    value, err = scale * value, scale * err
-    return QuadratureResult(value, err, panels, err <= rel_tol * max(1.0, abs(value)))
+    return _result(scale * value, scale * err, rel_tol, panels.lo.size, panels.evaluations)
 
 
 def integrate_three_bessel_regularized(
@@ -291,9 +345,7 @@ def integrate_three_bessel_regularized(
     l1, l2, l3 = spec.lambda1, spec.lambda2, spec.lambda3
     k1, k2, k3 = spec.k1, spec.k2, spec.k3
     inner_tol = 1e-9
-    vals = []
-    quad_err = 0.0
-    panels_total = 0
+    parts = []
     for e in eps:
 
         def f(r: np.ndarray, _e: float = e) -> np.ndarray:
@@ -305,13 +357,12 @@ def integrate_three_bessel_regularized(
                 * specfun.spherical_bessel_j_array(l3, k3 * r)
             )
 
-        v, errq, panels, _ = _radial_quadrature(
+        parts.append(_radial_quadrature(
             f, 2, e, (k1, k2, k3), (l1, l2, l3), inner_tol,
             f"regularized triple-Bessel eps={e}",
-        )
-        vals.append(v)
-        quad_err += abs(errq)
-        panels_total += panels
+        ))
+    vals = [q.value for q in parts]
+    quad_err = sum(abs(q.abs_error_estimate) for q in parts)
     # Neville extrapolation of the polynomial through (eps_i, J_i) to eps = 0
     t = list(vals)
     diag = [t[0]]
@@ -330,7 +381,10 @@ def integrate_three_bessel_regularized(
             )
     value = diag[-1]
     err = max(increments[-1], quad_err)
-    return QuadratureResult(value, err, panels_total, err <= rel_tol * max(1.0, abs(value)))
+    return _result(
+        value, err, rel_tol, sum(q.panels_used for q in parts), sum(q.evaluations for q in parts),
+        max(q.truncation_radius for q in parts), sum(q.tail_bound for q in parts),
+    )
 
 
 def check_eq_2_6(
@@ -359,9 +413,9 @@ def check_eq_2_6(
         np.clip(delta, -1.0, 1.0, out=delta)
         return k3 / (k3 * k3 + alpha * alpha) ** (lambda3 + 1) * specfun.legendre_p_array(l, delta)
 
-    edges = _initial_edges(lo, hi, (hi - lo) / max(8, l + 2))
-    value, err, panels, _ = _adaptive(f, edges, rel_tol, _budget(), "wavenumber-kernel integral")
-    return QuadratureResult(value, err, panels, err <= rel_tol * max(1.0, abs(value)))
+    panels = _Panels(f, _initial_edges(lo, hi, (hi - lo) / max(8, l + 2)), "wavenumber-kernel integral")
+    value, err = panels.refine(rel_tol)
+    return _result(value, err, rel_tol, panels.lo.size, panels.evaluations)
 
 
 def check_eq_2_12(l: int, L: int, y0: float, rel_tol: float = 1e-8) -> QuadratureResult:
@@ -377,18 +431,17 @@ def check_eq_2_12(l: int, L: int, y0: float, rel_tol: float = 1e-8) -> Quadratur
     if not (y0 > 1.0):
         raise ValueError(f"lower limit must satisfy y0 > 1, got {y0!r}")
     m = L + 1
-    budget = _budget()
     b_split = max(2.0 * y0, y0 + 3.0)
 
     def f_near(y: np.ndarray) -> np.ndarray:
-        return np.array([specfun.paper_q_combination(l, m, float(v)) for v in y])
+        return specfun.paper_q_combination_all(l, m, y)[l]
 
     def f_far(t: np.ndarray) -> np.ndarray:
         out = np.zeros_like(t)
-        for i, ti in enumerate(t):
-            yv = 1.0 + (b_split - 1.0) / ti
-            if yv < 1e12:  # farther out the integrand is underflow-level
-                out[i] = specfun.paper_q_combination(l, m, yv) * (b_split - 1.0) / (ti * ti)
+        yv = 1.0 + (b_split - 1.0) / t
+        near = yv < 1e12  # farther out the integrand is underflow-level
+        tn = t[near]
+        out[near] = specfun.paper_q_combination_all(l, m, yv[near])[l] * (b_split - 1.0) / (tn * tn)
         return out
 
     # geometric panels in (y - 1) near the lower end, where the integrand peaks
@@ -396,10 +449,11 @@ def check_eq_2_12(l: int, L: int, y0: float, rel_tol: float = 1e-8) -> Quadratur
     ratio = ((b_split - 1.0) / (y0 - 1.0)) ** (1.0 / n_panels)
     edges = 1.0 + (y0 - 1.0) * ratio ** np.arange(n_panels + 1)
     edges[0], edges[-1] = y0, b_split
-    v_near, e_near, p_near, _ = _adaptive(f_near, edges, rel_tol / 2, budget, "derivative-order identity")
-    v_far, e_far, p_far, _ = _adaptive(
-        f_far, np.linspace(0.0, 1.0, 17), rel_tol / 2, budget, "derivative-order identity tail"
+    near = _Panels(f_near, edges, "derivative-order identity")
+    v_near, e_near = near.refine(rel_tol / 2)
+    far = _Panels(f_far, np.linspace(0.0, 1.0, 17), "derivative-order identity tail")
+    v_far, e_far = far.refine(rel_tol / 2)
+    return _result(
+        v_near + v_far, e_near + e_far, rel_tol,
+        near.lo.size + far.lo.size, near.evaluations + far.evaluations,
     )
-    value = v_near + v_far
-    err = e_near + e_far
-    return QuadratureResult(value, err, p_near + p_far, err <= rel_tol * max(1.0, abs(value)))

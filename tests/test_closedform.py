@@ -1,6 +1,7 @@
 import math
 import re
 from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -281,10 +282,13 @@ class TestDataTypes:
         assert res.condition == closedform.condition_number(1.0, 2.0, 0.5)
 
     @given(positive, positive, positive)
+    @example(74.0, 74.0, 0.001)  # y - 1 ~ 9e-11: 1/(y - 1) of the float y keeps only 6 digits
     def test_integral_spec_y_above_one(self, k1, k2, alpha):
         y = y_param(k1, k2, alpha)
         assert y > 1.0
-        assert closedform.condition_number(k1, k2, alpha) == pytest.approx(1.0 / (y - 1.0), rel=1e-6)
+        k1x, k2x, ax = Fraction(k1), Fraction(k2), Fraction(alpha)
+        inverse = 2 * k1x * k2x / ((k1x - k2x) ** 2 + ax**2)  # 1/(y - 1) in exact arithmetic
+        assert closedform.condition_number(k1, k2, alpha) == pytest.approx(float(inverse), rel=1e-6)
 
     def test_three_bessel_spec_delta(self):
         spec = ThreeBesselSpec(0, 0, 0, 3.0, 4.0, 5.0)
@@ -352,6 +356,18 @@ class TestFloatRange:
             bare_integral(21, 10, 10, 1.0, 1.0, 3e-8)
         with pytest.raises(ValueError, match=message):
             closedform.bare_integral_batch(21, 10, 10, [1.0] * 4, [1.0] * 4, [1.0, 0.5, 3e-8, 0.1])
+
+    @pytest.mark.filterwarnings("error")
+    def test_equal_order_out_of_float_range(self):
+        # Q_0(y)/(2 k1 k2) overflows: 2 k1 k2 is subnormal (true value ~1.4e319)
+        point = (1e-160, 1.5e-160, 1e-160)
+        message = re.escape("leave the float range (k1=1e-160, k2=1.5e-160, alpha=1e-160)")
+        with pytest.raises(ValueError, match=message):
+            two_bessel_equal_order(0, *point)
+        with pytest.raises(ValueError, match=message):
+            bare_integral(1, 0, 0, *point)
+        with pytest.raises(ValueError, match=message):
+            closedform.bare_integral_batch(1, 0, 0, [1.0, 1e-160, 1.0], [1.0, 1.5e-160, 1.0], [1.0, 1e-160, -1.0])
 
     def test_condition_number(self):
         with pytest.raises(ValueError, match="not finite"):

@@ -67,6 +67,82 @@ class TestTwoBessel:
             integrate_two_bessel(1, 0, 0, 1.0, 1.0, 1.0, 1e-13)
 
 
+def _scipy_gk15():
+    """Nodes, Kronrod weights and Kronrod minus Gauss weights of scipy's qk15, ascending.
+
+    scipy keeps the table inside `_quadrature_gk15`, so it is read through
+    calls on [-1, 1]: the nodes from the integrand's arguments, each weight
+    from the integral of the indicator of its node, and the difference of
+    the two rules from the first argument of the norm.
+    """
+    from scipy.integrate._quad_vec import _quadrature_gk15
+
+    nodes = []
+    _quadrature_gk15(-1.0, 1.0, lambda x: nodes.append(x) or 0.0, abs)
+    kronrod, difference = [], []
+    for node in nodes:
+        norms = []
+        value, _, _ = _quadrature_gk15(
+            -1.0, 1.0, lambda x, node=node: float(x == node), lambda v: norms.append(v) or abs(v)
+        )
+        kronrod.append(value)
+        difference.append(norms[0])
+    return nodes[::-1], kronrod[::-1], difference[::-1]
+
+
+class TestKronrodRule:
+    """The tabulated Gauss-Kronrod (7, 15) rule and what the oracle reports it spent."""
+
+    def test_table_matches_scipy(self):
+        nodes, kronrod, difference = _scipy_gk15()
+        assert oracle._GK15_X.tolist() == nodes
+        assert oracle._GK15_W[:, 0].tolist() == kronrod
+        assert (oracle._GK15_W[:, 0] - oracle._GK15_W[:, 1]).tolist() == difference
+        assert oracle._GK15_W[::2, 1].tolist() == [0.0] * 8
+
+    @staticmethod
+    def _counted(monkeypatch, *args):
+        points = []
+        bessel = specfun.spherical_bessel_j_array
+        monkeypatch.setattr(
+            specfun, "spherical_bessel_j_array", lambda l, x: points.append(x.size) or bessel(l, x)
+        )
+        return integrate_two_bessel(*args), sum(points)
+
+    def test_evaluations_without_growth(self, monkeypatch):
+        # r_end = 40/alpha already meets the tail bound: the panels are the
+        # initial grid, each refinement step replacing one panel by two
+        q, points = self._counted(monkeypatch, 1, 0, 0, 1.0, 1.0, 1.0, 1e-12)
+        initial = len(oracle._initial_edges(0.0, 40.0, math.pi)) - 1
+        splits = q.panels_used - initial
+        assert (initial, splits) == (13, 4)
+        assert q.evaluations == points / 2 == 15 * (initial + 2 * splits)
+        assert q.truncation_radius == 40.0
+        assert q.tail_bound == oracle._radial_tail_bound(1, 1.0, (1.0, 1.0), 40.0)
+        assert q.tail_bound <= q.abs_error_estimate
+
+    def test_evaluations_with_growth(self, monkeypatch):
+        # r^8 needs the radius pushed from 40 to 60: panels on [40, 60] are appended
+        q, points = self._counted(monkeypatch, 8, 0, 0, 1.0, 1.0, 1.0, 1e-10)
+        assert q.truncation_radius == 60.0
+        initial = len(oracle._initial_edges(0.0, 40.0, math.pi)) - 1
+        appended = len(oracle._initial_edges(40.0, 60.0, math.pi, min_panels=1)) - 1
+        assert (initial, appended) == (13, 7)
+        assert q.evaluations == points / 2 == 15 * (2 * q.panels_used - initial - appended)
+
+    @pytest.mark.parametrize("args,reference", [
+        # oracle_check-like points on all three routes; values from perfbench/reference.py
+        ((1, 0, 0, 0.93, 0.51, 0.052), 1.2915760206140625),
+        ((2, 0, 1, 1.12, 2.13, 0.057), 0.2572458194993329),
+        ((3, 1, 0, 1.31, 0.72, 0.51), 1.0974634532462648),
+        ((4, 3, 1, 1.84, 3.55, 1.93), -0.0008074169129235287),
+    ])
+    def test_against_reference(self, args, reference):
+        q = integrate_two_bessel(*args, rel_tol=1e-8)
+        assert q.converged
+        assert abs(q.value - reference) <= 1e-8 * abs(reference)
+
+
 class TestSingleBessel:
     @pytest.mark.parametrize("offset", [1, 2])
     @pytest.mark.parametrize("lambda3", [0, 1, 3, 6])
@@ -159,6 +235,29 @@ class TestDerivativeOrderIdentity:
         q = oracle.check_eq_2_12(l, L, y0, 1e-8)
         target = specfun.paper_q_combination(l, L, y0)
         assert q.value == pytest.approx(target, rel=1e-7)
+
+    def test_integrands_equal_point_loop(self, monkeypatch):
+        integrands = []
+        panels = oracle._Panels
+        monkeypatch.setattr(
+            oracle, "_Panels", lambda f, edges, context: integrands.append(f) or panels(f, edges, context)
+        )
+        l, L, y0 = 3, 2, 1.5
+        oracle.check_eq_2_12(l, L, y0)
+        f_near, f_far = integrands
+        b_split = 4.5
+        y = np.linspace(y0, b_split, 41)
+        assert f_near(y).tolist() == [specfun.paper_q_combination(l, L + 1, v) for v in y.tolist()]
+        # t below 3.5e-12 puts y past 1e12, where the integrand is taken as 0
+        t = np.concatenate([np.geomspace(1e-14, 1.0, 40), [4e-12]])
+        loop = []
+        for ti in t.tolist():
+            yv = 1.0 + (b_split - 1.0) / ti
+            loop.append(
+                specfun.paper_q_combination(l, L + 1, yv) * (b_split - 1.0) / (ti * ti) if yv < 1e12 else 0.0
+            )
+        assert f_far(t).tolist() == loop
+        assert loop[0] == 0.0 and loop[-1] != 0.0
 
 
 class TestOrderValidation:

@@ -47,6 +47,24 @@ def _fmt(v) -> str:
     return format(float(v), ".17g")
 
 
+# format specs that write a cell of these exact types as `_fmt` does: the
+# types `cmd_table` puts in its rows
+_CSV_SPECS = {str: "", int: "d", float: ".17g", np.float64: ".17g"}
+
+
+def _csv_format(kinds: tuple) -> Optional[str]:
+    """One format string for a CSV row of cells of these types, or None if a type has no spec."""
+    fields = []
+    for i, kind in enumerate(kinds):
+        if kind is type(None):
+            fields.append("NA")
+        elif kind in _CSV_SPECS:
+            fields.append(f"{{{i}:{_CSV_SPECS[kind]}}}")
+        else:
+            return None
+    return ",".join(fields)
+
+
 def _json_scalar(v) -> str:
     if v is None:
         return "null"
@@ -97,6 +115,9 @@ def cmd_eval(args: argparse.Namespace) -> int:
         except oracle.NonConvergence as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_NONCONVERGENCE
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_USAGE
         oracle_value = q.value
         oracle_abs_error = q.abs_error_estimate
         if value is None:
@@ -142,9 +163,19 @@ class SweepTable:
     rows: list[list]
 
     def to_csv(self) -> str:
+        """The columns and rows as CSV, each cell as `_fmt` writes it.
+
+        Rows with the same cell types share one format string; a row with
+        a cell type outside `_CSV_SPECS` goes through `_fmt` cell by cell.
+        """
+        layouts: dict[tuple, Optional[str]] = {}
         lines = [",".join(self.columns)]
         for row in self.rows:
-            lines.append(",".join(_fmt(v) for v in row))
+            kinds = tuple(map(type, row))
+            if kinds not in layouts:
+                layouts[kinds] = _csv_format(kinds)
+            fmt = layouts[kinds]
+            lines.append(",".join(map(_fmt, row)) if fmt is None else fmt.format(*row))
         return "\n".join(lines) + "\n"
 
     def to_json(self) -> str:
@@ -268,6 +299,9 @@ def cmd_table(args: argparse.Namespace) -> int:
             except oracle.NonConvergence as exc:
                 print(f"error: {exc}", file=sys.stderr)
                 return EXIT_NONCONVERGENCE
+            except ValueError as exc:
+                print(f"error: {exc}", file=sys.stderr)
+                return EXIT_USAGE
             oracle_value = q.value
         if value is None and args.fallback_oracle and oracle_value is not None:
             value = oracle_value

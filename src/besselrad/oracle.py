@@ -39,7 +39,7 @@ import numpy as np
 
 from . import specfun
 from .closedform import _LAMBDA_MAX, ThreeBesselSpec
-from .specfun import _order, _positive_finite
+from .specfun import _L_MAX_BESSEL, _order, _positive_finite
 
 # QUADPACK qk15 (Piessens et al. 1983): Kronrod nodes x >= 0 and their
 # weights, and the weights of the 7-point Gauss rule on the nodes xgk[1::2]
@@ -79,10 +79,11 @@ _GK15_W[1::2, 1] = _WG + _WG[-2::-1]
 _ENVELOPE = 1.16          # sup of x|j_l(x)| over x >= 2(l+1), all l <= 50
 _BUDGET_ENV = "BESSELRAD_PANEL_BUDGET"
 _DEFAULT_BUDGET = 1_000_000
+_LOG_BOUND_MAX = 709.0    # below log of the largest float, so exp() stays finite
 
 
 class NonConvergence(Exception):
-    """The quadrature budget was exhausted or an extrapolation failed."""
+    """The quadrature budget was exhausted, the integrand left the float range or an extrapolation failed."""
 
 
 @dataclass(frozen=True)
@@ -135,9 +136,17 @@ class _Panels:
         """Keep the current panels where `keep` is set and evaluate the panels [lo, hi]."""
         half = 0.5 * (hi - lo)
         x = (0.5 * (lo + hi))[:, None] + half[:, None] * _GK15_X
-        fx = np.asarray(self.f(x.ravel()), dtype=float).reshape(x.shape)
+        # a non-finite value is refused below, so its overflow warning is not shown
+        with np.errstate(all="ignore"):
+            fx = np.asarray(self.f(x.ravel()), dtype=float).reshape(x.shape)
+            kronrod, gauss = ((fx @ _GK15_W) * half[:, None]).T
         self.evaluations += x.size
-        kronrod, gauss = ((fx @ _GK15_W) * half[:, None]).T
+        bad = ~(np.isfinite(kronrod) & np.isfinite(gauss))
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise NonConvergence(
+                f"{self.context}: integrand not finite on the panel [{lo[i]:.6g}, {hi[i]:.6g}]"
+            )
         self.lo = np.concatenate([self.lo[keep], lo])
         self.hi = np.concatenate([self.hi[keep], hi])
         self.val = np.concatenate([self.val[keep], kronrod])
@@ -186,23 +195,30 @@ def _initial_edges(a: float, b: float, max_width: float, min_panels: int = 8) ->
     return np.linspace(a, b, n + 1)
 
 
-def _exp_poly_tail(m: int, alpha: float, r: float) -> float:
-    """Exact integral_r^inf t^m e^(-alpha t) dt for integer m >= 0."""
-    s = 0.0
-    for i in range(m + 1):
-        s += math.factorial(m) / math.factorial(m - i) * r ** (m - i) / alpha ** (i + 1)
-    return math.exp(-alpha * r) * s
+def _log_exp_poly_tail(m: int, alpha: float, r: float) -> float:
+    """log of the exact integral_r^inf t^m e^(-alpha t) dt for integer m >= 0.
+
+    The integral is m!/alpha^(m+1) e^(-z) sum_{k<=m} z^k/k! with z = alpha r;
+    its logarithm stays in range where the integral itself does not.
+    """
+    z = alpha * r
+    log_terms = np.concatenate(([0.0], np.cumsum(np.log(z / np.arange(1.0, m + 1)))))
+    top = float(log_terms.max())
+    return (
+        math.lgamma(m + 1) - (m + 1) * math.log(alpha) - z
+        + top + math.log(float(np.exp(log_terms - top).sum()))
+    )
 
 
 def _radial_tail_bound(n: int, alpha: float, ks: Sequence[float], r: float) -> float:
-    """Bound on the neglected tail of r^n e^(-ar) prod j_l(k_i r) beyond r."""
-    env = 1.0
-    for k in ks:
-        env *= _ENVELOPE / k
+    """Bound on the neglected tail of r^n e^(-ar) prod j_l(k_i r) beyond r; inf past the float range."""
+    log_bound = sum(math.log(_ENVELOPE / k) for k in ks)
     m = n - len(ks)
     if m >= 0:
-        return env * _exp_poly_tail(m, alpha, r)
-    return env * r**m * math.exp(-alpha * r) / alpha
+        log_bound += _log_exp_poly_tail(m, alpha, r)
+    else:
+        log_bound += m * math.log(r) - alpha * r - math.log(alpha)
+    return math.exp(log_bound) if log_bound < _LOG_BOUND_MAX else math.inf
 
 
 def _radial_quadrature(
@@ -247,8 +263,9 @@ def integrate_two_bessel(
     rel_tol: float = 1e-10,
 ) -> QuadratureResult:
     """Adaptive quadrature of integral_0^inf r^n e^(-ar) j_l1(k1 r) j_l2(k2 r) dr."""
-    for name, v in (("lambda1", lambda1), ("lambda2", lambda2), ("n", n)):
-        _order(name, v, maximum=None)
+    lambda1 = _order("lambda1", lambda1, _L_MAX_BESSEL)
+    lambda2 = _order("lambda2", lambda2, _L_MAX_BESSEL)
+    n = _order("n", n, maximum=None)
     _positive_finite(k1=k1, k2=k2, alpha=alpha)
     if rel_tol < 1e-12:
         raise ValueError(f"rel_tol must be >= 1e-12, got {rel_tol!r}")
@@ -277,7 +294,7 @@ def integrate_single_bessel(
     """Quadrature of integral_0^inf r^(l3+offset) e^(-ar) j_l3(k3 r) dr, offset in {1, 2}."""
     if offset not in (1, 2):
         raise ValueError(f"offset must be 1 or 2, got {offset!r}")
-    lambda3 = _order("lambda3", lambda3, maximum=50)
+    lambda3 = _order("lambda3", lambda3, _L_MAX_BESSEL)
     _positive_finite(alpha=alpha, k3=k3)
     n = lambda3 + offset
 

@@ -14,10 +14,16 @@ associated Legendre functions on (1, inf).
 
 Stability choices:
 
-- j_l: upward recurrence for x >= l; for x < l the upward direction loses
-  the minimal solution, so the ratio j_l/j_{l-1} is obtained from a Lentz
-  continued fraction and propagated downward, normalized against j_0 or
-  j_1 (whichever trial value is larger, since they have no common zeros).
+- j_l: the upward recurrence from sin x / x runs over a call's whole
+  array and is kept for x >= l, where it is stable.  For x < l it loses
+  the minimal solution, and those arguments are overwritten: below
+  max(0.5, min(l, sqrt(4l + 6))) by the ascending series, summed by Horner
+  with a term count fixed by l (no term exceeds the first there, so the
+  sum does not cancel; this covers every x < l for l <= 5), and for
+  l >= 6 on [sqrt(4l + 6), l) by a Lentz continued fraction for
+  j_l/j_{l-1} propagated downward and normalized against j_0 or j_1
+  (whichever trial value is larger, since they have no common zeros).
+  No step depends on the other points of a call.
 - Q_L: the forward three-term recurrence in L loses digits on (1, inf)
   because the polynomial-type solution dominates, but only a few near
   y = 1.  Q_0..Q_L come from the forward recurrence where the digits it
@@ -71,30 +77,51 @@ def _order(name: str, v, maximum: Optional[int], minimum: int = 0) -> int:
 
 # ----------------------------------------------------------------------
 # spherical Bessel j_l
+#
+# Term m + 1 of the ascending series (DLMF 10.53.1) is term m times
+# -x^2 / (2(m + 1)(2l + 2m + 3)), so on x^2 <= 4l + 6 no term is larger
+# than the first.  The term count depends on l only, and the continued
+# fraction stops each point at its own convergence, so a value does not
+# depend on the other points of its call.
+
+
+def _series_edge(l: int) -> float:
+    """The ascending series serves x < max(0.5, min(l, sqrt(4l + 6)))."""
+    return max(0.5, min(float(l), math.sqrt(4 * l + 6)))
+
+
+def _jl_series_coefficients(l: int) -> tuple[tuple[float, ...], float]:
+    """Horner coefficients in x^2 of the ascending series of j_l, highest first, and (2l + 1)!!.
+
+    They stop before the first term below 1e-17 of the leading one at the
+    top of the series range, where the sum stays above 0.3 of it.
+    """
+    x2_top = _series_edge(l) ** 2
+    coef = [1.0]
+    while True:
+        m = len(coef)
+        c = -coef[-1] / (2 * m * (2 * l + 2 * m + 1))
+        if abs(c) * x2_top**m < 1e-17:
+            return tuple(reversed(coef)), float(math.prod(range(1, 2 * l + 2, 2)))
+        coef.append(c)
+
+
+_JL_SERIES = tuple(_jl_series_coefficients(l) for l in range(_L_MAX_BESSEL + 1))
 
 
 def _jl_series(l: int, x: np.ndarray) -> np.ndarray:
-    """Ascending series; accurate to machine precision for x < ~1."""
-    x = np.asarray(x, dtype=float)
+    """j_l at 0 <= x < `_series_edge(l)` from the ascending series, by Horner in x^2."""
+    coef, dfac = _JL_SERIES[l]
     x2 = x * x
-    lead = np.ones_like(x)
-    dfac = 1.0
-    for i in range(1, l + 1):
-        dfac *= 2 * i + 1
-        lead = lead * x
-    lead = lead / dfac
-    term = np.ones_like(x)
-    out = np.ones_like(x)
-    for m in range(1, 40):
-        term = term * (-x2 / 2.0) / (m * (2 * l + 2 * m + 1))
-        out = out + term
-        if np.all(np.abs(term) <= 1e-18 * np.abs(out)):
-            break
-    return lead * out
+    s = np.full_like(x, coef[0])
+    for c in coef[1:]:
+        s *= x2
+        s += c
+    return x**l / dfac * s
 
 
 def _jl_downward(l: int, x: np.ndarray) -> np.ndarray:
-    """j_l for 0.5 <= x < l via continued-fraction ratio + downward recurrence."""
+    """j_l for sqrt(4l + 6) <= x < l via continued-fraction ratio + downward recurrence."""
     n = x.size
     tiny = 1e-300
     f = np.full(n, tiny)
@@ -113,15 +140,15 @@ def _jl_downward(l: int, x: np.ndarray) -> np.ndarray:
         c[c == 0.0] = tiny
         d = 1.0 / d
         delta = c * d
-        f = f * delta
+        # a converged point keeps its ratio, as it would alone in its call
+        f = np.where(conv, f, f * delta)
         conv = conv | (np.abs(delta - 1.0) < 1e-16)
         j += 1
-    # f = j_l / j_{l-1}; run the recurrence down to orders 1 and 0.  Trial
-    # values grow like j_0/j_l, at most ~1e96 for l <= 50 and x >= 0.5, so
-    # no rescaling is needed.
+    # f = j_l / j_{l-1}; run the recurrence down to orders 1 and 0 (l >= 6
+    # passes order 1 on the way).  Trial values grow like j_0/j_l, at most
+    # ~1e96 for l <= 50 and x >= 0.5, so no rescaling is needed.
     jp = np.ones(n)        # trial j at current order + 1
     jc = 1.0 / f           # trial j at current order, starting at l - 1
-    trial1 = jc.copy() if l - 1 == 1 else None
     for m in range(l - 1, 0, -1):
         jp, jc = jc, (2 * m + 1) / x * jc - jp
         if m - 1 == 1:
@@ -138,40 +165,27 @@ def _jl_downward(l: int, x: np.ndarray) -> np.ndarray:
 
 
 def spherical_bessel_j_array(l: int, x: np.ndarray) -> np.ndarray:
-    """Vectorized j_l over an array of non-negative arguments."""
+    """Vectorized j_l, 0 <= l <= 50, over an array of non-negative arguments.
+
+    Each value equals `spherical_bessel_j` at its argument bit for bit.
+    """
     x = np.asarray(x, dtype=float)
-    out = np.empty_like(x)
-    zero = x == 0.0
-    if zero.any():
-        out[zero] = 1.0 if l == 0 else 0.0
-    live = ~zero
-    xs = x[live]
-    small = xs < 0.5
-    res = np.empty_like(xs)
-    if small.any():
-        res[small] = _jl_series(l, xs[small])
-    big = ~small
-    if big.any():
-        xb = xs[big]
-        if l == 0:
-            res[big] = np.sin(xb) / xb
-        elif l == 1:
-            res[big] = np.sin(xb) / (xb * xb) - np.cos(xb) / xb
-        else:
-            r = np.empty_like(xb)
-            up = xb >= l
-            if up.any():
-                xu = xb[up]
-                jm = np.sin(xu) / xu
-                jc = jm / xu - np.cos(xu) / xu
-                for m in range(1, l):
-                    jm, jc = jc, (2 * m + 1) / xu * jc - jm
-                r[up] = jc
-            dn = ~up
-            if dn.any():
-                r[dn] = _jl_downward(l, xb[dn])
-            res[big] = r
-    out[live] = res
+    # the recurrence overflows or divides by zero at small x, which is
+    # overwritten below
+    with np.errstate(all="ignore"):
+        out = np.sin(x) / x
+        if l >= 1:
+            jm, out = out, out / x - np.cos(x) / x
+            for m in range(1, l):
+                jm, out = out, (2 * m + 1) / x * out - jm
+        edge = _series_edge(l)
+        small = x < edge
+        if small.any():
+            out[small] = _jl_series(l, x[small])
+        if edge < l:
+            mid = (x >= edge) & (x < l)
+            if mid.any():
+                out[mid] = _jl_downward(l, x[mid])
     return out
 
 

@@ -3,6 +3,7 @@ import json
 import math
 import subprocess
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -101,8 +102,38 @@ class TestEval:
         code, _, err = run_cli(capsys, BASE_EVAL + ["--oracle", "--rel-tol", "1e-12"])
         assert code == 4
 
+    def test_integrand_out_of_float_range_exit_4(self, capsys):
+        # no closed form at power 120; the oracle's r^120 leaves the float range
+        argv = ["eval", "--lambda1", "3", "--lambda2", "3", "--power", "120",
+                "--k1", "1", "--k2", "1", "--alpha", "0.5", "--fallback-oracle"]
+        code, out, err = run_cli(capsys, argv)
+        assert code == 4
+        assert out == "" and err.startswith("error: ") and "integrand not finite" in err
+
+    def test_oracle_rel_tol_below_floor_exit_2(self, capsys, tmp_path):
+        code, out, err = run_cli(capsys, BASE_EVAL + ["--oracle", "--rel-tol", "1e-13"])
+        assert code == 2 and out == "" and "rel_tol" in err
+        argv = ["table", "--sweep", "alpha=1:2:2", "--lambda1", "0", "--lambda2", "0", "--power", "1",
+                "--k1", "1", "--k2", "1", "--oracle", "--rel-tol", "1e-13", "--out", str(tmp_path / "t.csv")]
+        code, out, err = run_cli(capsys, argv)
+        assert code == 2 and out == "" and "rel_tol" in err
+
 
 class TestTable:
+    def test_csv_equals_cell_by_cell_format(self):
+        # NA, int, float and oracle columns, numpy scalars, and cell types
+        # without a format spec, which are formatted cell by cell
+        rows = [
+            [0, 0, 1, 1.0, 1.0, 1.0, 0.40235947810852507, "EQ_2_9", 2.0, 0.40235947810852513, 1.4e-16],
+            [3, 3, 120, 1.0, 1.0, 0.5, None, "NA", 2.0, None, None],
+            [np.int64(2), True, 3, np.float64(0.1), 1e-300, math.inf, -0.0, "EQ_2_8", math.nan, 5, 0.0],
+            [1, 2, 3, np.float32(0.1), Fraction(1, 3), 2.0, None, "{0}", 1.5, None, None],
+        ]
+        table = cli.SweepTable(list(cli.PARAM_NAMES) + ["value", "method", "condition",
+                                                        "oracle_value", "rel_discrepancy"], rows)
+        cell_by_cell = [",".join(table.columns)] + [",".join(cli._fmt(v) for v in row) for row in rows]
+        assert table.to_csv() == "\n".join(cell_by_cell) + "\n"
+
     def test_alpha_sweep_csv(self, capsys, tmp_path):
         out_path = tmp_path / "sweep.csv"
         argv = ["table", "--sweep", "alpha=0.5:2:4", "--lambda1", "0", "--lambda2", "0",

@@ -1,4 +1,7 @@
 import math
+import time
+import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -65,6 +68,39 @@ class TestTwoBessel:
     def test_rel_tol_floor(self):
         with pytest.raises(ValueError):
             integrate_two_bessel(1, 0, 0, 1.0, 1.0, 1.0, 1e-13)
+
+
+class TestFloatRange:
+    """Integrals whose integrand or tail bound leaves the float range get a typed refusal."""
+
+    @pytest.mark.parametrize("args", [
+        (200, 0, 0, 1.0, 1.0, 0.5),   # r^200 overflows inside the first pass
+        (120, 3, 3, 1.0, 1.0, 0.5),   # r^120 overflows where the tail bound moves the radius
+    ])
+    def test_non_finite_integrand_raises_at_once(self, args):
+        start = time.perf_counter()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonConvergence, match="integrand not finite"):
+                integrate_two_bessel(*args)
+        assert time.perf_counter() - start < 5.0
+
+    @pytest.mark.parametrize("m", [0, 1, 3, 8, 20])
+    @pytest.mark.parametrize("alpha,r", [(0.05, 800.0), (0.5, 80.0), (2.0, 3.0)])
+    def test_tail_bound_matches_exact_sum(self, m, alpha, r):
+        # e^(-alpha r) sum_i m!/(m - i)! r^(m - i)/alpha^(i + 1), summed in rationals
+        a, x = Fraction(alpha), Fraction(r)
+        s = sum(Fraction(math.factorial(m), math.factorial(m - i)) * x ** (m - i) / a ** (i + 1)
+                for i in range(m + 1))
+        exact = math.exp(-alpha * r) * float(s) * (oracle._ENVELOPE / 1.5) ** 2
+        assert oracle._radial_tail_bound(m + 2, alpha, (1.5, 1.5), r) == pytest.approx(exact, rel=1e-13)
+
+    def test_tail_bound_past_float_range(self):
+        # the sum's terms overflow a float here; the bound saturates instead of raising
+        assert oracle._radial_tail_bound(400, 0.5, (1.0, 1.0), 80.0) == math.inf
+        # the envelope (1.16/k)^2 overflows but the bound does not: 1.16^2 e^(-1000 + 400 ln 10)
+        expected = math.exp(2 * math.log(oracle._ENVELOPE) - 1000.0 + 400.0 * math.log(10.0))
+        assert oracle._radial_tail_bound(2, 1.0, (1e-200, 1e-200), 1000.0) == pytest.approx(expected, rel=1e-12)
 
 
 def _scipy_gk15():
@@ -273,6 +309,8 @@ class TestOrderValidation:
         assert call(np.int64) == call(int)
 
     @pytest.mark.parametrize("call", [
+        lambda: integrate_two_bessel(2, 51, 0, 1.0, 1.0, 1.0),
+        lambda: integrate_two_bessel(122, 120, 120, 1.0, 1.0, 0.5),
         lambda: integrate_single_bessel(51, 1.0, 1.0, 1),
         lambda: integrate_single_bessel(2, 1.0, math.inf, 1),
         lambda: integrate_q_definition(21, 0, 2.0),

@@ -1,5 +1,6 @@
 import functools
 import math
+import warnings
 from fractions import Fraction
 
 import mpmath as mp
@@ -85,6 +86,30 @@ class TestSphericalBessel:
         for l in (0, 1, 4, 11):
             vals = specfun.spherical_bessel_j_array(l, xs)
             assert np.all(np.abs(vals) <= 1.0 + 1e-14)
+
+    @pytest.mark.parametrize("l", range(51))
+    def test_one_array_across_region_edges(self, l):
+        # one call holds every edge between the series, the continued
+        # fraction and the upward recurrence, with both float neighbours
+        edges = [0.0, 1e-300, 0.5, math.sqrt(4 * l + 6), float(l)]
+        points = set(np.linspace(0.0, 3 * l + 60, 97).tolist())
+        for e in edges:
+            points.update([e, np.nextafter(e, -np.inf), np.nextafter(e, np.inf)])
+        xs = np.array(sorted(p for p in points if p >= 0.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            vals = specfun.spherical_bessel_j_array(l, xs)
+        assert vals.tolist() == [spherical_bessel_j(l, x) for x in xs.tolist()]
+        with mp.workdps(30):
+            ref = np.array([
+                float(mp.sqrt(mp.pi / (2 * mp.mpf(x))) * mp.besselj(l + mp.mpf(1) / 2, x))
+                if x > 0 else float(l == 0)
+                for x in xs.tolist()
+            ])
+        # relative error, measured against 1e-3 of the largest |j_l| near zeros
+        err = np.abs(vals - ref) / np.maximum(np.abs(ref), 1e-3 * np.abs(ref).max())
+        assert err.max() <= 1e-12
+        assert err[xs < l].max(initial=0.0) <= 1e-13
 
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):

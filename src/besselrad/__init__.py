@@ -23,9 +23,6 @@ from .closedform import (
 from .oracle import (
     NonConvergence,
     QuadratureResult,
-    check_eq_2_6,
-    check_eq_2_12,
-    integrate_q_definition,
     integrate_single_bessel,
     integrate_three_bessel_regularized,
     integrate_two_bessel,
@@ -55,10 +52,7 @@ __all__ = [
     "ThreeBesselSpec",
     "WignerValue",
     "bare_integral",
-    "check_eq_2_12",
-    "check_eq_2_6",
     "condition_number",
-    "integrate_q_definition",
     "integrate_single_bessel",
     "integrate_three_bessel_regularized",
     "integrate_two_bessel",

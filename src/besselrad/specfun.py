@@ -20,24 +20,30 @@ Stability choices:
   max(0.5, min(l, sqrt(4l + 6))) by the ascending series, summed by Horner
   with a term count fixed by l (no term exceeds the first there, so the
   sum does not cancel; this covers every x < l for l <= 5), and for
-  l >= 6 on [sqrt(4l + 6), l) by a Lentz continued fraction for
-  j_l/j_{l-1} propagated downward and normalized against j_0 or j_1
-  (whichever trial value is larger, since they have no common zeros).
-  No step depends on the other points of a call.
+  l >= 6 on [sqrt(4l + 6), l) by the ratio j_l/j_{l-1} from the backward
+  recurrence started at 0 thirty orders above l, propagated downward and
+  normalized against j_0 or j_1 (whichever trial value is larger, since
+  they have no common zeros).  No step depends on the other points of a
+  call.
 - Q_L: the forward three-term recurrence in L loses digits on (1, inf)
   because the polynomial-type solution dominates, but only a few near
   y = 1.  Q_0..Q_L come from the forward recurrence where the digits it
   loses fit the working precision's budget, and elsewhere from ratios
-  Q_L/Q_{L-1} seeded by a continued fraction at the top order, recursed
-  downward and normalized by Q_0(y) = atanh(1/y).
+  Q_L/Q_{L-1}: the backward ratio recurrence started at 0 a fixed depth
+  above the top order, set by y and the working precision, recursed
+  downward and normalized by Q_0(y) = ln((y + 1)/(y - 1))/2.
 - d^M Q_L/dy^M: finite recurrence over the derivative order obtained by
   differentiating (y^2 - 1) Q_L' = L (y Q_L - Q_{L-1}) M times; no numeric
   differentiation.
 
-The Q machinery (forward recurrence, continued fraction, downward ratios,
-derivative recurrence) is written once and runs at two precisions.  In
-floats y is a float or an array of points; an array gets the same
-operations at each point, so batching changes no value.  The
+Both minimal solutions are thus found by Miller's algorithm in ratio form
+(Gautschi, SIAM Review 9 (1967) 24-82) with a start depth worked out in
+advance, so no loop waits on a convergence test.
+
+The Q machinery (forward recurrence, backward ratios, derivative
+recurrence) is written once and runs at two precisions.  In floats y is a
+float or an array of points; an array gets the same operations at each
+point, so batching changes no value.  The
 extended-precision rescue (`paper_q_combination_all_dec`) runs the same
 code on numpy object arrays of Decimals in a 40-digit context.
 
@@ -80,9 +86,9 @@ def _order(name: str, v, maximum: Optional[int], minimum: int = 0) -> int:
 #
 # Term m + 1 of the ascending series (DLMF 10.53.1) is term m times
 # -x^2 / (2(m + 1)(2l + 2m + 3)), so on x^2 <= 4l + 6 no term is larger
-# than the first.  The term count depends on l only, and the continued
-# fraction stops each point at its own convergence, so a value does not
-# depend on the other points of its call.
+# than the first.  The term count and the depth of the backward recurrence
+# depend on l only, so a value does not depend on the other points of its
+# call.
 
 
 def _series_edge(l: int) -> float:
@@ -121,33 +127,17 @@ def _jl_series(l: int, x: np.ndarray) -> np.ndarray:
 
 
 def _jl_downward(l: int, x: np.ndarray) -> np.ndarray:
-    """j_l for sqrt(4l + 6) <= x < l via continued-fraction ratio + downward recurrence."""
-    n = x.size
-    tiny = 1e-300
-    f = np.full(n, tiny)
-    c = f.copy()
-    d = np.zeros(n)
-    conv = np.zeros(n, dtype=bool)
-    j = 0
-    while not conv.all():
-        if j > 20000:
-            raise RuntimeError("continued fraction for j_l failed to converge")
-        b = (2 * (l + j) + 1) / x
-        a = 1.0 if j == 0 else -1.0
-        d = b + a * d
-        d[d == 0.0] = tiny
-        c = b + a / c
-        c[c == 0.0] = tiny
-        d = 1.0 / d
-        delta = c * d
-        # a converged point keeps its ratio, as it would alone in its call
-        f = np.where(conv, f, f * delta)
-        conv = conv | (np.abs(delta - 1.0) < 1e-16)
-        j += 1
+    """j_l for sqrt(4l + 6) <= x < l by the backward ratio recurrence, normalized by j_0 or j_1."""
+    # f = j_m/j_{m-1} = x/((2m + 1) - x j_{m+1}/j_m), from f = 0 at m = l + 30.
+    # For x < m the start error shrinks at least fourfold per order, so 30
+    # orders leave it below 2^-60.
+    f = np.zeros_like(x)
+    for m in range(l + 29, l - 1, -1):
+        f = x / ((2 * m + 1) - x * f)
     # f = j_l / j_{l-1}; run the recurrence down to orders 1 and 0 (l >= 6
     # passes order 1 on the way).  Trial values grow like j_0/j_l, at most
     # ~1e96 for l <= 50 and x >= 0.5, so no rescaling is needed.
-    jp = np.ones(n)        # trial j at current order + 1
+    jp = np.ones_like(x)   # trial j at current order + 1
     jc = 1.0 / f           # trial j at current order, starting at l - 1
     for m in range(l - 1, 0, -1):
         jp, jc = jc, (2 * m + 1) / x * jc - jp
@@ -231,23 +221,25 @@ def legendre_p(l: int, x: float) -> float:
 # dominant solution P_l, which grows like xi^l with xi = y + sqrt(y^2 - 1),
 # while Q_l decays like xi^-l, so forward steps lose about
 # (2 lmax + 1) log10(xi) digits of Q_lmax (Gautschi, SIAM Review 9 (1967)
-# 24-82; DLMF 14.10).  Near y = 1 that is a few digits, where the continued
-# fraction for Q_{lmax+1}/Q_lmax converges like xi^(-2j) and needs ~1e4
-# terms at y - 1 = 1e-5.  Far from 1 the loss grows without bound and the
-# continued fraction is cheap.  So the forward recurrence runs wherever the
-# digits it loses fit the precision's budget, and the continued fraction
-# plus downward ratios elsewhere.  A Decimal context pays the loss back
-# with guard digits (`_forward_guard_digits`) and spends up to its own
-# precision on them.  Floats have no guard digits, so their budget is the
-# loss itself, chosen by measurement.  Against 50-digit values over
-# lmax = 0, 2, .., 60 and y - 1 from 10^-6 to 10, the relative error of
-# Q_0..Q_lmax is 3.6e-14 on average and 2.1e-12 at worst with a budget of
-# 1 digit, 1.6e-13 and 1.4e-11 with half a digit, 1.7e-14 and 9.3e-13
-# with 2.  But 2 digits put low orders far from 1, where the continued
-# fraction is exact to rounding, on forward steps that lose up to 2
-# digits, and cancelling coupling sums pass that on: on the benchmark's
-# `sweep_far` and `oracle_check` rows it costs 0.003 and 0.014 correct
-# digits per row against a budget of 1.
+# 24-82; DLMF 14.10).  Near y = 1 that is a few digits, where the backward
+# ratio recurrence for Q_{lmax+1}/Q_lmax, whose start error shrinks like
+# xi^-2 per order, would start 4e3 orders up at y - 1 = 1e-5 in floats.
+# Far from 1 the loss grows without bound and a few backward orders
+# suffice.  So the forward recurrence runs wherever the digits it loses fit
+# the precision's budget, and the backward ratios elsewhere.  A Decimal
+# context pays the loss back with guard digits (`_forward_guard_digits`)
+# and spends up to its own precision on them.  Floats have no guard
+# digits, so their budget is the loss itself, chosen by measurement.
+# Against 50-digit values over lmax = 0, 2, .., 60 and 36 values of y - 1
+# from 10^-6 to 10, the relative error of Q_0..Q_lmax is 2.4e-15 on average
+# and 9.8e-14 at worst (the forward side at the budget's edge) with a
+# budget of 1 digit, 2.2e-15 and 5.6e-14 with half a digit, 2.9e-15 and
+# 1.4e-13 with 2.  Half a digit doubles the deepest backward start (to
+# 16 (2 lmax + 1) orders) for little.  2 digits put low orders far from 1,
+# where the backward seed is exact to rounding, on forward steps that lose
+# up to 2 digits, and cancelling coupling sums pass that on: on the
+# benchmark's `sweep_far` and `oracle_check` rows it cost 0.003 and 0.014
+# correct digits per row against a budget of 1.
 _FLOAT_FORWARD_DIGITS = 1.0
 
 
@@ -272,35 +264,19 @@ def _forward_guard_digits(lmax: int, y: float) -> int:
     )
 
 
-def _q_ratio_cf(top: int, y, tol=1e-16):
-    """Continued fraction for Q_top(y)/Q_{top-1}(y) (minimal solution).
+def _q_ratio(top: int, y, digits: int):
+    """Q_top(y)/Q_{top-1}(y) to `digits` digits by the backward ratio recurrence.
 
-    y is a float, or a Decimal in the caller's context with a matching tol.
-    The constants take y's type: mixed int and float arithmetic would slow
-    the loop, which runs thousands of times near y = 1.
+    r = 0 at order top + d, then r_l = l/((2l + 1) y - (l + 1) r_{l+1})
+    down to l = top.  The start error shrinks like xi^-2 per order, so
+    d = ceil(digits ln 10/(2 acosh y)) + 2.  y is a float, or a Decimal run
+    in the caller's context.
     """
-    num = type(y)
-    tiny, zero, one = num("1e-300"), num(0), num(1)
-    f = tiny
-    c = tiny
-    d = zero
-    j = 1
-    while j < 200000:
-        a = num(top) if j == 1 else -num((top + j - 1) ** 2)
-        b = (2 * (top + j) - 1) * y
-        d = b + a * d
-        if d == zero:
-            d = tiny
-        c = b + a / c
-        if c == zero:
-            c = tiny
-        d = one / d
-        delta = c * d
-        f *= delta
-        if abs(delta - one) < tol:
-            return f
-        j += 1
-    raise RuntimeError(f"Q ratio continued fraction stalled at y={y!r}")
+    d = math.ceil(digits * math.log(10) / (2 * math.acosh(y))) + 2
+    r = 0
+    for l in range(top + d - 1, top - 1, -1):
+        r = l / ((2 * l + 1) * y - (l + 1) * r)
+    return r
 
 
 def _pointwise(fn, y):
@@ -315,10 +291,10 @@ def legendre_q_all(lmax: int, y) -> np.ndarray:
 
     y is a float or a float64 array of points.  A point takes the forward
     recurrence from Q_0 = log1p(2/(y - 1))/2 where it loses at most
-    `_FLOAT_FORWARD_DIGITS` digits, else the continued fraction.  An array takes
-    the same operations point by point as a float (the seed choice, the
-    continued fraction and Q_0 per point, the recurrences elementwise), so
-    its values equal the float ones bit for bit.
+    `_FLOAT_FORWARD_DIGITS` digits, else the backward ratios from that Q_0.
+    An array takes the same operations point by point as a float (the seed
+    choice, the top ratio and Q_0 per point, the recurrences elementwise),
+    so its values equal the float ones bit for bit.
     """
     if np.ndim(y) == 0:
         return _q_float(lmax, y, _forward_digits(lmax, y) <= _FLOAT_FORWARD_DIGITS)
@@ -332,15 +308,12 @@ def legendre_q_all(lmax: int, y) -> np.ndarray:
 
 
 def _q_float(lmax: int, y, forward: bool) -> np.ndarray:
-    """Q_0..Q_lmax in floats by the forward recurrence or by the continued fraction."""
+    """Q_0..Q_lmax in floats by the forward recurrence or by the backward ratios to 16 digits."""
     out = np.empty((lmax + 1,) + np.shape(y))
-    if forward:
-        out[0] = _pointwise(lambda v: 0.5 * math.log1p(2.0 / (v - 1.0)), y)
+    out[0] = _pointwise(lambda v: 0.5 * math.log1p(2.0 / (v - 1.0)), y)
+    if forward or lmax == 0:
         return _q_forward(out, y)
-    out[0] = _pointwise(lambda v: math.atanh(1.0 / v), y)
-    if lmax == 0:
-        return out
-    return _q_downward(out, _pointwise(lambda v: _q_ratio_cf(lmax + 1, v), y), y)
+    return _q_downward(out, _pointwise(lambda v: _q_ratio(lmax + 1, v, 16), y), y)
 
 
 def _q_forward(out: np.ndarray, y) -> np.ndarray:
@@ -456,7 +429,8 @@ def paper_q_combination_all_dec(lmax: int, M: int, y: float, prec: int = 40) -> 
     """R(l, M, y) for l = 0..lmax in `prec`-digit decimal arithmetic, y > 1.
 
     Q_l is seeded by the forward recurrence at prec + g digits when its
-    guard g is at most prec, by the continued fraction otherwise.
+    guard g is at most prec, otherwise by the backward ratios, whose top
+    ratio is carried to prec - 4 digits.
     """
     if not y > 1.0:
         raise ValueError(f"argument must satisfy y > 1, got {y!r}")
@@ -474,7 +448,6 @@ def paper_q_combination_all_dec(lmax: int, M: int, y: float, prec: int = 40) -> 
         else:
             q[0] = _q0_dec(y_d)
             if lmax >= 1:
-                tol = Decimal(10) ** (4 - prec)
-                _q_downward(q, _q_ratio_cf(lmax + 1, y_d, tol), y_d)
+                _q_downward(q, _q_ratio(lmax + 1, y_d, prec - 4), y_d)
         return _r_derivatives(q, M, y_d).tolist()
 

@@ -12,7 +12,6 @@ ROOT = Path(__file__).resolve().parents[1]
 
 @pytest.mark.parametrize("script,args", [
     ("singularity_profile.py", ["--skip-oracle", "--steps", "3"]),
-    ("alpha_sweep.py", ["--count", "5", "--out", "{tmp}/alpha_sweep.csv"]),
 ])
 def test_script_exits_cleanly(script, args, tmp_path):
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(

@@ -89,8 +89,8 @@ class TestSphericalBessel:
 
     @pytest.mark.parametrize("l", range(51))
     def test_one_array_across_region_edges(self, l):
-        # one call holds every edge between the series, the continued
-        # fraction and the upward recurrence, with both float neighbours
+        # one call holds every edge between the series, the backward
+        # recurrence and the upward recurrence, with both float neighbours
         edges = [0.0, 1e-300, 0.5, math.sqrt(4 * l + 6), float(l)]
         points = set(np.linspace(0.0, 3 * l + 60, 97).tolist())
         for e in edges:
@@ -167,6 +167,13 @@ class TestLegendreQ:
         nonzero = q[q > 0]
         assert np.all(np.diff(nonzero) < 0)
 
+    def test_top_of_the_float_range(self):
+        # (2l + 1) y overflows in the backward ratio recurrence; Q_5 underflows
+        assert legendre_q(0, 1e308) == pytest.approx(1e-308, rel=1e-15)
+        assert legendre_q(5, 1e308) == 0.0
+        dec = specfun.paper_q_combination_all_dec(5, 0, 1e308)[5]
+        assert abs(mp.mpf(str(dec)) / mp.legenq(5, 0, 1e308, type=3).real - 1) < 1e-35
+
     def test_forward_seed_near_one(self):
         # y - 1 < 1e-6 takes the forward recurrence, cheap and accurate there
         y = 1.0 + 5e-7
@@ -223,21 +230,23 @@ class TestPaperQCombination:
 
 def q_combination_loop(lmax, M, y):
     """Reference: the Q seed rule and recurrences one l at a time, in floats."""
+    q = [0.5 * math.log1p(2.0 / (y - 1.0))]
     if specfun._forward_digits(lmax, y) <= specfun._FLOAT_FORWARD_DIGITS:
-        q = [0.5 * math.log1p(2.0 / (y - 1.0))]
         if lmax >= 1:
             q.append(y * q[0] - 1.0)
         for l in range(1, lmax):
             q.append(((2 * l + 1) * y * q[l] - l * q[l - 1]) / (l + 1))
     else:
-        q = [math.atanh(1.0 / y)] + [0.0] * lmax
+        # the backward ratio recurrence from 0 at order lmax + 1 + depth
+        depth = math.ceil(16 * math.log(10) / (2 * math.acosh(y))) + 2
         ratios = [0.0] * (lmax + 1)
-        r = specfun._q_ratio_cf(lmax + 1, y) if lmax else 0.0
-        for l in range(lmax, 0, -1):
+        r = 0.0
+        for l in range(lmax + depth, 0, -1):
             r = l / ((2 * l + 1) * y - (l + 1) * r)
-            ratios[l] = r
+            if l <= lmax:
+                ratios[l] = r
         for l in range(1, lmax + 1):
-            q[l] = q[l - 1] * ratios[l]
+            q.append(q[l - 1] * ratios[l])
     if M == 0:
         return q
     ym1 = (y - 1.0) * (y + 1.0)
@@ -334,9 +343,10 @@ def q_combination_closed_form(lmax, M, y):
 SEED_GRID_Y = [1.0 + g for g in (1e-12, 1e-9, 1.01e-6, 1e-5, 1e-3, 0.1, 1.5, 10.0, 1e3, 1e6)] + [1e20]
 SEED_GRID_ORDERS = [(0, 0), (1, 3), (8, 12), (20, 20), (30, 5), (40, 0), (40, 12), (40, 20)]
 # At lmax = 40 and M >= 12 near y = 1 the derivative recurrence itself, run
-# at 40 digits, amplifies its rounding to 1e-31 .. 1e-28 whichever seed
-# feeds it.  At these points neither seed passes 1e-30: the
-# continued-fraction seed gives 1.0e-30 .. 2.9e-30 at the first three; the
+# at 40 digits, amplifies the last digits of whichever seed feeds it to
+# 1e-32 .. 1e-28.  At these points the forward seed, which the rule picks,
+# misses 1e-30: 1.0e-29, 1.2e-30 and 3.3e-30 at the first three (the
+# backward seed, forced there, gives 2.2e-30, 2.2e-30 and 9.9e-32); the
 # four below y - 1 = 1e-6, which only the forward seed reaches, give
 # 3.5e-30 .. 8.5e-29.
 DERIVATIVE_RECURRENCE_SHORT = {(1.0 + 1.01e-6, 40, 12), (1.0 + 1e-5, 40, 12), (1.0 + 1e-5, 40, 20)} | {
@@ -368,13 +378,15 @@ class TestDecimalSeed:
     @pytest.mark.parametrize("y", SEED_GRID_Y + [1e300])
     @pytest.mark.parametrize("lmax", [0, 1, 8, 20, 30, 40])
     def test_continued_fraction_only_past_the_guard_rule(self, monkeypatch, y, lmax):
+        # the top ratio Q_{lmax+1}/Q_lmax, to 36 digits, seeds Q only past the guard rule
         calls = []
-        cf = specfun._q_ratio_cf
-        monkeypatch.setattr(specfun, "_q_ratio_cf", lambda *a: calls.append(a) or cf(*a))
+        ratio = specfun._q_ratio
+        monkeypatch.setattr(specfun, "_q_ratio", lambda *a: calls.append(a) or ratio(*a))
         specfun.paper_q_combination_all_dec(lmax, 2, y)
         guard = specfun._forward_guard_digits(lmax, y)
         assert guard > 0
         assert bool(calls) == (guard > 40 and lmax > 0)
+        assert all(top == lmax + 1 and digits == 36 for top, _, digits in calls)
 
 
 def float_r_bound(lmax, M):
@@ -423,11 +435,29 @@ class TestFloatSeed:
         for M in FLOAT_GRID_M:
             assert_float_r_near(lmax, M, y, q_combination_closed_form(lmax, M, y))
 
+    @pytest.mark.parametrize("lmax", [1, 5, 20, 40, 60])
+    def test_backward_side_against_legenq(self, lmax):
+        # Q_{lmax+1}/Q_lmax to 2e-15.  Near y = 1 the downward fill carries
+        # the rounding of each ratio into every lower Q_l undamped, so Q_l is
+        # held to (l + 1) 1e-15 (at most 2.1e-14 at l = 58, lmax = 60).
+        t = math.cosh(specfun._FLOAT_FORWARD_DIGITS * math.log(10) / (2 * lmax + 1)) - 1.0
+        for y in (1.0 + np.geomspace(t * (1.0 + 1e-6), 1e20, 12)).tolist():
+            assert specfun._forward_digits(lmax, y) > specfun._FLOAT_FORWARD_DIGITS
+            ref = [mp.legenq(l, 0, y, type=3).real for l in range(lmax + 2)]
+            ratio = specfun._q_ratio(lmax + 1, y, 16)
+            assert abs(ratio / (ref[lmax + 1] / ref[lmax]) - 1) <= 2e-15
+            with np.errstate(under="ignore"):
+                q = specfun.legendre_q_all(lmax, y)
+            for l in range(lmax + 1):
+                if abs(ref[l]) >= mp.mpf("1e-290"):  # else the float value underflows
+                    assert abs(q[l] / ref[l] - 1) <= (l + 1) * 1e-15, (y, l)
+
     @pytest.mark.parametrize("lmax", [0, 1, 8, 20, 30, 40])
     def test_continued_fraction_only_past_the_budget(self, monkeypatch, lmax):
+        # the top ratio Q_{lmax+1}/Q_lmax, to 16 digits, seeds Q only past the budget
         calls = []
-        cf = specfun._q_ratio_cf
-        monkeypatch.setattr(specfun, "_q_ratio_cf", lambda *a: calls.append(a) or cf(*a))
+        ratio = specfun._q_ratio
+        monkeypatch.setattr(specfun, "_q_ratio", lambda *a: calls.append(a) or ratio(*a))
         ys = SEED_GRID_Y + [1e300]
         past = [specfun._forward_digits(lmax, y) > specfun._FLOAT_FORWARD_DIGITS and lmax > 0
                 for y in ys]
@@ -439,3 +469,4 @@ class TestFloatSeed:
             calls.clear()
             specfun.paper_q_combination_all(lmax, 2, np.array(ys))
         assert len(calls) == sum(past)
+        assert all(top == lmax + 1 and digits == 16 for top, _, digits in calls)

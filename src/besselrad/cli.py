@@ -93,31 +93,20 @@ def cmd_eval(args: argparse.Namespace) -> int:
         method = result.method.value
         value: Optional[float] = result.value
         condition = result.condition
-    except closedform.FormulaInapplicable as exc:
+    except closedform.FormulaInapplicable:
         condition = closedform.condition_number(args.k1, args.k2, args.alpha)
         if not args.fallback_oracle:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_INAPPLICABLE
+            raise
         method = "NA"
         value = None
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
 
     oracle_value: Optional[float] = None
     oracle_abs_error: Optional[float] = None
     rel_disc: Optional[float] = None
     if args.oracle or value is None:
-        try:
-            q = oracle.integrate_two_bessel(
-                n, args.lambda1, args.lambda2, args.k1, args.k2, args.alpha, args.rel_tol
-            )
-        except oracle.NonConvergence as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_NONCONVERGENCE
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_USAGE
+        q = oracle.integrate_two_bessel(
+            n, args.lambda1, args.lambda2, args.k1, args.k2, args.alpha, args.rel_tol
+        )
         oracle_value = q.value
         oracle_abs_error = q.abs_error_estimate
         if value is None:
@@ -214,9 +203,9 @@ BATCH_MIN_ROWS = 4
 def _batch_closed_forms(points: list[tuple]) -> dict[int, tuple[float, str]]:
     """Closed-form (value, method) of the rows of every order with BATCH_MIN_ROWS rows or more.
 
-    An order whose batch raises is left out: its rows are then evaluated
-    one by one, which reports the failure at its first failing row in grid
-    order, exactly as if no row had been batched.
+    A row the batch gives no value, and every row of an order with no
+    closed form, is left out: `cmd_table` evaluates it with
+    `bare_integral`, which gives the same value or raises the row's error.
     """
     orders: dict[tuple, list[int]] = {}
     for i, (l1, l2, n, _, _, _) in enumerate(points):
@@ -228,10 +217,11 @@ def _batch_closed_forms(points: list[tuple]) -> dict[int, tuple[float, str]]:
         k1, k2, alpha = ([points[i][j] for i in rows] for j in (3, 4, 5))
         try:
             method, values = closedform.bare_integral_batch(n, l1, l2, k1, k2, alpha)
-        except (closedform.FormulaInapplicable, ValueError, ArithmeticError):
+        except (closedform.FormulaInapplicable, ValueError):
             continue
         for i, value in zip(rows, values):
-            out[i] = (value, method.value)
+            if value is not None:
+                out[i] = (value, method.value)
     return out
 
 
@@ -239,14 +229,9 @@ def cmd_table(args: argparse.Namespace) -> int:
     axes: list[tuple[str, list]] = []
     seen: set[str] = set()
     for text in args.sweep or []:
-        try:
-            name, values = _parse_sweep(text)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_USAGE
+        name, values = _parse_sweep(text)
         if name in seen:
-            print(f"error: parameter {name!r} swept twice", file=sys.stderr)
-            return EXIT_USAGE
+            raise ValueError(f"parameter {name!r} swept twice")
         seen.add(name)
         axes.append((name, values))
 
@@ -255,12 +240,10 @@ def cmd_table(args: argparse.Namespace) -> int:
         flag = getattr(args, name)
         if name in seen:
             if flag is not None:
-                print(f"error: parameter {name!r} both swept and fixed", file=sys.stderr)
-                return EXIT_USAGE
+                raise ValueError(f"parameter {name!r} both swept and fixed")
         else:
             if flag is None:
-                print(f"error: parameter {name!r} neither swept nor fixed", file=sys.stderr)
-                return EXIT_USAGE
+                raise ValueError(f"parameter {name!r} neither swept nor fixed")
             fixed[name] = flag
 
     columns = list(PARAM_NAMES) + ["value", "method", "condition"]
@@ -288,21 +271,10 @@ def cmd_table(args: argparse.Namespace) -> int:
         except closedform.FormulaInapplicable:
             value = None
             method = "NA"
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_USAGE
         oracle_value: Optional[float] = None
         rel_disc: Optional[float] = None
         if args.oracle or (value is None and args.fallback_oracle):
-            try:
-                q = oracle.integrate_two_bessel(n, l1, l2, k1, k2, alpha, args.rel_tol)
-            except oracle.NonConvergence as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                return EXIT_NONCONVERGENCE
-            except ValueError as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                return EXIT_USAGE
-            oracle_value = q.value
+            oracle_value = oracle.integrate_two_bessel(n, l1, l2, k1, k2, alpha, args.rel_tol).value
         if value is None and args.fallback_oracle and oracle_value is not None:
             value = oracle_value
         if args.oracle and value is not None and oracle_value is not None:
@@ -353,25 +325,16 @@ def _print_wigner(value: wigner.WignerValue, as_json: bool) -> None:
 
 
 def cmd_wigner3j(args: argparse.Namespace) -> int:
-    try:
-        js = _parse_int_list(args.j, 3, "--j")
-        ms = _parse_int_list(args.m, 3, "--m")
-        arg = wigner.AngularMomenta3j(js[0], js[1], js[2], ms[0], ms[1], ms[2])
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    js = _parse_int_list(args.j, 3, "--j")
+    ms = _parse_int_list(args.m, 3, "--m")
+    arg = wigner.AngularMomenta3j(js[0], js[1], js[2], ms[0], ms[1], ms[2])
     _print_wigner(wigner.wigner_3j(arg), args.json)
     return EXIT_OK
 
 
 def cmd_wigner6j(args: argparse.Namespace) -> int:
-    try:
-        js = _parse_int_list(args.j, 6, "--j")
-        value = wigner.wigner_6j(*js)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    _print_wigner(value, args.json)
+    js = _parse_int_list(args.j, 6, "--j")
+    _print_wigner(wigner.wigner_6j(*js), args.json)
     return EXIT_OK
 
 
@@ -539,20 +502,16 @@ def cmd_check(args: argparse.Namespace) -> int:
     names = list(_SUITES) if args.suite == "all" else [args.suite]
     passed = 0
     total = 0
-    try:
-        for name in names:
-            runner, default_tol = _SUITES[name]
-            tol = args.rel_tol if args.rel_tol is not None else default_tol
-            if not args.quiet:
-                print(f"suite {name} (max-l {args.max_l}, tol {tol:g})")
-            for label, ok, detail in runner(args.max_l, tol):
-                total += 1
-                if ok:
-                    passed += 1
-                print(f"{label} {detail} {'PASS' if ok else 'FAIL'}")
-    except oracle.NonConvergence as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NONCONVERGENCE
+    for name in names:
+        runner, default_tol = _SUITES[name]
+        tol = args.rel_tol if args.rel_tol is not None else default_tol
+        if not args.quiet:
+            print(f"suite {name} (max-l {args.max_l}, tol {tol:g})")
+        for label, ok, detail in runner(args.max_l, tol):
+            total += 1
+            if ok:
+                passed += 1
+            print(f"{label} {detail} {'PASS' if ok else 'FAIL'}")
     print(f"PASS {passed}/{total}")
     return EXIT_OK if passed == total else EXIT_CHECK_FAILED
 
@@ -626,8 +585,18 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    """Run one command; its typed errors become `error: ...` on stderr and an exit code."""
     args = _parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except closedform.FormulaInapplicable as exc:
+        error, code = exc, EXIT_INAPPLICABLE
+    except oracle.NonConvergence as exc:
+        error, code = exc, EXIT_NONCONVERGENCE
+    except ValueError as exc:
+        error, code = exc, EXIT_USAGE
+    print(f"error: {error}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -25,10 +25,11 @@ outside the wavenumber triangle via the step factor beta.
 out the exact 3j symbol; when the parity-selected l3 violates the triangle
 rule there is no closed form and `FormulaInapplicable` is raised; that is
 a genuine coverage boundary, not a failure.  `bare_integral_batch` gives
-the same values for many points of one order at once.  Both run one
-implementation of the prefactor, the double sum and its 40-digit rescue
-(`_products`), which takes one point or arrays of points and raises the
-error of the first point that fails.
+the same values for many points of one order at once, and None at each
+point that it does not evaluate or whose value leaves the float range;
+`bare_integral` gives the error there.  Both run one implementation of the
+prefactor, the double sum and its 40-digit rescue (`_products`), which
+takes one point or arrays of points.
 
 The coupling coefficients depend on the orders only.  Each (l1, l2, l3)
 set is compiled once per process (`_coupling_set`), in one pass over its
@@ -64,9 +65,6 @@ class Method(Enum):
     EQ_2_8 = "EQ_2_8"      # power l3+1 double sum
     EQ_2_9 = "EQ_2_9"      # equal-order special case, power 1
     EQ_2_11 = "EQ_2_11"    # power l3+2 double sum
-    EQ_2_1 = "EQ_2_1"      # three-Bessel kernel sum
-    EQ_2_4 = "EQ_2_4"      # single-Bessel transform, power l3+1
-    EQ_2_10 = "EQ_2_10"    # single-Bessel transform, power l3+2
 
 
 class FormulaInapplicable(Exception):
@@ -365,15 +363,14 @@ def _needs_rescue(peak: float, total: float) -> bool:
 
 def _products(
     cs: _CouplingSet, lambda1: int, lambda2: int, lambda3: int, offset: int, k1, k2, alpha, y
-) -> list[float]:
+) -> list[Optional[float]]:
     """The 3j-weighted product, prefactor times double sum, at each point.
 
     k1, k2, alpha and y = `y_param(k1, k2, alpha)` are floats (one point)
     or float64 arrays of points that `y_param` and `condition_number`
     accept; R and the terms are computed for all points at once.  A point
-    whose sum cancels takes the 40-digit rescue.  Raises
-    `_float_range_error` for the first point at which R, a power of k2/k1,
-    a term or the prefactor is not finite.
+    whose sum cancels takes the 40-digit rescue.  The value is None at a
+    point where R, a power of k2/k1, a term or the prefactor is not finite.
     """
     m_order = lambda3 + offset - 1
     with np.errstate(all="ignore"):  # R overflows near y = 1 at high M: checked per point below
@@ -390,7 +387,8 @@ def _products(
     for (a, b, c, yi), point_terms, ok, peak in zip(points, terms.tolist(), finite, peaks):
         pref = _prefactor(lambda1, lambda2, lambda3, a, b, c, offset)
         if not (ok and math.isfinite(pref)):
-            raise _float_range_error(a, b, c)
+            values.append(None)
+            continue
         total = math.fsum(point_terms)
         if _needs_rescue(peak, total):
             total = _decimal_weighted_sum(cs, lambda3, m_order, a, b, yi)
@@ -424,6 +422,8 @@ def two_bessel_product(
     if cs is None:
         return EvalResult(0.0, method, condition)
     (value,) = _products(cs, lambda1, lambda2, lambda3, offset, k1, k2, alpha, y)
+    if value is None:
+        raise _float_range_error(k1, k2, alpha)
     return EvalResult(value, method, condition)
 
 
@@ -537,35 +537,6 @@ def bare_integral(n: int, lambda1: int, lambda2: int, k1: float, k2: float, alph
     return EvalResult(product.value / w, product.method, product.condition)
 
 
-def _valid_prefix(
-    k1: np.ndarray, k2: np.ndarray, alpha: np.ndarray
-) -> tuple[np.ndarray, Optional[ValueError]]:
-    """y up to the first point `y_param` or `condition_number` refuses, and their error there.
-
-    The error is None when every point is valid.  A vectorized filter
-    clears the points that both certainly accept: y is the same float as
-    `y_param`'s, and (k1 - k2)^2 + alpha^2 stays far from underflow and
-    1/(y - 1) far from overflow.  Every other point is decided by calling
-    them, so its error is theirs.
-    """
-    with np.errstate(all="ignore"):
-        two_k1k2 = 2.0 * k1 * k2
-        y = (k1 * k1 + k2 * k2 + alpha * alpha) / two_k1k2
-        den = (k1 - k2) ** 2 + alpha**2
-        clear = (
-            (k1 > 0.0) & (k2 > 0.0) & (alpha > 0.0) & (y > 1.0) & np.isfinite(y)
-            & (den > 1e-290) & (two_k1k2 / den < 1e300)
-        )
-    for i in np.flatnonzero(~clear).tolist():
-        point = k1[i].item(), k2[i].item(), alpha[i].item()
-        try:
-            y_param(*point)
-            condition_number(*point)
-        except ValueError as exc:
-            return y[:i], exc
-    return y, None
-
-
 def bare_integral_batch(
     n: int,
     lambda1: int,
@@ -573,36 +544,45 @@ def bare_integral_batch(
     k1: Sequence[float],
     k2: Sequence[float],
     alpha: Sequence[float],
-) -> tuple[Method, list[float]]:
+) -> tuple[Method, list[Optional[float]]]:
     """`bare_integral` at the points (k1[i], k2[i], alpha[i]) of one order.
 
     Returns the route's method and the values, equal bit for bit to
-    `bare_integral(n, lambda1, lambda2, k1[i], k2[i], alpha[i]).value`.
-    The Q recurrences and the terms run over all points at once, at any
+    `bare_integral(n, lambda1, lambda2, k1[i], k2[i], alpha[i]).value`,
+    or None at a point that `bare_integral` may refuse: one outside a
+    vectorized filter (inputs positive, y finite and above 1, and
+    (k1 - k2)^2 + alpha^2 far from underflow and 1/(y - 1) far from
+    overflow), or one whose value leaves the float range.  The Q
+    recurrences and the terms run over the filtered points at once, at any
     y > 1, through the same `_products` as `two_bessel_product`, so a sum
-    that cancels takes the same 40-digit rescue.  The error is the one
-    `bare_integral` raises: for the order first, then for the first
-    failing point.
+    that cancels takes the same 40-digit rescue.  Raises only the errors
+    of `coupling_route` for the order.
     """
     lambda3, offset = coupling_route(n, lambda1, lambda2)
     lambda1, lambda2 = int(lambda1), int(lambda2)
     k1, k2, alpha = (np.asarray(v, dtype=float) for v in (k1, k2, alpha))
-    y, invalid = _valid_prefix(k1, k2, alpha)
-    k1, k2, alpha = k1[: len(y)], k2[: len(y)], alpha[: len(y)]
+    values: list[Optional[float]] = [None] * k1.size
+    with np.errstate(all="ignore"):
+        # y is the same float as `y_param`'s
+        two_k1k2 = 2.0 * k1 * k2
+        y = (k1 * k1 + k2 * k2 + alpha * alpha) / two_k1k2
+        den = (k1 - k2) ** 2 + alpha**2
+        clear = np.flatnonzero(
+            (k1 > 0.0) & (k2 > 0.0) & (alpha > 0.0) & (y > 1.0) & np.isfinite(y)
+            & (den > 1e-290) & (two_k1k2 / den < 1e300)
+        )
+    k1, k2, alpha, y = k1[clear], k2[clear], alpha[clear], y[clear]
     if offset == 1 and lambda3 == 0:
         method = Method.EQ_2_9
         with np.errstate(over="ignore"):  # Q_L/(2 k1 k2) overflows where 2 k1 k2 is subnormal
-            values = specfun.legendre_q_all(lambda1, y)[lambda1] / (2.0 * k1 * k2)
-        bad = np.flatnonzero(~np.isfinite(values))
-        if bad.size:
-            raise _float_range_error(k1[bad[0]].item(), k2[bad[0]].item(), alpha[bad[0]].item())
-        values = values.tolist()
+            found = specfun.legendre_q_all(lambda1, y)[lambda1] / (2.0 * k1 * k2)
+        found = [v if math.isfinite(v) else None for v in found.tolist()]
     else:
         method = Method.EQ_2_8 if offset == 1 else Method.EQ_2_11
         cs = _coupling_set(lambda1, lambda2, lambda3)
         w = _w3j000(lambda1, lambda2, lambda3)
         products = _products(cs, lambda1, lambda2, lambda3, offset, k1, k2, alpha, y)
-        values = [v / w for v in products]
-    if invalid is not None:
-        raise invalid
+        found = [None if v is None else v / w for v in products]
+    for i, value in zip(clear.tolist(), found):
+        values[i] = value
     return method, values

@@ -23,15 +23,14 @@ NonConvergence is raised.  This check is intentionally looser (1e-3
 scale) than the damped integrals.
 
 Everything is deterministic: no randomized quadrature anywhere, identical
-inputs produce identical outputs.  The evaluation budget (default 10^6
-integrand evaluations per integral, over all of its passes) can be
-overridden with the BESSELRAD_PANEL_BUDGET environment variable.
+inputs produce identical outputs.  Each integral has a budget of 10^6
+integrand evaluations over all of its passes; a grid of panels that would
+exceed it is refused before it is built.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -77,9 +76,9 @@ _GK15_W[:, 0] = _WGK + _WGK[-2::-1]
 _GK15_W[1::2, 1] = _WG + _WG[-2::-1]
 
 _ENVELOPE = 1.16          # sup of x|j_l(x)| over x >= 2(l+1), all l <= 50
-_BUDGET_ENV = "BESSELRAD_PANEL_BUDGET"
-_DEFAULT_BUDGET = 1_000_000
+_BUDGET = 1_000_000       # integrand evaluations per integral, over all of its passes
 _LOG_BOUND_MAX = 709.0    # below log of the largest float, so exp() stays finite
+_REGULARIZING_EPS = (0.1, 0.05, 0.025, 0.0125)  # dampings of the triple-Bessel integral
 
 
 class NonConvergence(Exception):
@@ -105,16 +104,6 @@ class QuadratureResult:
     tail_bound: float = 0.0
 
 
-def _budget() -> int:
-    raw = os.environ.get(_BUDGET_ENV)
-    if raw is None:
-        return _DEFAULT_BUDGET
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"{_BUDGET_ENV} must be an integer, got {raw!r}") from None
-
-
 class _Panels:
     """Adaptive Gauss–Kronrod state of one integral, refined in passes.
 
@@ -124,7 +113,7 @@ class _Panels:
     """
 
     def __init__(self, f: Callable[[np.ndarray], np.ndarray], edges: np.ndarray, context: str) -> None:
-        self.f, self.context, self.budget = f, context, _budget()
+        self.f, self.context = f, context
         self.lo = self.hi = self.val = self.err = np.empty(0)
         self.evaluations = 0
         self.add(edges)
@@ -167,9 +156,9 @@ class _Panels:
             noise = 32.0 * np.finfo(float).eps * float(np.abs(self.val).sum())
             if toterr <= max(target, noise):
                 return total, toterr
-            if self.evaluations >= self.budget:
+            if self.evaluations >= _BUDGET:
                 raise NonConvergence(
-                    f"{self.context}: budget of {self.budget} evaluations exhausted "
+                    f"{self.context}: budget of {_BUDGET} evaluations exhausted "
                     f"(error {toterr:.3e} vs target {target:.3e})"
                 )
             split = self.err > target / self.err.size
@@ -190,8 +179,20 @@ def _result(
     )
 
 
-def _initial_edges(a: float, b: float, max_width: float, min_panels: int = 8) -> np.ndarray:
-    n = max(min_panels, int(math.ceil((b - a) / max_width)))
+def _initial_edges(
+    a: float, b: float, max_width: float, context: str, min_panels: int = 8, spent: int = 0
+) -> np.ndarray:
+    """Edges of equal panels from a to b, at least min_panels, none wider than max_width.
+
+    Raises NonConvergence, before building them, when their evaluations
+    and the `spent` ones of the same integral would exceed the budget.
+    """
+    n = (b - a) / max_width
+    n = max(min_panels, math.ceil(n)) if math.isfinite(n) else math.inf
+    if spent + _GK15_X.size * n > _BUDGET:
+        raise NonConvergence(
+            f"{context}: a grid of {n:.3g} panels would exceed the budget of {_BUDGET} evaluations"
+        )
     return np.linspace(a, b, n + 1)
 
 
@@ -238,7 +239,7 @@ def _radial_quadrature(
     """
     max_width = math.pi / max(ks)
     r_end = max(40.0 / alpha, 6.0 * max_width, *[2.0 * (l + 1) / k for l, k in zip(ls, ks)])
-    panels = _Panels(f, _initial_edges(0.0, r_end, max_width), context)
+    panels = _Panels(f, _initial_edges(0.0, r_end, max_width, context), context)
     coarse, _ = panels.refine(1e-4)
     scale = max(abs(coarse), 1e-300)
     r_coarse = r_end
@@ -247,7 +248,8 @@ def _radial_quadrature(
             raise NonConvergence(f"{context}: truncation radius grew without bound")
         r_end *= 1.5
     if r_end > r_coarse:
-        panels.add(_initial_edges(r_coarse, r_end, max_width, min_panels=1))
+        spent = panels.evaluations
+        panels.add(_initial_edges(r_coarse, r_end, max_width, context, min_panels=1, spent=spent))
     value, err = panels.refine(rel_tol)
     tail = _radial_tail_bound(n, alpha, ks, r_end)
     return _result(value, err + tail, rel_tol, panels.lo.size, panels.evaluations, r_end, tail)
@@ -336,7 +338,8 @@ def integrate_q_definition(L: int, M: int, y: float, rel_tol: float = 1e-10) -> 
         np.clip(one_minus_x2, 0.0, None, out=one_minus_x2)
         return one_minus_x2**L * np.exp(-power * u)
 
-    panels = _Panels(f, _initial_edges(0.0, u_top, u_top / max(8, L + 2)), "Q-definition integral")
+    context = "Q-definition integral"
+    panels = _Panels(f, _initial_edges(0.0, u_top, u_top / max(8, L + 2), context), context)
     value, err = panels.refine(rel_tol)
     scale = (
         math.factorial(M + L) / (math.factorial(M) * 2**L * math.factorial(L))
@@ -345,20 +348,15 @@ def integrate_q_definition(L: int, M: int, y: float, rel_tol: float = 1e-10) -> 
     return _result(scale * value, scale * err, rel_tol, panels.lo.size, panels.evaluations)
 
 
-def integrate_three_bessel_regularized(
-    spec: ThreeBesselSpec,
-    eps_list: Sequence[float] = (0.1, 0.05, 0.025, 0.0125),
-    rel_tol: float = 1e-3,
-) -> QuadratureResult:
+def integrate_three_bessel_regularized(spec: ThreeBesselSpec) -> QuadratureResult:
     """Triple-Bessel integral by damped quadrature extrapolated to zero damping.
 
-    Computes integral r^2 e^(-eps r) j j j dr for each eps and Richardson-
-    extrapolates to eps = 0; the extrapolation increments must decrease or
-    NonConvergence is raised.
+    Computes integral r^2 e^(-eps r) j j j dr for each eps of
+    `_REGULARIZING_EPS` and Richardson-extrapolates to eps = 0; the
+    extrapolation increments must decrease or NonConvergence is raised.
+    The result counts as converged within a relative 1e-3.
     """
-    eps = [float(e) for e in eps_list]
-    if len(eps) < 2 or any(e <= 0 for e in eps) or any(b >= a for a, b in zip(eps, eps[1:])):
-        raise ValueError("eps_list must be a decreasing sequence of positive values")
+    eps, rel_tol = _REGULARIZING_EPS, 1e-3
     l1, l2, l3 = spec.lambda1, spec.lambda2, spec.lambda3
     k1, k2, k3 = spec.k1, spec.k2, spec.k3
     inner_tol = 1e-9
@@ -430,7 +428,8 @@ def check_eq_2_6(
         np.clip(delta, -1.0, 1.0, out=delta)
         return k3 / (k3 * k3 + alpha * alpha) ** (lambda3 + 1) * specfun.legendre_p_array(l, delta)
 
-    panels = _Panels(f, _initial_edges(lo, hi, (hi - lo) / max(8, l + 2)), "wavenumber-kernel integral")
+    context = "wavenumber-kernel integral"
+    panels = _Panels(f, _initial_edges(lo, hi, (hi - lo) / max(8, l + 2), context), context)
     value, err = panels.refine(rel_tol)
     return _result(value, err, rel_tol, panels.lo.size, panels.evaluations)
 

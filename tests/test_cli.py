@@ -8,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from besselrad import cli, closedform
+from besselrad import cli, closedform, oracle
 
 LOG5_OVER_4 = 0.25 * math.log(5.0)
 
@@ -97,10 +97,17 @@ class TestEval:
         assert out == "" and err.startswith("error: ") and "leave the float range" in err
 
     def test_nonconvergence_exit_4(self, capsys, monkeypatch):
-        # below the 13 panels x 15 evaluations of the first pass, which this tolerance must refine
-        monkeypatch.setenv("BESSELRAD_PANEL_BUDGET", "150")
+        # below the 13 panels x 15 evaluations of the first pass
+        monkeypatch.setattr(oracle, "_BUDGET", 150)
         code, _, err = run_cli(capsys, BASE_EVAL + ["--oracle", "--rel-tol", "1e-12"])
         assert code == 4
+
+    def test_invalid_input_without_closed_form_exit_2(self, capsys):
+        argv = ["eval", "--lambda1", "2", "--lambda2", "0", "--power", "1",
+                "--k1", "1", "--k2", "1", "--alpha", "-1"]
+        code, out, err = run_cli(capsys, argv)
+        assert code == 2
+        assert out == "" and err == "error: alpha must be positive and finite, got -1.0\n"
 
     def test_integrand_out_of_float_range_exit_4(self, capsys):
         # no closed form at power 120; the oracle's r^120 leaves the float range
@@ -396,6 +403,11 @@ class TestCheck:
         )
         assert code == 1
         assert "FAIL" in out
+
+    def test_order_above_maximum_exit_2(self, capsys):
+        code, _, err = run_cli(capsys, ["check", "--suite", "eq29", "--max-l", "21", "--quiet"])
+        assert code == 2
+        assert err == "error: L=21 exceeds the supported maximum 20\n"
 
     def test_banner_suppression(self, capsys):
         _, loud, _ = run_cli(capsys, ["check", "--suite", "eq29", "--max-l", "0"])

@@ -320,7 +320,10 @@ class TestOrderValidation:
 
 
 class TestFloatRange:
-    """y, 1/(y - 1) or the closed form's powers outside float range give ValueError, never another error."""
+    """y, 1/(y - 1) or the closed form's powers outside float range give ValueError, never another error.
+
+    The batch gives None at such a point and the same bits as `bare_integral` elsewhere.
+    """
 
     @pytest.mark.parametrize("k1,k2,alpha", [
         (1e200, 1e200, 1.0),      # the squares overflow: y is NaN
@@ -345,8 +348,8 @@ class TestFloatRange:
         message = re.escape(f"leave the float range (k1={k1!r}, k2={k2!r}, alpha={alpha!r})")
         with pytest.raises(ValueError, match=message):
             bare_integral(21, 10, 10, k1, k2, alpha)
-        with pytest.raises(ValueError, match=message):
-            closedform.bare_integral_batch(21, 10, 10, [1.0, k1], [1.0, k2], [1.0, alpha])
+        _, values = closedform.bare_integral_batch(21, 10, 10, [1.0, k1], [1.0, k2], [1.0, alpha])
+        assert values == [bare_integral(21, 10, 10, 1.0, 1.0, 1.0).value, None]
 
     @pytest.mark.filterwarnings("error")
     def test_r_out_of_float_range(self):
@@ -354,8 +357,10 @@ class TestFloatRange:
         message = re.escape("leave the float range (k1=1.0, k2=1.0, alpha=3e-08)")
         with pytest.raises(ValueError, match=message):
             bare_integral(21, 10, 10, 1.0, 1.0, 3e-8)
-        with pytest.raises(ValueError, match=message):
-            closedform.bare_integral_batch(21, 10, 10, [1.0] * 4, [1.0] * 4, [1.0, 0.5, 3e-8, 0.1])
+        alpha = [1.0, 0.5, 3e-8, 0.1]
+        _, values = closedform.bare_integral_batch(21, 10, 10, [1.0] * 4, [1.0] * 4, alpha)
+        assert values[2] is None
+        assert values[:2] + values[3:] == [bare_integral(21, 10, 10, 1.0, 1.0, a).value for a in (1.0, 0.5, 0.1)]
 
     @pytest.mark.filterwarnings("error")
     def test_equal_order_out_of_float_range(self):
@@ -366,8 +371,8 @@ class TestFloatRange:
             two_bessel_equal_order(0, *point)
         with pytest.raises(ValueError, match=message):
             bare_integral(1, 0, 0, *point)
-        with pytest.raises(ValueError, match=message):
-            closedform.bare_integral_batch(1, 0, 0, [1.0, 1e-160, 1.0], [1.0, 1.5e-160, 1.0], [1.0, 1e-160, -1.0])
+        _, values = closedform.bare_integral_batch(1, 0, 0, [1.0, 1e-160, 1.0], [1.0, 1.5e-160, 1.0], [1.0, 1e-160, -1.0])
+        assert values == [bare_integral(1, 0, 0, 1.0, 1.0, 1.0).value, None, None]
 
     def test_condition_number(self):
         with pytest.raises(ValueError, match="not finite"):
@@ -457,6 +462,18 @@ def _scalar_values(n, l1, l2, k1, k2, alpha):
     return [bare_integral(n, l1, l2, a, b, c).value for a, b, c in zip(k1, k2, alpha)]
 
 
+def _assert_batch_matches_scalar(n, l1, l2, k1, k2, alpha):
+    """The batch gives None wherever `bare_integral` raises a ValueError, the same bits elsewhere."""
+    expected = []
+    for point in zip(k1, k2, alpha):
+        try:
+            expected.append(bare_integral(n, l1, l2, *point).value.hex())
+        except ValueError:
+            expected.append(None)
+    _, values = closedform.bare_integral_batch(n, l1, l2, k1, k2, alpha)
+    assert [None if v is None else v.hex() for v in values] == expected
+
+
 class TestBareIntegralBatch:
     @given(
         st.integers(0, 6), st.integers(0, 6), st.integers(1, 12),
@@ -501,16 +518,17 @@ class TestBareIntegralBatch:
         assert rescues
 
     def test_errors_match_scalar(self):
+        # the order's errors are raised; a point's error leaves None there
         with pytest.raises(FormulaInapplicable):
             closedform.bare_integral_batch(1, 2, 0, [1.0], [1.0], [1.0])
         with pytest.raises(ValueError, match="lambda1"):
             closedform.bare_integral_batch(2, -1, 1, [1.0], [1.0], [1.0])
         k1, k2, alpha = [1.0, 1.0, 1.0, 1.0], [1.0, 2.0, 1.0, 1.0], [1.0, -1.0, 1e-9, 0.5]
-        with pytest.raises(ValueError) as batch_err:
-            closedform.bare_integral_batch(2, 0, 1, k1, k2, alpha)
-        with pytest.raises(ValueError) as scalar_err:
-            _scalar_values(2, 0, 1, k1, k2, alpha)
-        assert str(batch_err.value) == str(scalar_err.value) == "alpha must be positive and finite, got -1.0"
+        with pytest.raises(ValueError, match=re.escape("alpha must be positive and finite, got -1.0")):
+            bare_integral(2, 0, 1, k1[1], k2[1], alpha[1])
+        _, values = closedform.bare_integral_batch(2, 0, 1, k1, k2, alpha)
+        assert values[1] is None and values[2] is None
+        _assert_batch_matches_scalar(2, 0, 1, k1, k2, alpha)
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("k1,k2,alpha", [
@@ -519,12 +537,10 @@ class TestBareIntegralBatch:
         ([1.0, 1.0, 1.0], [1.0, 1e16, 1.0], [0.5, 1.0, 1.0]),  # powers of k2 overflow between valid points
     ])
     def test_first_failing_point(self, k1, k2, alpha):
-        with pytest.raises(ValueError) as batch_err:
-            closedform.bare_integral_batch(21, 10, 10, k1, k2, alpha)
-        with pytest.raises(ValueError) as scalar_err:
+        # the batch goes on past its first failing point, which `bare_integral` refuses
+        with pytest.raises(ValueError):
             _scalar_values(21, 10, 10, k1, k2, alpha)
-        assert type(batch_err.value) is type(scalar_err.value)
-        assert str(batch_err.value) == str(scalar_err.value)
+        _assert_batch_matches_scalar(21, 10, 10, k1, k2, alpha)
 
     # 1.3e-160, 1.3e-160, 1e-170 has y > 1 in floats but no finite 1/(y - 1)
     edge = st.sampled_from([1.0, 0.7, 2.5, 1e-3, 3e-8, 0.0, -1.0, math.inf, math.nan,
@@ -537,20 +553,12 @@ class TestBareIntegralBatch:
     def test_edge_inputs_match_scalar(self, order, points):
         k1, k2, alpha = (list(v) for v in zip(*points))
         with np.errstate(all="ignore"):
-            try:
-                expected = _scalar_values(*order, k1, k2, alpha)
-            except ValueError as exc:
-                with pytest.raises(ValueError) as batch_err:
-                    closedform.bare_integral_batch(*order, k1, k2, alpha)
-                assert str(batch_err.value) == str(exc)
-                return
-            _, values = closedform.bare_integral_batch(*order, k1, k2, alpha)
-        assert [v.hex() for v in values] == [v.hex() for v in expected]
+            _assert_batch_matches_scalar(*order, k1, k2, alpha)
 
     def test_prefactor_out_of_float_range(self):
         # sqrt(3) / (2 k1 k2^2) overflows to inf (the closed form returned inf)
         message = re.escape("leave the float range (k1=1e-103, k2=1e-103, alpha=1e-103)")
         with pytest.raises(ValueError, match=message):
             bare_integral(2, 0, 1, 1e-103, 1e-103, 1e-103)
-        with pytest.raises(ValueError, match=message):
-            closedform.bare_integral_batch(2, 0, 1, [1.0, 1e-103], [1.0, 1e-103], [1.0, 1e-103])
+        _, values = closedform.bare_integral_batch(2, 0, 1, [1.0, 1e-103], [1.0, 1e-103], [1.0, 1e-103])
+        assert values == [bare_integral(2, 0, 1, 1.0, 1.0, 1.0).value, None]

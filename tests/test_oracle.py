@@ -56,14 +56,25 @@ class TestTwoBessel:
             assert abs(q.value - exact) <= 3 * q.abs_error_estimate
 
     def test_budget_exhaustion_raises(self, monkeypatch):
-        monkeypatch.setenv("BESSELRAD_PANEL_BUDGET", "200")
-        with pytest.raises(NonConvergence):
-            integrate_two_bessel(1, 0, 0, 1.0, 1.0, 0.05, 1e-12)
+        # the first grid (195 evaluations) and the appended one (105) fit; refining them does not
+        monkeypatch.setattr(oracle, "_BUDGET", 300)
+        with pytest.raises(NonConvergence, match="budget of 300 evaluations exhausted"):
+            integrate_two_bessel(8, 0, 0, 1.0, 1.0, 1.0, 1e-12)
 
-    def test_budget_env_override_parsing(self, monkeypatch):
-        monkeypatch.setenv("BESSELRAD_PANEL_BUDGET", "not-a-number")
-        with pytest.raises(ValueError):
-            integrate_two_bessel(1, 0, 0, 1.0, 1.0, 1.0, 1e-8)
+    def test_budget_checked_before_the_grid(self, monkeypatch):
+        # r_end = 40/alpha asks for a first grid of 12 733 panels, 190 995 evaluations
+        points = []
+        bessel = specfun.spherical_bessel_j_array
+        monkeypatch.setattr(
+            specfun, "spherical_bessel_j_array", lambda l, x: points.append(x.size) or bessel(l, x)
+        )
+        monkeypatch.setattr(oracle, "_BUDGET", 190_000)
+        with pytest.raises(NonConvergence, match="grid of 1.27e\\+04 panels would exceed the budget"):
+            integrate_two_bessel(1, 0, 0, 1.0, 1.0, 1e-3)
+        # 40/alpha overflows to inf
+        with pytest.raises(NonConvergence, match="grid of inf panels would exceed the budget"):
+            integrate_two_bessel(1, 0, 0, 1.0, 2.0, 1e-310)
+        assert points == []
 
     def test_rel_tol_floor(self):
         with pytest.raises(ValueError):
@@ -149,7 +160,7 @@ class TestKronrodRule:
         # r_end = 40/alpha already meets the tail bound: the panels are the
         # initial grid, each refinement step replacing one panel by two
         q, points = self._counted(monkeypatch, 1, 0, 0, 1.0, 1.0, 1.0, 1e-12)
-        initial = len(oracle._initial_edges(0.0, 40.0, math.pi)) - 1
+        initial = len(oracle._initial_edges(0.0, 40.0, math.pi, "grid")) - 1
         splits = q.panels_used - initial
         assert (initial, splits) == (13, 4)
         assert q.evaluations == points / 2 == 15 * (initial + 2 * splits)
@@ -161,8 +172,8 @@ class TestKronrodRule:
         # r^8 needs the radius pushed from 40 to 60: panels on [40, 60] are appended
         q, points = self._counted(monkeypatch, 8, 0, 0, 1.0, 1.0, 1.0, 1e-10)
         assert q.truncation_radius == 60.0
-        initial = len(oracle._initial_edges(0.0, 40.0, math.pi)) - 1
-        appended = len(oracle._initial_edges(40.0, 60.0, math.pi, min_panels=1)) - 1
+        initial = len(oracle._initial_edges(0.0, 40.0, math.pi, "grid")) - 1
+        appended = len(oracle._initial_edges(40.0, 60.0, math.pi, "grid", min_panels=1)) - 1
         assert (initial, appended) == (13, 7)
         assert q.evaluations == points / 2 == 15 * (2 * q.panels_used - initial - appended)
 
@@ -230,12 +241,6 @@ class TestThreeBesselRegularized:
     def test_triangle_boundary(self):
         q = integrate_three_bessel_regularized(ThreeBesselSpec(0, 0, 0, 1.0, 1.0, 2.0))
         assert q.value == pytest.approx(math.pi / 16, abs=1e-2)
-
-    def test_eps_list_validation(self):
-        with pytest.raises(ValueError):
-            integrate_three_bessel_regularized(
-                ThreeBesselSpec(0, 0, 0, 1.0, 1.0, 1.0), eps_list=(0.1, 0.2)
-            )
 
     def test_deterministic(self):
         spec = ThreeBesselSpec(1, 1, 2, 1.0, 1.0, 1.5)

@@ -11,7 +11,6 @@ from .closedform import (
     EvalResult,
     FormulaInapplicable,
     Method,
-    ThreeBesselSpec,
     bare_integral,
     condition_number,
     laplace_single_bessel,
@@ -49,7 +48,6 @@ __all__ = [
     "Method",
     "NonConvergence",
     "QuadratureResult",
-    "ThreeBesselSpec",
     "WignerValue",
     "bare_integral",
     "condition_number",

@@ -25,11 +25,11 @@ outside the wavenumber triangle via the step factor beta.
 out the exact 3j symbol; when the parity-selected l3 violates the triangle
 rule there is no closed form and `FormulaInapplicable` is raised; that is
 a genuine coverage boundary, not a failure.  `bare_integral_batch` gives
-the same values for many points of one order at once, and None at each
-point that it does not evaluate or whose value leaves the float range;
-`bare_integral` gives the error there.  Both run one implementation of the
-prefactor, the double sum and its 40-digit rescue (`_products`), which
-takes one point or arrays of points.
+the same values for many points of one order at once, and None exactly
+where `bare_integral` raises.  Both check a point by the same arithmetic
+(`y_param`, `condition_number`) and run one evaluator per route
+(`_evaluate`), which takes one point or arrays of points; its double sum
+and 40-digit rescue are `_products`.
 
 The coupling coefficients depend on the orders only.  Each (l1, l2, l3)
 set is compiled once per process (`_coupling_set`), in one pass over its
@@ -72,27 +72,6 @@ class FormulaInapplicable(Exception):
 
 
 @dataclass(frozen=True)
-class ThreeBesselSpec:
-    """Problem statement for the triple product r^2 j_l1(k1 r) j_l2(k2 r) j_l3(k3 r)."""
-
-    lambda1: int
-    lambda2: int
-    lambda3: int
-    k1: float
-    k2: float
-    k3: float
-
-    def __post_init__(self) -> None:
-        for name in ("lambda1", "lambda2", "lambda3"):
-            object.__setattr__(self, name, _order(name, getattr(self, name), _LAMBDA_MAX))
-        _positive_finite(k1=float(self.k1), k2=float(self.k2), k3=float(self.k3))
-
-    @property
-    def delta(self) -> float:
-        return delta_param(self.k1, self.k2, self.k3)
-
-
-@dataclass(frozen=True)
 class EvalResult:
     """A closed-form value with its route and singularity-proximity indicator."""
 
@@ -126,10 +105,8 @@ def condition_number(k1: float, k2: float, alpha: float) -> float:
     ValueError when the float arithmetic gives no finite value.
     """
     _positive_finite(k1=k1, k2=k2, alpha=alpha)
-    try:
-        den = (k1 - k2) ** 2 + alpha**2
-    except OverflowError:  # float ** raises where * gives inf; 1/(y - 1) tends to 0
-        den = math.inf
+    # x * x, as in the batch: Python's x**2 calls libm pow, which can differ in the last bit
+    den = (k1 - k2) * (k1 - k2) + alpha * alpha
     condition = 2.0 * k1 * k2 / den if den > 0.0 else math.inf
     if not math.isfinite(condition):
         raise ValueError(
@@ -363,37 +340,87 @@ def _needs_rescue(peak: float, total: float) -> bool:
 
 def _products(
     cs: _CouplingSet, lambda1: int, lambda2: int, lambda3: int, offset: int, k1, k2, alpha, y
-) -> list[Optional[float]]:
+) -> list[float]:
     """The 3j-weighted product, prefactor times double sum, at each point.
 
-    k1, k2, alpha and y = `y_param(k1, k2, alpha)` are floats (one point)
-    or float64 arrays of points that `y_param` and `condition_number`
-    accept; R and the terms are computed for all points at once.  A point
-    whose sum cancels takes the 40-digit rescue.  The value is None at a
-    point where R, a power of k2/k1, a term or the prefactor is not finite.
+    k1, k2, alpha and y are as for `_evaluate`, which runs this with float
+    warnings off; R and the terms are computed for all points at once.  A
+    point whose sum cancels takes the 40-digit rescue.  The value is NaN at
+    a point where R, a power of k2/k1, a term or the prefactor is not finite.
     """
     m_order = lambda3 + offset - 1
-    with np.errstate(all="ignore"):  # R overflows near y = 1 at high M: checked per point below
-        rvals = specfun.paper_q_combination_all(cs.l_need, m_order, y)
-        terms = _contributions(cs, lambda3, k2 / k1, rvals)
+    rvals = specfun.paper_q_combination_all(cs.l_need, m_order, y)
+    terms = _contributions(cs, lambda3, k2 / k1, rvals)
     rvals, terms = (v.reshape(len(v), -1).T for v in (rvals, terms))  # one row per point
     finite = (np.isfinite(rvals).all(axis=1) & np.isfinite(terms).all(axis=1)).tolist()
     peaks = np.abs(terms).max(axis=1).tolist()
-    if np.ndim(y) == 0:
-        points = [(k1, k2, alpha, y)]
-    else:
-        points = zip(k1.tolist(), k2.tolist(), alpha.tolist(), y.tolist())
+    points = zip(*(np.reshape(v, -1).tolist() for v in (k1, k2, alpha, y)))
     values = []
     for (a, b, c, yi), point_terms, ok, peak in zip(points, terms.tolist(), finite, peaks):
         pref = _prefactor(lambda1, lambda2, lambda3, a, b, c, offset)
         if not (ok and math.isfinite(pref)):
-            values.append(None)
+            values.append(math.nan)
             continue
         total = math.fsum(point_terms)
         if _needs_rescue(peak, total):
             total = _decimal_weighted_sum(cs, lambda3, m_order, a, b, yi)
         values.append(pref * total)
     return values
+
+
+def _decimal_weighted_sum(
+    cs: _CouplingSet, lambda3: int, m_order: int, k1: float, k2: float, y: float
+) -> float:
+    """The double sum of `_contributions` over the set's exact factors, in `_RESCUE_DIGITS` digits."""
+    rd = specfun.paper_q_combination_all_dec(cs.l_need, m_order, y, prec=_RESCUE_DIGITS)
+    with localcontext() as ctx:
+        ctx.prec = _RESCUE_DIGITS
+        ratio = Decimal(k2) / Decimal(k1)
+        terms = _contributions(cs, lambda3, ratio, np.array(rd, dtype=object), exact=True)
+        return float(sum(terms, Decimal(0)))
+
+
+def _evaluate(
+    route: tuple[int, int, int, int], k1, k2, alpha, y, weighted: bool = False
+) -> tuple[Method, list[Optional[float]]]:
+    """The closed form of route = (l1, l2, l3, offset) at each point, and its method.
+
+    The bare integral of r^(l3 + offset) e^(-alpha r) j_l1(k1 r) j_l2(k2 r),
+    or with `weighted` the 3j-weighted product of `two_bessel_product`:
+    the double sum at every l3, and exact 0 where the parity kills the 3j
+    weight.  k1, k2, alpha and y = `y_param(k1, k2, alpha)` are floats
+    (one point) or float64 arrays of points that `y_param` and
+    `condition_number` accept.  A value is None where it is not finite.
+    """
+    l1, l2, l3, offset = route
+    with np.errstate(all="ignore"):  # R, a term or a value may leave the float range: None below
+        if offset == 1 and l3 == 0 and not weighted:
+            method = Method.EQ_2_9
+            values = specfun.legendre_q_all(l1, y)[l1] / (2.0 * k1 * k2)
+        else:
+            method = Method.EQ_2_8 if offset == 1 else Method.EQ_2_11
+            cs = None if (l1 + l2 + l3) % 2 else _coupling_set(l1, l2, l3)
+            if cs is None:
+                values = np.zeros(np.shape(y))
+            else:
+                values = np.array(_products(cs, l1, l2, l3, offset, k1, k2, alpha, y))
+            if not weighted:
+                values = values / _w3j000(l1, l2, l3)
+    return method, [v if math.isfinite(v) else None for v in np.reshape(values, -1).tolist()]
+
+
+def _point(route: tuple[int, int, int, int], k1: float, k2: float, alpha: float,
+           weighted: bool = False) -> EvalResult:
+    """`_evaluate` at one point that `y_param` and `condition_number` accept.
+
+    Raises their errors, and `_float_range_error` where the value is None.
+    """
+    y = y_param(k1, k2, alpha)
+    condition = condition_number(k1, k2, alpha)
+    method, (value,) = _evaluate(route, k1, k2, alpha, y, weighted)
+    if value is None:
+        raise _float_range_error(k1, k2, alpha)
+    return EvalResult(value, method, condition)
 
 
 def two_bessel_product(
@@ -415,59 +442,44 @@ def two_bessel_product(
     lambda3 = _order("lambda3", lambda3, _LAMBDA_MAX)
     if offset not in (1, 2):
         raise ValueError(f"offset must be 1 or 2, got {offset!r}")
-    y = y_param(k1, k2, alpha)
-    condition = condition_number(k1, k2, alpha)
-    method = Method.EQ_2_8 if offset == 1 else Method.EQ_2_11
-    cs = None if (lambda1 + lambda2 + lambda3) % 2 else _coupling_set(lambda1, lambda2, lambda3)
-    if cs is None:
-        return EvalResult(0.0, method, condition)
-    (value,) = _products(cs, lambda1, lambda2, lambda3, offset, k1, k2, alpha, y)
-    if value is None:
-        raise _float_range_error(k1, k2, alpha)
-    return EvalResult(value, method, condition)
-
-
-def _decimal_weighted_sum(
-    cs: _CouplingSet, lambda3: int, m_order: int, k1: float, k2: float, y: float
-) -> float:
-    """The double sum of `_contributions` over the set's exact factors, in `_RESCUE_DIGITS` digits."""
-    rd = specfun.paper_q_combination_all_dec(cs.l_need, m_order, y, prec=_RESCUE_DIGITS)
-    with localcontext() as ctx:
-        ctx.prec = _RESCUE_DIGITS
-        ratio = Decimal(k2) / Decimal(k1)
-        terms = _contributions(cs, lambda3, ratio, np.array(rd, dtype=object), exact=True)
-        return float(sum(terms, Decimal(0)))
+    return _point((lambda1, lambda2, lambda3, offset), k1, k2, alpha, weighted=True)
 
 
 def two_bessel_equal_order(L: int, k1: float, k2: float, alpha: float) -> EvalResult:
     """Equal-order special case: integral r e^(-a r) j_L(k1 r) j_L(k2 r) dr = Q_L(y)/(2 k1 k2).
 
-    Raises `_float_range_error` when the value leaves the float range.
+    This is `bare_integral(1, L, L, k1, k2, alpha)`.
     """
     L = _order("L", L, _LAMBDA_MAX)
-    y = y_param(k1, k2, alpha)
-    condition = condition_number(k1, k2, alpha)
-    value = specfun.legendre_q(L, y) / (2.0 * k1 * k2)
-    if not math.isfinite(value):
-        raise _float_range_error(k1, k2, alpha)
-    return EvalResult(value, Method.EQ_2_9, condition)
+    return bare_integral(1, L, L, k1, k2, alpha)
 
 
-def three_bessel_product(spec: ThreeBesselSpec) -> float:
+def _three_bessel_orders(lambda1, lambda2, lambda3, k1, k2, k3) -> tuple[int, int, int]:
+    """The orders as ints, once each is at most `_LAMBDA_MAX` and each k positive and finite."""
+    orders = tuple(
+        _order(f"lambda{i}", v, _LAMBDA_MAX) for i, v in enumerate((lambda1, lambda2, lambda3), 1)
+    )
+    _positive_finite(k1=float(k1), k2=float(k2), k3=float(k3))
+    return orders
+
+
+def three_bessel_product(
+    lambda1: int, lambda2: int, lambda3: int, k1: float, k2: float, k3: float
+) -> float:
     """3j-weighted product of the triple-Bessel integral, in closed form.
 
-    Zero whenever the wavenumbers violate their triangle (beta = 0) or the
-    angular parity kills the 3j weight.  Raises ValueError when the powers
-    of the wavenumbers or the terms leave the float range.
+    The integrand is r^2 j_l1(k1 r) j_l2(k2 r) j_l3(k3 r).  Zero whenever
+    the wavenumbers violate their triangle (beta = 0) or the angular parity
+    kills the 3j weight.  Raises ValueError when the powers of the
+    wavenumbers or the terms leave the float range.
     """
-    l1, l2, l3 = spec.lambda1, spec.lambda2, spec.lambda3
+    l1, l2, l3 = _three_bessel_orders(lambda1, lambda2, lambda3, k1, k2, k3)
     if (l1 + l2 + l3) % 2 == 1:
         return 0.0
-    delta = spec.delta
+    delta = delta_param(k1, k2, k3)
     beta = beta_step(delta)
     if beta == 0.0:
         return 0.0
-    k1, k2, k3 = spec.k1, spec.k2, spec.k3
     cs = _coupling_set(l1, l2, l3)
     total = 0.0
     try:
@@ -521,20 +533,19 @@ def coupling_route(n: int, lambda1: int, lambda2: int) -> tuple[int, int]:
     return lambda3, offset
 
 
+def _route(n: int, lambda1: int, lambda2: int) -> tuple[int, int, int, int]:
+    """(lambda1, lambda2, l3, offset) of `coupling_route`, refusing l3 above `_LAMBDA_MAX`."""
+    lambda3, offset = coupling_route(n, lambda1, lambda2)
+    return int(lambda1), int(lambda2), _order("lambda3", lambda3, _LAMBDA_MAX), offset
+
+
 def bare_integral(n: int, lambda1: int, lambda2: int, k1: float, k2: float, alpha: float) -> EvalResult:
     """integral_0^inf r^n e^(-alpha r) j_l1(k1 r) j_l2(k2 r) dr, n >= 1.
 
     The closed form follows `coupling_route`; the product is divided by
     the exact 3j symbol (l1 l2 l3; 0 0 0).
     """
-    lambda3, offset = coupling_route(n, lambda1, lambda2)
-    lambda1, lambda2 = int(lambda1), int(lambda2)
-    if offset == 1 and lambda3 == 0:
-        # triangle forces lambda1 == lambda2 here; use the direct Q_L form
-        return two_bessel_equal_order(lambda1, k1, k2, alpha)
-    product = two_bessel_product(lambda1, lambda2, lambda3, k1, k2, alpha, offset)
-    w = _w3j000(lambda1, lambda2, lambda3)
-    return EvalResult(product.value / w, product.method, product.condition)
+    return _point(_route(n, lambda1, lambda2), k1, k2, alpha)
 
 
 def bare_integral_batch(
@@ -549,40 +560,25 @@ def bare_integral_batch(
 
     Returns the route's method and the values, equal bit for bit to
     `bare_integral(n, lambda1, lambda2, k1[i], k2[i], alpha[i]).value`,
-    or None at a point that `bare_integral` may refuse: one outside a
-    vectorized filter (inputs positive, y finite and above 1, and
-    (k1 - k2)^2 + alpha^2 far from underflow and 1/(y - 1) far from
-    overflow), or one whose value leaves the float range.  The Q
-    recurrences and the terms run over the filtered points at once, at any
-    y > 1, through the same `_products` as `two_bessel_product`, so a sum
+    and None exactly where `bare_integral` raises: at a point that
+    `y_param` or `condition_number` refuses, found by their float
+    arithmetic over all points at once, or whose value leaves the float
+    range.  The other points run through `_evaluate` together, so a sum
     that cancels takes the same 40-digit rescue.  Raises only the errors
-    of `coupling_route` for the order.
+    of the order, as `bare_integral` does before it looks at a point.
     """
-    lambda3, offset = coupling_route(n, lambda1, lambda2)
-    lambda1, lambda2 = int(lambda1), int(lambda2)
+    route = _route(n, lambda1, lambda2)
     k1, k2, alpha = (np.asarray(v, dtype=float) for v in (k1, k2, alpha))
-    values: list[Optional[float]] = [None] * k1.size
     with np.errstate(all="ignore"):
-        # y is the same float as `y_param`'s
-        two_k1k2 = 2.0 * k1 * k2
-        y = (k1 * k1 + k2 * k2 + alpha * alpha) / two_k1k2
-        den = (k1 - k2) ** 2 + alpha**2
+        # operation for operation the floats of `y_param` and `condition_number`
+        y = (k1 * k1 + k2 * k2 + alpha * alpha) / (2.0 * k1 * k2)
+        condition = 2.0 * k1 * k2 / ((k1 - k2) * (k1 - k2) + alpha * alpha)
         clear = np.flatnonzero(
-            (k1 > 0.0) & (k2 > 0.0) & (alpha > 0.0) & (y > 1.0) & np.isfinite(y)
-            & (den > 1e-290) & (two_k1k2 / den < 1e300)
+            (k1 > 0.0) & (k2 > 0.0) & (alpha > 0.0)
+            & (y > 1.0) & np.isfinite(y) & np.isfinite(condition)
         )
-    k1, k2, alpha, y = k1[clear], k2[clear], alpha[clear], y[clear]
-    if offset == 1 and lambda3 == 0:
-        method = Method.EQ_2_9
-        with np.errstate(over="ignore"):  # Q_L/(2 k1 k2) overflows where 2 k1 k2 is subnormal
-            found = specfun.legendre_q_all(lambda1, y)[lambda1] / (2.0 * k1 * k2)
-        found = [v if math.isfinite(v) else None for v in found.tolist()]
-    else:
-        method = Method.EQ_2_8 if offset == 1 else Method.EQ_2_11
-        cs = _coupling_set(lambda1, lambda2, lambda3)
-        w = _w3j000(lambda1, lambda2, lambda3)
-        products = _products(cs, lambda1, lambda2, lambda3, offset, k1, k2, alpha, y)
-        found = [None if v is None else v / w for v in products]
+    method, found = _evaluate(route, k1[clear], k2[clear], alpha[clear], y[clear])
+    values: list[Optional[float]] = [None] * k1.size
     for i, value in zip(clear.tolist(), found):
         values[i] = value
     return method, values

@@ -24,8 +24,9 @@ scale) than the damped integrals.
 
 Everything is deterministic: no randomized quadrature anywhere, identical
 inputs produce identical outputs.  Each integral has a budget of 10^6
-integrand evaluations over all of its passes; a grid of panels that would
-exceed it is refused before it is built.
+integrand evaluations over all of its passes, and never spends more:
+panels that would exceed it are refused before they are evaluated, and a
+grid that could never fit before it is built.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import specfun
-from .closedform import _LAMBDA_MAX, ThreeBesselSpec
+from .closedform import _LAMBDA_MAX, _three_bessel_orders
 from .specfun import _L_MAX_BESSEL, _order, _positive_finite
 
 # QUADPACK qk15 (Piessens et al. 1983): Kronrod nodes x >= 0 and their
@@ -109,7 +110,8 @@ class _Panels:
 
     The panels start on `edges`; `add` evaluates more panels, and
     `refine` splits panels until the summed error estimate meets a
-    tolerance.  The evaluation budget covers every pass over the integral.
+    tolerance.  The evaluation budget covers every pass over the integral;
+    `_extend` refuses panels that would pass it before evaluating any.
     """
 
     def __init__(self, f: Callable[[np.ndarray], np.ndarray], edges: np.ndarray, context: str) -> None:
@@ -123,6 +125,8 @@ class _Panels:
 
     def _extend(self, keep: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> None:
         """Keep the current panels where `keep` is set and evaluate the panels [lo, hi]."""
+        if self.evaluations + _GK15_X.size * lo.size > _BUDGET:
+            raise NonConvergence(f"{self.context}: budget of {_BUDGET} evaluations exhausted")
         half = 0.5 * (hi - lo)
         x = (0.5 * (lo + hi))[:, None] + half[:, None] * _GK15_X
         # a non-finite value is refused below, so its overflow warning is not shown
@@ -156,11 +160,6 @@ class _Panels:
             noise = 32.0 * np.finfo(float).eps * float(np.abs(self.val).sum())
             if toterr <= max(target, noise):
                 return total, toterr
-            if self.evaluations >= _BUDGET:
-                raise NonConvergence(
-                    f"{self.context}: budget of {_BUDGET} evaluations exhausted "
-                    f"(error {toterr:.3e} vs target {target:.3e})"
-                )
             split = self.err > target / self.err.size
             if not split.any():
                 split = self.err == self.err.max()
@@ -180,16 +179,16 @@ def _result(
 
 
 def _initial_edges(
-    a: float, b: float, max_width: float, context: str, min_panels: int = 8, spent: int = 0
+    a: float, b: float, max_width: float, context: str, min_panels: int = 8
 ) -> np.ndarray:
     """Edges of equal panels from a to b, at least min_panels, none wider than max_width.
 
     Raises NonConvergence, before building them, when their evaluations
-    and the `spent` ones of the same integral would exceed the budget.
+    alone would exceed the budget.
     """
     n = (b - a) / max_width
     n = max(min_panels, math.ceil(n)) if math.isfinite(n) else math.inf
-    if spent + _GK15_X.size * n > _BUDGET:
+    if _GK15_X.size * n > _BUDGET:
         raise NonConvergence(
             f"{context}: a grid of {n:.3g} panels would exceed the budget of {_BUDGET} evaluations"
         )
@@ -223,7 +222,6 @@ def _radial_tail_bound(n: int, alpha: float, ks: Sequence[float], r: float) -> f
 
 
 def _radial_quadrature(
-    f: Callable[[np.ndarray], np.ndarray],
     n: int,
     alpha: float,
     ks: Sequence[float],
@@ -231,12 +229,19 @@ def _radial_quadrature(
     rel_tol: float,
     context: str,
 ) -> QuadratureResult:
-    """Common driver for the damped radial integrals.
+    """Quadrature of integral_0^inf r^n e^(-alpha r) prod_i j_ls[i](ks[i] r) dr.
 
     Picks a truncation radius from the analytic tail bound (scaled by a
     coarse pass), appends panels up to it, then refines the same panels,
     none wider than half the shortest oscillation period.
     """
+
+    def f(r: np.ndarray) -> np.ndarray:
+        out = r**n * np.exp(-alpha * r)
+        for l, k in zip(ls, ks):
+            out = out * specfun.spherical_bessel_j_array(l, k * r)
+        return out
+
     max_width = math.pi / max(ks)
     r_end = max(40.0 / alpha, 6.0 * max_width, *[2.0 * (l + 1) / k for l, k in zip(ls, ks)])
     panels = _Panels(f, _initial_edges(0.0, r_end, max_width, context), context)
@@ -248,8 +253,7 @@ def _radial_quadrature(
             raise NonConvergence(f"{context}: truncation radius grew without bound")
         r_end *= 1.5
     if r_end > r_coarse:
-        spent = panels.evaluations
-        panels.add(_initial_edges(r_coarse, r_end, max_width, context, min_panels=1, spent=spent))
+        panels.add(_initial_edges(r_coarse, r_end, max_width, context, min_panels=1))
     value, err = panels.refine(rel_tol)
     tail = _radial_tail_bound(n, alpha, ks, r_end)
     return _result(value, err + tail, rel_tol, panels.lo.size, panels.evaluations, r_end, tail)
@@ -271,17 +275,8 @@ def integrate_two_bessel(
     _positive_finite(k1=k1, k2=k2, alpha=alpha)
     if rel_tol < 1e-12:
         raise ValueError(f"rel_tol must be >= 1e-12, got {rel_tol!r}")
-
-    def f(r: np.ndarray) -> np.ndarray:
-        return (
-            r**n
-            * np.exp(-alpha * r)
-            * specfun.spherical_bessel_j_array(lambda1, k1 * r)
-            * specfun.spherical_bessel_j_array(lambda2, k2 * r)
-        )
-
     return _radial_quadrature(
-        f, n, alpha, (k1, k2), (lambda1, lambda2), rel_tol,
+        n, alpha, (k1, k2), (lambda1, lambda2), rel_tol,
         f"two-Bessel integral n={n} l=({lambda1},{lambda2})",
     )
 
@@ -298,13 +293,8 @@ def integrate_single_bessel(
         raise ValueError(f"offset must be 1 or 2, got {offset!r}")
     lambda3 = _order("lambda3", lambda3, _L_MAX_BESSEL)
     _positive_finite(alpha=alpha, k3=k3)
-    n = lambda3 + offset
-
-    def f(r: np.ndarray) -> np.ndarray:
-        return r**n * np.exp(-alpha * r) * specfun.spherical_bessel_j_array(lambda3, k3 * r)
-
     return _radial_quadrature(
-        f, n, alpha, (k3,), (lambda3,), rel_tol, f"single-Bessel transform l3={lambda3}"
+        lambda3 + offset, alpha, (k3,), (lambda3,), rel_tol, f"single-Bessel transform l3={lambda3}"
     )
 
 
@@ -348,34 +338,23 @@ def integrate_q_definition(L: int, M: int, y: float, rel_tol: float = 1e-10) -> 
     return _result(scale * value, scale * err, rel_tol, panels.lo.size, panels.evaluations)
 
 
-def integrate_three_bessel_regularized(spec: ThreeBesselSpec) -> QuadratureResult:
+def integrate_three_bessel_regularized(
+    lambda1: int, lambda2: int, lambda3: int, k1: float, k2: float, k3: float
+) -> QuadratureResult:
     """Triple-Bessel integral by damped quadrature extrapolated to zero damping.
 
-    Computes integral r^2 e^(-eps r) j j j dr for each eps of
-    `_REGULARIZING_EPS` and Richardson-extrapolates to eps = 0; the
-    extrapolation increments must decrease or NonConvergence is raised.
-    The result counts as converged within a relative 1e-3.
+    Computes integral r^2 e^(-eps r) j_l1(k1 r) j_l2(k2 r) j_l3(k3 r) dr
+    for each eps of `_REGULARIZING_EPS` and Richardson-extrapolates to
+    eps = 0; the extrapolation increments must decrease or NonConvergence
+    is raised.  The result counts as converged within a relative 1e-3.
     """
+    ls = _three_bessel_orders(lambda1, lambda2, lambda3, k1, k2, k3)
     eps, rel_tol = _REGULARIZING_EPS, 1e-3
-    l1, l2, l3 = spec.lambda1, spec.lambda2, spec.lambda3
-    k1, k2, k3 = spec.k1, spec.k2, spec.k3
     inner_tol = 1e-9
-    parts = []
-    for e in eps:
-
-        def f(r: np.ndarray, _e: float = e) -> np.ndarray:
-            return (
-                r**2
-                * np.exp(-_e * r)
-                * specfun.spherical_bessel_j_array(l1, k1 * r)
-                * specfun.spherical_bessel_j_array(l2, k2 * r)
-                * specfun.spherical_bessel_j_array(l3, k3 * r)
-            )
-
-        parts.append(_radial_quadrature(
-            f, 2, e, (k1, k2, k3), (l1, l2, l3), inner_tol,
-            f"regularized triple-Bessel eps={e}",
-        ))
+    parts = [
+        _radial_quadrature(2, e, (k1, k2, k3), ls, inner_tol, f"regularized triple-Bessel eps={e}")
+        for e in eps
+    ]
     vals = [q.value for q in parts]
     quad_err = sum(abs(q.abs_error_estimate) for q in parts)
     # Neville extrapolation of the polynomial through (eps_i, J_i) to eps = 0

@@ -14,7 +14,6 @@ from itertools import permutations
 import pytest
 
 from besselrad import closedform, oracle, specfun, wigner
-from besselrad.closedform import ThreeBesselSpec
 from besselrad.wigner import AngularMomenta3j, _orthogonality_defect
 
 K_GRID = (0.5, 1.0, 2.0)
@@ -113,15 +112,15 @@ def test_criterion_05_three_bessel():
     for l1, l2, l3 in lambdas:
         for k1, k2, k3 in ktriples:
             total += 1
-            spec = ThreeBesselSpec(l1, l2, l3, k1, k2, k3)
-            cf = closedform.three_bessel_product(spec)
+            spec = (l1, l2, l3, k1, k2, k3)
+            cf = closedform.three_bessel_product(*spec)
             w3 = float(wigner.wigner_3j(AngularMomenta3j(l1, l2, l3, 0, 0, 0)))
-            q = oracle.integrate_three_bessel_regularized(spec)
+            q = oracle.integrate_three_bessel_regularized(*spec)
             if abs(cf - w3 * q.value) > 1e-3 * max(1.0, abs(cf), abs(w3 * q.value)):
                 failures.append((l1, l2, l3, k1, k2, k3))
     # pinned spot value
     total += 1
-    q = oracle.integrate_three_bessel_regularized(ThreeBesselSpec(0, 0, 0, 1.0, 1.0, 1.0))
+    q = oracle.integrate_three_bessel_regularized(0, 0, 0, 1.0, 1.0, 1.0)
     if abs(q.value - math.pi / 4) > 1e-3:
         failures.append(("pi/4 spot", q.value))
     _report(5, "triple-Bessel closed form vs regularized oracle", failures, total)

@@ -11,7 +11,6 @@ from besselrad import closedform, specfun
 from besselrad.closedform import (
     FormulaInapplicable,
     Method,
-    ThreeBesselSpec,
     bare_integral,
     beta_step,
     delta_param,
@@ -131,24 +130,19 @@ class TestSummationBounds:
 
 class TestThreeBessel:
     def test_sine_product(self):
-        spec = ThreeBesselSpec(0, 0, 0, 1.0, 1.0, 1.0)
-        assert three_bessel_product(spec) == pytest.approx(math.pi / 4, rel=1e-14)
+        assert three_bessel_product(0, 0, 0, 1.0, 1.0, 1.0) == pytest.approx(math.pi / 4, rel=1e-14)
 
     def test_outside_triangle(self):
-        spec = ThreeBesselSpec(0, 0, 0, 1.0, 1.0, 3.0)
-        assert three_bessel_product(spec) == 0.0
+        assert three_bessel_product(0, 0, 0, 1.0, 1.0, 3.0) == 0.0
 
     def test_boundary_half(self):
-        spec = ThreeBesselSpec(0, 0, 0, 1.0, 1.0, 2.0)
-        assert three_bessel_product(spec) == pytest.approx(math.pi / 16, rel=1e-14)
+        assert three_bessel_product(0, 0, 0, 1.0, 1.0, 2.0) == pytest.approx(math.pi / 16, rel=1e-14)
 
     def test_frozen_value(self):
-        spec = ThreeBesselSpec(1, 1, 0, 1.0, 1.0, 1.0)
-        assert three_bessel_product(spec) == pytest.approx(-0.22672492052927723, rel=1e-13)
+        assert three_bessel_product(1, 1, 0, 1.0, 1.0, 1.0) == pytest.approx(-0.22672492052927723, rel=1e-13)
 
     def test_parity_zero(self):
-        spec = ThreeBesselSpec(1, 1, 1, 1.0, 1.0, 1.0)
-        assert three_bessel_product(spec) == 0.0
+        assert three_bessel_product(1, 1, 1, 1.0, 1.0, 1.0) == 0.0
 
     @pytest.mark.parametrize("ks,match", [
         ((1e-200, 1e-200, 1e-200), "delta .* not finite"),  # 2 k1 k2 underflows to 0
@@ -159,7 +153,7 @@ class TestThreeBessel:
     def test_float_range(self, ks, match):
         message = re.escape(f"(k1={ks[0]!r}, k2={ks[1]!r}, k3={ks[2]!r})")
         with pytest.raises(ValueError, match=match + ".*" + message):
-            three_bessel_product(ThreeBesselSpec(10, 10, 20, *ks))
+            three_bessel_product(10, 10, 20, *ks)
 
 
 class TestTwoBesselProduct:
@@ -291,8 +285,7 @@ class TestDataTypes:
         assert closedform.condition_number(k1, k2, alpha) == pytest.approx(float(inverse), rel=1e-6)
 
     def test_three_bessel_spec_delta(self):
-        spec = ThreeBesselSpec(0, 0, 0, 3.0, 4.0, 5.0)
-        assert spec.delta == 0.0
+        assert delta_param(3.0, 4.0, 5.0) == 0.0
 
 
 class TestOrderValidation:
@@ -303,8 +296,8 @@ class TestOrderValidation:
         route = closedform.coupling_route(np.int64(3), np.int64(1), np.int32(2))
         assert route == (1, 2)
         assert type(route[0]) is int
-        three = ThreeBesselSpec(np.int64(1), np.int64(1), np.int64(2), 1.0, 1.0, 1.5)
-        assert three_bessel_product(three) == three_bessel_product(ThreeBesselSpec(1, 1, 2, 1.0, 1.0, 1.5))
+        three = three_bessel_product(np.int64(1), np.int64(1), np.int64(2), 1.0, 1.0, 1.5)
+        assert three == three_bessel_product(1, 1, 2, 1.0, 1.0, 1.5)
 
     @pytest.mark.parametrize("bad", [-1, 1.0, "1", None, 21])
     def test_rejected_orders(self, bad):
@@ -542,18 +535,28 @@ class TestBareIntegralBatch:
             _scalar_values(21, 10, 10, k1, k2, alpha)
         _assert_batch_matches_scalar(21, 10, 10, k1, k2, alpha)
 
-    # 1.3e-160, 1.3e-160, 1e-170 has y > 1 in floats but no finite 1/(y - 1)
+    # 1.3e-160, 1.3e-160, 1e-170 has y > 1 in floats but no finite 1/(y - 1);
+    # 1e-150 three times has both, with (k1 - k2)^2 + alpha^2 = 1e-300
     edge = st.sampled_from([1.0, 0.7, 2.5, 1e-3, 3e-8, 0.0, -1.0, math.inf, math.nan,
-                            1e-170, 1.3e-160, 1e200, 1e16, 1e-16])
+                            1e-170, 1.3e-160, 1e-150, 1e200, 1e16, 1e-16])
 
     @given(st.sampled_from([(1, 0, 0), (2, 0, 1), (3, 4, 2), (21, 10, 10)]),
            st.lists(st.tuples(edge, edge, edge), min_size=1, max_size=5))
     @example((1, 0, 0), [(1.0, 1.0, 1.0), (1.3e-160, 1.3e-160, 1e-170)])
     @example((3, 4, 2), [(1.0, 1.0, 1.0), (1.3e-160, 1.3e-160, 1e-170)])
+    @example((1, 0, 0), [(1.0, 1.0, 1.0), (1e-150, 1e-150, 1e-150)])
+    @example((1, 2, 2), [(1.0, 1.0, 1.0), (1e-150, 1e-150, 1e-150)])
     def test_edge_inputs_match_scalar(self, order, points):
         k1, k2, alpha = (list(v) for v in zip(*points))
         with np.errstate(all="ignore"):
             _assert_batch_matches_scalar(*order, k1, k2, alpha)
+
+    def test_coupling_order_above_the_maximum(self):
+        # (22, 10, 11) routes to l3 = 21: both paths refuse the order
+        with pytest.raises(ValueError, match="lambda3=21 exceeds the supported maximum 20"):
+            bare_integral(22, 10, 11, 1.0, 1.2, 0.5)
+        with pytest.raises(ValueError, match="lambda3=21 exceeds the supported maximum 20"):
+            closedform.bare_integral_batch(22, 10, 11, [1.0], [1.2], [0.5])
 
     def test_prefactor_out_of_float_range(self):
         # sqrt(3) / (2 k1 k2^2) overflows to inf (the closed form returned inf)

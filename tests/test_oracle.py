@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from besselrad import closedform, oracle, specfun
-from besselrad.closedform import ThreeBesselSpec
 from besselrad.oracle import (
     NonConvergence,
     integrate_q_definition,
@@ -60,6 +59,12 @@ class TestTwoBessel:
         monkeypatch.setattr(oracle, "_BUDGET", 300)
         with pytest.raises(NonConvergence, match="budget of 300 evaluations exhausted"):
             integrate_two_bessel(8, 0, 0, 1.0, 1.0, 1.0, 1e-12)
+
+    def test_budget_is_a_cap(self, monkeypatch):
+        # the first grid (195 evaluations) fits; the first split would pass 200
+        monkeypatch.setattr(oracle, "_BUDGET", 200)
+        with pytest.raises(NonConvergence, match="budget of 200 evaluations exhausted"):
+            integrate_two_bessel(1, 0, 0, 1.0, 1.0, 1.0, 1e-12)
 
     def test_budget_checked_before_the_grid(self, monkeypatch):
         # r_end = 40/alpha asks for a first grid of 12 733 panels, 190 995 evaluations
@@ -231,20 +236,20 @@ class TestQDefinition:
 
 class TestThreeBesselRegularized:
     def test_sine_product(self):
-        q = integrate_three_bessel_regularized(ThreeBesselSpec(0, 0, 0, 1.0, 1.0, 1.0))
+        q = integrate_three_bessel_regularized(0, 0, 0, 1.0, 1.0, 1.0)
         assert q.value == pytest.approx(math.pi / 4, abs=1e-3)
 
     def test_outside_triangle(self):
-        q = integrate_three_bessel_regularized(ThreeBesselSpec(0, 0, 0, 1.0, 1.0, 3.0))
+        q = integrate_three_bessel_regularized(0, 0, 0, 1.0, 1.0, 3.0)
         assert abs(q.value) < 1e-3
 
     def test_triangle_boundary(self):
-        q = integrate_three_bessel_regularized(ThreeBesselSpec(0, 0, 0, 1.0, 1.0, 2.0))
+        q = integrate_three_bessel_regularized(0, 0, 0, 1.0, 1.0, 2.0)
         assert q.value == pytest.approx(math.pi / 16, abs=1e-2)
 
     def test_deterministic(self):
-        spec = ThreeBesselSpec(1, 1, 2, 1.0, 1.0, 1.5)
-        assert integrate_three_bessel_regularized(spec) == integrate_three_bessel_regularized(spec)
+        spec = (1, 1, 2, 1.0, 1.0, 1.5)
+        assert integrate_three_bessel_regularized(*spec) == integrate_three_bessel_regularized(*spec)
 
 
 class TestKernelIdentity:

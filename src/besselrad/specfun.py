@@ -47,14 +47,22 @@ point, so batching changes no value.  The
 extended-precision rescue (`paper_q_combination_all_dec`) runs the same
 code on numpy object arrays of Decimals in a 40-digit context.
 
-All functions are pure and keep no module state, so everything is safe
-for concurrent use.
+The derivative orders at one y do not depend on the orders (l1, l2, n) a
+caller sums them for, and one point's rows ask for many derivative orders
+at one y.  So the only module state is a small memo of derivative chains,
+keyed by (lmax, y, precision): the Q seed and the orders built so far,
+extended on demand and never handed out.  A chain's values do not depend
+on how far it had been extended, so no value depends on call history.  The
+memo is guarded by a lock, and everything is safe for concurrent use.
 """
 
 from __future__ import annotations
 
 import math
-from decimal import Decimal, localcontext
+import threading
+from collections import OrderedDict
+from contextlib import nullcontext
+from decimal import Context, Decimal, localcontext
 from typing import Optional
 
 import numpy as np
@@ -70,6 +78,14 @@ def _positive_finite(**values: float) -> None:
     for name, v in values.items():
         if not (v > 0.0 and math.isfinite(v)):
             raise ValueError(f"{name} must be positive and finite, got {v!r}")
+
+
+def _above_one(y) -> float:
+    """y as a float, if it is finite and above 1: the domain of Q_L and R."""
+    y = float(y)
+    if not (y > 1.0 and math.isfinite(y)):
+        raise ValueError(f"argument must be finite and satisfy y > 1, got {y!r}")
+    return y
 
 
 def _order(name: str, v, maximum: Optional[int], minimum: int = 0) -> int:
@@ -294,10 +310,12 @@ def legendre_q_all(lmax: int, y) -> np.ndarray:
     `_FLOAT_FORWARD_DIGITS` digits, else the backward ratios from that Q_0.
     An array takes the same operations point by point as a float (the seed
     choice, the top ratio and Q_0 per point, the recurrences elementwise),
-    so its values equal the float ones bit for bit.
+    so its values equal the float ones bit for bit.  A float y reads the
+    seed of its chain in the memo (`_chain_values`); the result is a new
+    array either way.
     """
     if np.ndim(y) == 0:
-        return _q_float(lmax, y, _forward_digits(lmax, y) <= _FLOAT_FORWARD_DIGITS)
+        return _chain_values(lmax, 0, float(y), 0)
     forward = np.array([_forward_digits(lmax, v) <= _FLOAT_FORWARD_DIGITS for v in y.tolist()],
                        dtype=bool)
     out = np.empty((lmax + 1,) + y.shape)
@@ -347,10 +365,7 @@ def _q_downward(out: np.ndarray, r, y) -> np.ndarray:
 def legendre_q(L: int, y: float) -> float:
     """Legendre function of the second kind Q_L(y) on the real branch y > 1."""
     L = _order("L", L, _L_MAX_Q)
-    y = float(y)
-    if not (y > 1.0):
-        raise ValueError(f"argument must satisfy y > 1, got {y!r}")
-    return float(legendre_q_all(L, y)[L])
+    return float(legendre_q_all(L, _above_one(y))[L])
 
 
 def paper_q_combination_all(lmax: int, M: int, y) -> np.ndarray:
@@ -359,35 +374,60 @@ def paper_q_combination_all(lmax: int, M: int, y) -> np.ndarray:
     y is a float or a float64 array of points, as for `legendre_q_all`.
     Each derivative order is a few array operations over l (and the
     points); they are the per-l products of the recurrence in the same
-    order, so the values do not depend on the shape of y.
+    order, so the values do not depend on the shape of y.  A float y reads
+    its chain in the memo (`_chain_values`), which keeps the seed and the
+    orders already built for (lmax, y); an array of points runs the same
+    steps on a chain of its own.  The result is a new array either way.
     """
-    return _r_derivatives(legendre_q_all(lmax, y), M, y)
+    if np.ndim(y) == 0:
+        return _chain_values(lmax, M, float(y), 0)
+    return _DerivativeChain(legendre_q_all(lmax, y), y).signed(M)
 
 
-def _r_derivatives(q: np.ndarray, M: int, y) -> np.ndarray:
-    """R(l, M, y) for l = 0..lmax from Q_0..Q_lmax in q, by the derivative recurrence.
+def _r_step(d_prev: Optional[np.ndarray], d_curr: np.ndarray, m: int, y, ym1, ls) -> np.ndarray:
+    """d^(m+1) Q_l/dy^(m+1) for l = 0..lmax from orders m - 1 (d_prev) and m (d_curr).
 
-    q is a float64 array (y a float or an array of points) or an object
-    array of Decimals (y a Decimal, run in the caller's context).
+    Differentiates (y^2 - 1) Q_l' = l (y Q_l - Q_{l-1}) and (y^2 - 1) Q_0' = -1
+    m times; order 1 needs Q only.  ym1 = (y - 1)(y + 1) and ls = 1..lmax,
+    shaped against y, are the chain's constants.  The arrays are float64 (y a
+    float or an array of points) or Decimals (y a Decimal, run in the
+    caller's context).
     """
-    if M == 0:
-        return q
-    ym1 = (y - 1) * (y + 1)  # y^2 - 1 without the cancellation of y * y - 1 near y = 1
-    ls = np.arange(1, len(q)).astype(q.dtype).reshape((-1,) + (1,) * np.ndim(y))
-    d_prev = q                                  # order m - 1
-    d_curr = np.empty_like(q)                   # order m
-    d_curr[0] = -1 / ym1
-    d_curr[1:] = ls * (y * d_prev[1:] - d_prev[:-1]) / ym1
-    for m in range(1, M):
-        d_next = np.empty_like(q)
-        d_next[0] = (-2 * m * y * d_curr[0] - m * (m - 1) * d_prev[0]) / ym1
-        d_next[1:] = (
-            ls * (y * d_curr[1:] + m * d_prev[1:] - d_curr[:-1])
-            - 2 * m * y * d_curr[1:]
-            - m * (m - 1) * d_prev[1:]
-        ) / ym1
-        d_prev, d_curr = d_curr, d_next
-    return -d_curr if M % 2 else d_curr
+    d_next = np.empty_like(d_curr)
+    if m == 0:
+        d_next[0] = -1 / ym1
+        d_next[1:] = ls * (y * d_curr[1:] - d_curr[:-1]) / ym1
+        return d_next
+    d_next[0] = (-2 * m * y * d_curr[0] - m * (m - 1) * d_prev[0]) / ym1
+    d_next[1:] = (
+        ls * (y * d_curr[1:] + m * d_prev[1:] - d_curr[:-1])
+        - 2 * m * y * d_curr[1:]
+        - m * (m - 1) * d_prev[1:]
+    ) / ym1
+    return d_next
+
+
+class _DerivativeChain:
+    """d^m Q_l/dy^m for l = 0..lmax and m = 0, 1, .. at y, extended on demand.
+
+    `orders[m]` holds order m and `orders[0]` the Q seed.  The arrays are
+    float64 (y a float or an array of points) or Decimals (y a Decimal), and
+    every step and the final sign run in the caller's context, which for
+    Decimals `_chain_values` sets.  Order m is the same whichever order was
+    asked for first.
+    """
+
+    def __init__(self, q: np.ndarray, y):
+        self.y, self.orders = y, [q]
+        self.ym1 = (y - 1) * (y + 1)  # y^2 - 1 without the cancellation of y * y - 1 near y = 1
+        self.ls = np.arange(1, len(q)).astype(q.dtype).reshape((-1,) + (1,) * (q.ndim - 1))
+
+    def signed(self, M: int) -> np.ndarray:
+        """R(l, M, y) = (-1)^M d^M Q_l/dy^M for l = 0..lmax, as a new array."""
+        orders = self.orders
+        for m in range(len(orders) - 1, M):
+            orders.append(_r_step(orders[m - 1] if m else None, orders[m], m, self.y, self.ym1, self.ls))
+        return -orders[M] if M % 2 else orders[M].copy()
 
 
 def paper_q_combination(L: int, M: int, y: float) -> float:
@@ -397,10 +437,7 @@ def paper_q_combination(L: int, M: int, y: float) -> float:
     reduces to Q_L(y).
     """
     L, M = _order("L", L, _L_MAX_Q), _order("M", M, _M_MAX_Q)
-    y = float(y)
-    if not (y > 1.0):
-        raise ValueError(f"argument must satisfy y > 1, got {y!r}")
-    return float(paper_q_combination_all(L, M, y)[L])
+    return float(paper_q_combination_all(L, M, _above_one(y))[L])
 
 
 # ----------------------------------------------------------------------
@@ -425,29 +462,73 @@ def _q0_dec(y: Decimal) -> Decimal:
     return +q0
 
 
-def paper_q_combination_all_dec(lmax: int, M: int, y: float, prec: int = 40) -> list[Decimal]:
-    """R(l, M, y) for l = 0..lmax in `prec`-digit decimal arithmetic, y > 1.
+def _q_seed(lmax: int, y: float, prec: int) -> np.ndarray:
+    """Q_0..Q_lmax at a float y: in floats for prec 0, else as prec-digit Decimals.
 
-    Q_l is seeded by the forward recurrence at prec + g digits when its
-    guard g is at most prec, otherwise by the backward ratios, whose top
-    ratio is carried to prec - 4 digits.
+    Floats follow `legendre_q_all`'s rule.  In a prec-digit context, Q_l is
+    seeded by the forward recurrence at prec + g digits when its guard g is
+    at most prec, otherwise by the backward ratios, whose top ratio is
+    carried to prec - 4 digits.
     """
-    if not y > 1.0:
-        raise ValueError(f"argument must satisfy y > 1, got {y!r}")
-    with localcontext() as ctx:
-        ctx.prec = prec
-        y_d = Decimal(y)
-        guard = _forward_guard_digits(lmax, y)
-        q = np.empty(lmax + 1, dtype=object)
-        if guard <= prec:
+    if not prec:
+        return _q_float(lmax, y, _forward_digits(lmax, y) <= _FLOAT_FORWARD_DIGITS)
+    y_d = Decimal(y)
+    guard = _forward_guard_digits(lmax, y)
+    q = np.empty(lmax + 1, dtype=object)
+    if guard <= prec:
+        with localcontext() as ctx:
             ctx.prec = prec + guard
             q[0] = _q0_dec(y_d)
             _q_forward(q, y_d)
-            ctx.prec = prec
-            q = np.array([+v for v in q.tolist()], dtype=object)
-        else:
-            q[0] = _q0_dec(y_d)
-            if lmax >= 1:
-                _q_downward(q, _q_ratio(lmax + 1, y_d, prec - 4), y_d)
-        return _r_derivatives(q, M, y_d).tolist()
+        return np.array([+v for v in q.tolist()], dtype=object)
+    q[0] = _q0_dec(y_d)
+    if lmax >= 1:
+        _q_downward(q, _q_ratio(lmax + 1, y_d, prec - 4), y_d)
+    return q
 
+
+def paper_q_combination_all_dec(lmax: int, M: int, y: float, prec: int = 40) -> list[Decimal]:
+    """R(l, M, y) for l = 0..lmax in `prec`-digit decimal arithmetic, y > 1.
+
+    The Q seed is `_q_seed`'s.  The values come from the chain of
+    (lmax, y, prec) in the memo (`_chain_values`), as a new list; they do
+    not depend on the caller's decimal context.
+    """
+    lmax, M = _order("lmax", lmax, _L_MAX_Q), _order("M", M, _M_MAX_Q)
+    prec = _order("prec", prec, None, minimum=1)
+    return _chain_values(lmax, M, _above_one(y), prec).tolist()
+
+
+# ----------------------------------------------------------------------
+# the memo of derivative chains
+#
+# A point's one-point rows (`table` orders with few rows, `eval`, the
+# library) ask for R(., M, y) at one y for many (lmax, M).  Each key's
+# chain is seeded once and extended to the highest M asked for.  The seed
+# rule, the guard digits and the top ratio depend on lmax, so a key's lmax
+# is never topped up; a new lmax is a new key.  The least recently used
+# chain goes once the memo holds `_CHAINS_MAX`.  Every order (l1, l2, n)
+# with l1, l2 <= 10 at one point, as the benchmark's `order_scan` runs
+# them, needs at most 22 keys (11 values of lmax at each precision; 21 on
+# average, 10 of them at 40 digits), so the bound holds them all.  At most
+# it holds about 0.5 MB, nearly all in 40-digit chains.  One lock guards
+# the memo and every extension.
+
+_CHAINS_MAX = 24
+_CHAINS: OrderedDict = OrderedDict()
+_CHAINS_LOCK = threading.Lock()
+
+
+def _chain_values(lmax: int, M: int, y: float, prec: int) -> np.ndarray:
+    """R(l, M, y) for l = 0..lmax from the memo's chain of (lmax, y, prec), as a new array."""
+    key = (lmax, y, prec)
+    # a fresh context: a chain's values must not depend on its first caller's
+    with _CHAINS_LOCK, localcontext(Context(prec=prec)) if prec else nullcontext():
+        chain = _CHAINS.get(key)
+        if chain is None:
+            chain = _CHAINS[key] = _DerivativeChain(_q_seed(lmax, y, prec), Decimal(y) if prec else y)
+            if len(_CHAINS) > _CHAINS_MAX:
+                _CHAINS.popitem(last=False)
+        else:
+            _CHAINS.move_to_end(key)
+        return chain.signed(M)

@@ -1,6 +1,9 @@
 import functools
 import math
+import sys
+import threading
 import warnings
+from decimal import ROUND_DOWN, Context, Decimal, localcontext
 from fractions import Fraction
 
 import mpmath as mp
@@ -186,6 +189,11 @@ class TestLegendreQ:
         with pytest.raises(ValueError):
             legendre_q(2, 0.5)
 
+    @pytest.mark.parametrize("y", [math.inf, math.nan])
+    def test_non_finite_argument(self, y):
+        with pytest.raises(ValueError, match=f"got {y!r}"):
+            legendre_q(3, y)
+
 
 class TestPaperQCombination:
     def test_order_zero_reduces_to_q(self):
@@ -226,6 +234,28 @@ class TestPaperQCombination:
             paper_q_combination(2, 1, 1.0)
         with pytest.raises(ValueError):
             paper_q_combination(2, -1, 2.0)
+
+    @pytest.mark.parametrize("y", [math.inf, math.nan])
+    def test_non_finite_argument(self, y):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"got {y!r}"):
+                paper_q_combination(3, 2, y)
+
+    @pytest.mark.parametrize("y", [math.inf, math.nan])
+    def test_40_digits_non_finite_argument(self, y):
+        with pytest.raises(ValueError, match=f"got {y!r}"):
+            specfun.paper_q_combination_all_dec(3, 2, y)
+
+    def test_40_digits_orders_checked(self):
+        specfun.paper_q_combination_all_dec(60, 40, 2.0)  # both maxima are accepted
+        with pytest.raises(ValueError, match="M=41 exceeds the supported maximum 40"):
+            specfun.paper_q_combination_all_dec(3, 41, 2.0)
+        with pytest.raises(ValueError, match="lmax=61 exceeds the supported maximum 60"):
+            specfun.paper_q_combination_all_dec(61, 2, 2.0)
+        for M in (-1, 2.0):
+            with pytest.raises(ValueError, match="M must be an integer"):
+                specfun.paper_q_combination_all_dec(3, M, 2.0)
 
 
 def q_combination_loop(lmax, M, y):
@@ -375,6 +405,7 @@ class TestDecimalSeed:
         with mp.workdps(50):
             assert max(abs(mp.mpf(str(a)) / b - 1) for a, b in zip(dec, ref)) <= mp.mpf("1e-38")
 
+    @pytest.mark.usefixtures("cold_q_memo")  # a warm chain runs no seed
     @pytest.mark.parametrize("y", SEED_GRID_Y + [1e300])
     @pytest.mark.parametrize("lmax", [0, 1, 8, 20, 30, 40])
     def test_continued_fraction_only_past_the_guard_rule(self, monkeypatch, y, lmax):
@@ -452,6 +483,7 @@ class TestFloatSeed:
                 if abs(ref[l]) >= mp.mpf("1e-290"):  # else the float value underflows
                     assert abs(q[l] / ref[l] - 1) <= (l + 1) * 1e-15, (y, l)
 
+    @pytest.mark.usefixtures("cold_q_memo")  # a warm chain runs no seed
     @pytest.mark.parametrize("lmax", [0, 1, 8, 20, 30, 40])
     def test_continued_fraction_only_past_the_budget(self, monkeypatch, lmax):
         # the top ratio Q_{lmax+1}/Q_lmax, to 16 digits, seeds Q only past the budget
@@ -470,3 +502,95 @@ class TestFloatSeed:
             specfun.paper_q_combination_all(lmax, 2, np.array(ys))
         assert len(calls) == sum(past)
         assert all(top == lmax + 1 and digits == 16 for top, _, digits in calls)
+
+
+def memo_values(lmax, M, y, prec):
+    """R(l, M, y), l = 0..lmax, as bytes (floats, prec 0) or digit strings (prec-digit Decimals)."""
+    if prec:
+        return [str(v) for v in specfun.paper_q_combination_all_dec(lmax, M, y, prec)]
+    return specfun.paper_q_combination_all(lmax, M, y).tobytes()
+
+
+MEMO_ORDERS = [(0, 0), (5, 3), (20, 21), (40, 12), (40, 21)]
+
+
+@pytest.mark.usefixtures("cold_q_memo")
+class TestChainMemo:
+    """A value read from the memo of derivative chains does not depend on what was asked before."""
+
+    @pytest.mark.parametrize("prec", [0, 40])
+    @pytest.mark.parametrize("y", SEED_GRID_Y)
+    def test_cold_warm_and_extended_agree(self, y, prec):
+        with np.errstate(all="ignore"):
+            cold = {}
+            for lmax, M in MEMO_ORDERS:
+                specfun._CHAINS.clear()
+                cold[lmax, M] = memo_values(lmax, M, y, prec)
+                if not prec:  # the array path never reads the memo
+                    column = specfun.paper_q_combination_all(lmax, M, np.array([y]))[:, 0]
+                    assert column.tobytes() == cold[lmax, M]
+            specfun._CHAINS.clear()
+            # (40, 21) extends the chain of (40, 12); the reverse pass reads every
+            # order warm, the lower M of lmax = 40 after the higher one
+            for lmax, M in MEMO_ORDERS + MEMO_ORDERS[::-1]:
+                assert memo_values(lmax, M, y, prec) == cold[lmax, M], (lmax, M)
+
+    def test_caller_context_changes_no_value(self):
+        cold = memo_values(10, 5, 1.3, 40)
+        specfun._CHAINS.clear()
+        with localcontext(Context(prec=12, rounding=ROUND_DOWN)):
+            first = [str(v) for v in specfun.paper_q_combination_all_dec(10, 5, 1.3)]
+        assert first == cold
+        assert memo_values(10, 5, 1.3, 40) == cold
+
+    @pytest.mark.parametrize("M", [0, 2, 3])
+    def test_changing_a_result_changes_no_later_one(self, M):
+        y = 1.7
+        for read in (lambda: specfun.paper_q_combination_all(8, M, y), lambda: specfun.legendre_q_all(8, y)):
+            values = read()
+            expected = values.tobytes()
+            values[:] = -1.0
+            assert read().tobytes() == expected
+        values = specfun.paper_q_combination_all_dec(8, M, y)
+        expected = [str(v) for v in values]
+        values[:] = [Decimal(-1)] * len(values)
+        assert [str(v) for v in specfun.paper_q_combination_all_dec(8, M, y)] == expected
+
+    def test_bounded(self):
+        for i, y in enumerate(np.linspace(1.5, 3.0, 1000).tolist()):
+            specfun.paper_q_combination_all(2, 1, y)
+            if i % 10 == 0:
+                specfun.paper_q_combination_all_dec(2, 1, y)
+            assert len(specfun._CHAINS) <= specfun._CHAINS_MAX
+
+    def test_concurrent_extension_of_one_chain(self):
+        y, lmax, top = 1.05, 20, 21
+        cold = {}
+        for M in range(top + 1):
+            specfun._CHAINS.clear()
+            cold[M] = (memo_values(lmax, M, y, 0), memo_values(lmax, M, y, 40))
+        ascending = list(range(top + 1))
+        orders = [ascending, ascending[::-1], ascending[1::2] + ascending[::2],
+                  [int(M) for M in np.random.default_rng(7).permutation(top + 1)]]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(10):  # each round races four threads on one cold key
+                specfun._CHAINS.clear()
+                results = [None] * len(orders)
+                start = threading.Barrier(len(orders))
+
+                def extend(i):
+                    start.wait(timeout=60)
+                    results[i] = {M: (memo_values(lmax, M, y, 0), memo_values(lmax, M, y, 40))
+                                  for M in orders[i]}
+
+                threads = [threading.Thread(target=extend, args=(i,)) for i in range(len(orders))]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=120)
+                assert not any(t.is_alive() for t in threads)
+                assert all(r == cold for r in results)
+        finally:
+            sys.setswitchinterval(interval)

@@ -33,3 +33,35 @@ def test_traced_table_equals_plain(monkeypatch, tmp_path):
     assert {"closedform.bare_integral", "oracle.integrate_two_bessel"} <= kinds
     # two rows per order, below BATCH_MIN_ROWS: one bare_integral call per row
     assert spans.layer_metrics(tracer.spans)["closedform.calls"] == 6
+
+
+def test_order_sweep_at_one_point(monkeypatch, tmp_path, cold_q_memo):
+    # every order (4, l2, n) at one point near y = 2, one row each: the one-point path
+    for module in (closedform, specfun, oracle):
+        for name, value in list(vars(module).items()):
+            if callable(value):
+                monkeypatch.setattr(module, name, value)
+    argv = ["table", "--sweep", "lambda2=0:10:11", "--sweep", "power=1:21:21", "--lambda1", "4",
+            "--k1", "1", "--k2", "1", "--alpha", "1.4", "--quiet"]
+    assert cli.main(argv + ["--out", str(tmp_path / "plain.csv")]) == 0
+    specfun._CHAINS.clear()
+    rescued, seeds, keys = [], [], set()
+    weighted_sum, seed, chain_values = closedform._decimal_weighted_sum, specfun._q_seed, specfun._chain_values
+    monkeypatch.setattr(closedform, "_decimal_weighted_sum",
+                        lambda *a: rescued.append(a) or weighted_sum(*a))
+    monkeypatch.setattr(specfun, "_q_seed",
+                        lambda lmax, y, prec: seeds.append((lmax, prec)) or seed(lmax, y, prec))
+    monkeypatch.setattr(specfun, "_chain_values",
+                        lambda lmax, M, y, prec: keys.add((lmax, prec)) or chain_values(lmax, M, y, prec))
+    spans = _load_spans()
+    tracer = spans.Tracer()
+    spans.install(tracer, closedform, specfun, oracle)
+    assert cli.main(argv + ["--out", str(tmp_path / "traced.csv")]) == 0
+    assert (tmp_path / "traced.csv").read_bytes() == (tmp_path / "plain.csv").read_bytes()
+    # one 40-digit span per rescued row, whether its chain was built or read
+    metrics = spans.layer_metrics(tracer.spans)
+    assert metrics["closedform.rescue_calls"] == len(rescued)
+    assert len({(lmax, prec) for lmax, prec in seeds if prec}) < len(rescued)
+    # the Q seed runs once per (lmax, precision) the point asks for, at both precisions
+    assert sorted(seeds) == sorted(keys)
+    assert {prec for _, prec in seeds} == {0, 40}

@@ -214,10 +214,12 @@ def _w3j000(a: int, b: int, c: int) -> float:
 
 
 def _coupling_terms(l1: int, l2: int, l3: int):
-    """Yield (script_l, l, sign, radicand) for every nonzero 3j*3j*6j product.
+    """Yield (script_l, l, sign, (num, den)) for every nonzero 3j*3j*6j product.
 
     The parity gate runs before any symbol is evaluated, so the cost is
-    dominated by the nonzero terms.  sign * sqrt(radicand) is exact.
+    dominated by the nonzero terms.  sign * sqrt(num / den) is exact; num
+    and den are the products of the three radicands' numerators and
+    denominators, left unreduced.
     """
     for scr in range(l3 + 1):
         l_lo, l_hi = summation_bounds(l1, l2, l3, scr)
@@ -232,7 +234,10 @@ def _coupling_terms(l1: int, l2: int, l3: int):
             sign = w1.sign * w2.sign * w6.sign
             if sign == 0:
                 continue
-            yield scr, l, sign, w1.radicand * w2.radicand * w6.radicand
+            yield scr, l, sign, (
+                w1.radicand_num * w2.radicand_num * w6.radicand_num,
+                w1.radicand_den * w2.radicand_den * w6.radicand_den,
+            )
 
 
 class _CouplingSet(NamedTuple):
@@ -267,22 +272,24 @@ def _coupling_set(l1: int, l2: int, l3: int) -> Optional[_CouplingSet]:
     """The coupling set of (l1, l2, l3), compiled once per process; None when empty.
 
     One pass over `_coupling_terms` gives both precisions, so each Wigner
-    symbol of the set is evaluated once per process.
+    symbol of the set is evaluated once per process.  Int / int true
+    division and Decimal division are correctly rounded, so a weight taken
+    from the unreduced num / den equals the one of the reduced fraction.
     """
     terms = list(_coupling_terms(l1, l2, l3))
     if not terms:
         return None
     index = np.array([(scr, l) for scr, l, _, _ in terms]).T
     factors = np.array([
-        (math.sqrt(math.comb(2 * l3, 2 * scr)), 2 * l + 1, sign * math.sqrt(float(rad)))
-        for scr, l, sign, rad in terms
+        (math.sqrt(math.comb(2 * l3, 2 * scr)), 2 * l + 1, sign * math.sqrt(num / den))
+        for scr, l, sign, (num, den) in terms
     ]).T
     binom = _binom_dec(l3)
     with localcontext() as ctx:
         ctx.prec = _RESCUE_DIGITS
         exact = np.array([
-            (binom[scr], 2 * l + 1, sign * (Decimal(rad.numerator) / Decimal(rad.denominator)).sqrt())
-            for scr, l, sign, rad in terms
+            (binom[scr], 2 * l + 1, sign * (Decimal(num) / Decimal(den)).sqrt())
+            for scr, l, sign, (num, den) in terms
         ], dtype=object).T
     return _CouplingSet(index, factors, exact, int(index[1].max()))
 

@@ -9,6 +9,15 @@ floating point, and exactness is cheap at the sizes supported here
 sign * sqrt(rational) closure and the radial-integral sums never need
 them.
 
+Each Racah sum runs in Python ints over one common denominator
+(`_racah_sum`): every term times that denominator is a product of
+factorial quotients, so no term forms a fraction.  The symbol's square,
+(sum / den)^2 times its triangle and projection factorials, is then built
+as one `Fraction`: one gcd reduction per symbol instead of one per term.
+Every 6j the closed form asks for, {l1 l2 l3; s l3-s l}, is stretched
+(j4 + j5 = j3): one upper bound of its sum, j1 + j2 + j4 + j5, equals one
+lower bound, j1 + j2 + j3, so the sum has one term and costs one product.
+
 Evaluation is total: non-triangular triads or projections that do not sum
 to zero yield an exact zero value rather than an error.
 
@@ -43,9 +52,11 @@ class WignerValue:
     def __post_init__(self) -> None:
         if self.sign not in (-1, 0, 1):
             raise ValueError(f"sign must be -1, 0 or +1, got {self.sign!r}")
-        if self.radicand < 0:
+        # a Fraction carries its sign in the numerator: int comparisons, no Fraction arithmetic
+        num = self.radicand.numerator
+        if num < 0:
             raise ValueError("radicand must be non-negative")
-        if (self.sign == 0) != (self.radicand == 0):
+        if (self.sign == 0) != (num == 0):
             raise ValueError("zero is represented as sign=0 with radicand 0")
 
     @property
@@ -71,14 +82,6 @@ class WignerValue:
     @classmethod
     def zero(cls) -> "WignerValue":
         return cls(0, Fraction(0))
-
-    @classmethod
-    def from_signed_sqrt(cls, coeff: Fraction, radicand: Fraction) -> "WignerValue":
-        """Value coeff * sqrt(radicand) folded into canonical form."""
-        if coeff == 0 or radicand == 0:
-            return cls.zero()
-        sign = 1 if coeff > 0 else -1
-        return cls(sign, coeff * coeff * radicand)
 
 
 @dataclass(frozen=True)
@@ -114,42 +117,65 @@ def threej_000_nonzero(l1: int, l2: int, l3: int) -> bool:
     return (l1 + l2 + l3) % 2 == 0 and _triangle_ok(l1, l2, l3)
 
 
-def _triangle_fraction(a: int, b: int, c: int) -> Fraction:
-    """(a+b-c)! (a-b+c)! (-a+b+c)! / (a+b+c+1)!"""
-    return Fraction(
-        _FACT[a + b - c] * _FACT[a - b + c] * _FACT[-a + b + c],
-        _FACT[a + b + c + 1],
-    )
+def _racah_sum(ups: tuple[int, ...], lows: tuple[int, ...], highs: tuple[int, ...]) -> tuple[int, int]:
+    """The Racah series sum_k (-1)^k prod (k + u)! / (prod (k - a)! prod (b - k)!)
+    over max(lows) <= k <= min(highs), as integers (total, den) with the sum
+    equal to total / den.
+
+    The common denominator takes each (k - a)! at k = kmax and each (b - k)!
+    at k = kmin, where they are largest, so den / (term's denominator) is a
+    product of factorial quotients and every term is an integer.  The 3j
+    sum has no factorial above the line (ups = ()), the 6j sum has (k + 1)!
+    (ups = (1,)).  An empty range gives (0, 1).
+    """
+    kmin, kmax = max(lows), min(highs)
+    if kmin > kmax:
+        return 0, 1
+    den = 1
+    for a in lows:
+        den *= _FACT[kmax - a]
+    for b in highs:
+        den *= _FACT[b - kmin]
+    total = 0
+    for k in range(kmin, kmax + 1):
+        term = -1 if k % 2 else 1
+        for u in ups:
+            term *= _FACT[k + u]
+        for a in lows:
+            term *= _FACT[kmax - a] // _FACT[k - a]
+        for b in highs:
+            term *= _FACT[b - kmin] // _FACT[b - k]
+        total += term
+    return total, den
+
+
+def _triangle(a: int, b: int, c: int) -> tuple[int, int]:
+    """The triangle coefficient (a+b-c)! (a-b+c)! (-a+b+c)! / (a+b+c+1)! as (num, den)."""
+    return _FACT[a + b - c] * _FACT[a - b + c] * _FACT[-a + b + c], _FACT[a + b + c + 1]
+
+
+def _value(phase: int, total: int, den: int, num: int, rad_den: int) -> WignerValue:
+    """phase * (total / den) * sqrt(num / rad_den), its radicand reduced once."""
+    if total == 0:
+        return WignerValue.zero()
+    sign = phase if total > 0 else -phase
+    return WignerValue(sign, Fraction(total * total * num, den * den * rad_den))
 
 
 @lru_cache(maxsize=None)
 def _three_j(j1: int, j2: int, j3: int, m1: int, m2: int, m3: int) -> WignerValue:
     if m1 + m2 + m3 != 0 or not _triangle_ok(j1, j2, j3):
         return WignerValue.zero()
-    kmin = max(0, j2 - j3 - m1, j1 - j3 + m2)
-    kmax = min(j1 + j2 - j3, j1 - m1, j2 + m2)
-    if kmin > kmax:
-        return WignerValue.zero()
-    s = Fraction(0)
-    for k in range(kmin, kmax + 1):
-        den = (
-            _FACT[k]
-            * _FACT[j1 + j2 - j3 - k]
-            * _FACT[j1 - m1 - k]
-            * _FACT[j2 + m2 - k]
-            * _FACT[j3 - j2 + m1 + k]
-            * _FACT[j3 - j1 - m2 + k]
-        )
-        s += Fraction(-1 if k % 2 else 1, den)
-    if s == 0:
-        return WignerValue.zero()
-    radicand = _triangle_fraction(j1, j2, j3) * (
+    total, den = _racah_sum(
+        (), (0, j2 - j3 - m1, j1 - j3 + m2), (j1 + j2 - j3, j1 - m1, j2 + m2)
+    )
+    num, rad_den = _triangle(j1, j2, j3)
+    num *= (
         _FACT[j1 - m1] * _FACT[j1 + m1]
         * _FACT[j2 - m2] * _FACT[j2 + m2]
         * _FACT[j3 - m3] * _FACT[j3 + m3]
     )
-    phase = -1 if (j1 - j2 - m3) % 2 else 1
-    return WignerValue.from_signed_sqrt(phase * s, radicand)
+    return _value(-1 if (j1 - j2 - m3) % 2 else 1, total, den, num, rad_den)
 
 
 def wigner_3j(a: AngularMomenta3j) -> WignerValue:
@@ -159,29 +185,16 @@ def wigner_3j(a: AngularMomenta3j) -> WignerValue:
 
 def _six_j(j1: int, j2: int, j3: int, j4: int, j5: int, j6: int) -> WignerValue:
     triads = ((j1, j2, j3), (j1, j5, j6), (j4, j2, j6), (j4, j5, j3))
-    if not all(_triangle_ok(*t) for t in triads):
-        return WignerValue.zero()
-    a1 = j1 + j2 + j3
-    a2 = j1 + j5 + j6
-    a3 = j4 + j2 + j6
-    a4 = j4 + j5 + j3
-    b1 = j1 + j2 + j4 + j5
-    b2 = j2 + j3 + j5 + j6
-    b3 = j3 + j1 + j6 + j4
-    s = Fraction(0)
-    for k in range(max(a1, a2, a3, a4), min(b1, b2, b3) + 1):
-        num = _FACT[k + 1]
-        den = (
-            _FACT[k - a1] * _FACT[k - a2] * _FACT[k - a3] * _FACT[k - a4]
-            * _FACT[b1 - k] * _FACT[b2 - k] * _FACT[b3 - k]
-        )
-        s += Fraction(-num if k % 2 else num, den)
-    if s == 0:
-        return WignerValue.zero()
-    radicand = Fraction(1)
-    for t in triads:
-        radicand *= _triangle_fraction(*t)
-    return WignerValue.from_signed_sqrt(s, radicand)
+    num = rad_den = 1
+    for a, b, c in triads:
+        if not _triangle_ok(a, b, c):
+            return WignerValue.zero()
+        tn, td = _triangle(a, b, c)
+        num, rad_den = num * tn, rad_den * td
+    total, den = _racah_sum(
+        (1,), tuple(map(sum, triads)), (j1 + j2 + j4 + j5, j2 + j3 + j5 + j6, j3 + j1 + j6 + j4)
+    )
+    return _value(1, total, den, num, rad_den)
 
 
 def wigner_6j(j1: int, j2: int, j3: int, j4: int, j5: int, j6: int) -> WignerValue:

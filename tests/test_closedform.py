@@ -422,15 +422,18 @@ class TestCouplingSet:
                 binom, two_l1, weight = cs.factors.tolist()
                 assert binom == [math.sqrt(math.comb(2 * l3, 2 * t[0])) for t in terms]
                 assert two_l1 == [float(2 * t[1] + 1) for t in terms]
-                assert weight == [t[2] * math.sqrt(float(t[3])) for t in terms]
+                # the radicand comes unreduced as (num, den); the factors are those of the reduced fraction
+                radicands = [Fraction(num, den) for _, _, _, (num, den) in terms]
+                signs = [t[2] for t in terms]
+                assert weight == [s * math.sqrt(float(r)) for s, r in zip(signs, radicands)]
                 assert cs.l_need == max(t[1] for t in terms)
                 with localcontext() as ctx:
                     ctx.prec = closedform._RESCUE_DIGITS
                     exact = [
                         [Decimal(math.comb(2 * l3, 2 * scr)).sqrt() for scr, _, _, _ in terms],
                         [2 * l + 1 for _, l, _, _ in terms],
-                        [sign * (Decimal(rad.numerator) / Decimal(rad.denominator)).sqrt()
-                         for _, _, sign, rad in terms],
+                        [s * (Decimal(r.numerator) / Decimal(r.denominator)).sqrt()
+                         for s, r in zip(signs, radicands)],
                     ]
                 # repr tells Decimal('3') from 3 and Decimal('3.0') from Decimal('3')
                 got = [list(map(repr, row)) for row in cs.exact.tolist()]

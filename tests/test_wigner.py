@@ -1,16 +1,22 @@
 import math
 from fractions import Fraction
+import itertools
 from itertools import permutations
 
 import mpmath as mp
 import pytest
 import sympy.physics.wigner as spw
-from hypothesis import given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
+from besselrad import closedform
 from besselrad.wigner import (
+    _FACT,
+    _J_MAX,
     AngularMomenta3j,
     WignerValue,
     _orthogonality_defect,
+    _six_j,
+    _three_j,
     threej_000_nonzero,
     wigner_3j,
     wigner_6j,
@@ -19,6 +25,92 @@ from besselrad.wigner import (
 
 def w3(j1, j2, j3, m1, m2, m3):
     return wigner_3j(AngularMomenta3j(j1, j2, j3, m1, m2, m3))
+
+
+def _triangle_fraction(a, b, c):
+    return Fraction(_FACT[a + b - c] * _FACT[a - b + c] * _FACT[-a + b + c], _FACT[a + b + c + 1])
+
+
+def _signed_sqrt(coeff, radicand):
+    """coeff * sqrt(radicand) as a WignerValue."""
+    if coeff == 0:
+        return WignerValue.zero()
+    return WignerValue(1 if coeff > 0 else -1, coeff * coeff * radicand)
+
+
+def reference_3j(j1, j2, j3, m1, m2, m3):
+    """The Racah sum of the 3j symbol, one reduced Fraction per term."""
+    if m1 + m2 + m3 != 0 or not abs(j1 - j2) <= j3 <= j1 + j2:
+        return WignerValue.zero()
+    s = Fraction(0)
+    for k in range(max(0, j2 - j3 - m1, j1 - j3 + m2), min(j1 + j2 - j3, j1 - m1, j2 + m2) + 1):
+        den = (
+            _FACT[k] * _FACT[j1 + j2 - j3 - k] * _FACT[j1 - m1 - k] * _FACT[j2 + m2 - k]
+            * _FACT[j3 - j2 + m1 + k] * _FACT[j3 - j1 - m2 + k]
+        )
+        s += Fraction(-1 if k % 2 else 1, den)
+    radicand = _triangle_fraction(j1, j2, j3) * (
+        _FACT[j1 - m1] * _FACT[j1 + m1] * _FACT[j2 - m2] * _FACT[j2 + m2]
+        * _FACT[j3 - m3] * _FACT[j3 + m3]
+    )
+    return _signed_sqrt((-1 if (j1 - j2 - m3) % 2 else 1) * s, radicand)
+
+
+def _triads(j1, j2, j3, j4, j5, j6):
+    return (j1, j2, j3), (j1, j5, j6), (j4, j2, j6), (j4, j5, j3)
+
+
+def _triads_close(js):
+    return all(abs(a - b) <= c <= a + b for a, b, c in _triads(*js))
+
+
+def _six_j_range(j1, j2, j3, j4, j5, j6):
+    """kmin, kmax of the 6j Racah sum: the largest triad sum, the smallest sum of opposite pairs."""
+    triads = _triads(j1, j2, j3, j4, j5, j6)
+    return max(map(sum, triads)), min(j1 + j2 + j4 + j5, j2 + j3 + j5 + j6, j3 + j1 + j6 + j4)
+
+
+def reference_6j(j1, j2, j3, j4, j5, j6):
+    """The Racah sum of the 6j symbol, one reduced Fraction per term."""
+    triads = _triads(j1, j2, j3, j4, j5, j6)
+    if not _triads_close((j1, j2, j3, j4, j5, j6)):
+        return WignerValue.zero()
+    a = [sum(t) for t in triads]
+    b = (j1 + j2 + j4 + j5, j2 + j3 + j5 + j6, j3 + j1 + j6 + j4)
+    kmin, kmax = _six_j_range(j1, j2, j3, j4, j5, j6)
+    s = Fraction(0)
+    for k in range(kmin, kmax + 1):
+        den = math.prod(_FACT[k - x] for x in a) * math.prod(_FACT[x - k] for x in b)
+        s += Fraction(-_FACT[k + 1] if k % 2 else _FACT[k + 1], den)
+    radicand = math.prod((_triangle_fraction(*t) for t in triads), start=Fraction(1))
+    return _signed_sqrt(s, radicand)
+
+
+def _sympy_exact(ref):
+    """A sympy symbol value as (sign, squared value)."""
+    sign = 1 if ref.is_positive else (-1 if ref.is_negative else 0)
+    return sign, Fraction(int((ref**2).p), int((ref**2).q))
+
+
+@st.composite
+def _three_j_args(draw):
+    j1, j2 = draw(st.integers(0, _J_MAX)), draw(st.integers(0, _J_MAX))
+    j3 = draw(st.integers(abs(j1 - j2), min(j1 + j2, _J_MAX)))
+    m1 = draw(st.integers(-j1, j1))
+    m2 = draw(st.integers(max(-j2, -j3 - m1), min(j2, j3 - m1)))
+    return j1, j2, j3, m1, m2, -m1 - m2
+
+
+@st.composite
+def _six_j_args(draw):
+    # every triad of {j1 j2 j3; j4 j5 j6} closes: (j1 j2 j3), (j4 j5 j3), (j1 j5 j6), (j4 j2 j6)
+    j1, j2 = draw(st.integers(0, _J_MAX)), draw(st.integers(0, _J_MAX))
+    j3 = draw(st.integers(abs(j1 - j2), min(j1 + j2, _J_MAX)))
+    j4 = draw(st.integers(0, _J_MAX))
+    j5 = draw(st.integers(abs(j4 - j3), min(j4 + j3, _J_MAX)))
+    lo, hi = max(abs(j1 - j5), abs(j4 - j2)), min(j1 + j5, j4 + j2, _J_MAX)
+    assume(lo <= hi)
+    return j1, j2, j3, j4, j5, draw(st.integers(lo, hi))
 
 
 class TestWignerValue:
@@ -164,3 +256,67 @@ class TestOrthogonality:
                     for j3p in range(j3, hi + 1):
                         for m3 in range(-min(j3, j3p), min(j3, j3p) + 1):
                             assert _orthogonality_defect(j1, j2, j3, m3, j3p, m3) == 0
+
+
+class TestIntegerRacahSums:
+    """The integer sums over one common denominator equal the Fraction-per-term Racah sums."""
+
+    def test_every_3j_up_to_6(self):
+        # the uncached function: these symbols would otherwise stay in the cache for the whole test run
+        three_j = _three_j.__wrapped__
+        for j1 in range(7):
+            for j2 in range(7):
+                for j3 in range(7):
+                    for m1 in range(-j1, j1 + 1):
+                        for m2 in range(-j2, j2 + 1):
+                            for m3 in range(-j3, j3 + 1):
+                                js = (j1, j2, j3, m1, m2, m3)
+                                assert three_j(*js) == reference_3j(*js), js
+
+    def test_every_6j_up_to_6(self):
+        for js in itertools.product(range(7), repeat=6):
+            assert _six_j(*js) == reference_6j(*js), js
+
+    @given(_three_j_args())
+    @example((60, 60, 60, 0, 0, 0))
+    @example((60, 40, 30, 17, -23, 6))
+    def test_3j_samples(self, js):
+        assert _three_j.__wrapped__(*js) == reference_3j(*js)
+
+    @given(_six_j_args())
+    @example((60, 60, 60, 60, 60, 60))
+    @example((30, 40, 50, 35, 45, 40))
+    def test_6j_samples(self, js):
+        assert wigner_6j(*js) == reference_6j(*js)
+
+    def test_samples_reach_several_terms(self):
+        # the @example symbols above sum many terms: the common denominator is exercised
+        assert _six_j_range(60, 60, 60, 60, 60, 60) == (180, 240)
+        assert _six_j_range(30, 40, 50, 35, 45, 40) == (130, 150)
+
+    @pytest.mark.parametrize(
+        "js", [(30, 40, 50, 7, -12, 5), (60, 45, 30, -20, 11, 9), (50, 50, 60, 0, 0, 0)]
+    )
+    def test_3j_sympy_large(self, js):
+        mine = w3(*js)
+        assert (mine.sign, mine.radicand) == _sympy_exact(spw.wigner_3j(*js))
+
+    @pytest.mark.parametrize("js", [(30, 40, 50, 35, 45, 40), (60, 55, 45, 40, 50, 60)])
+    def test_6j_sympy_large(self, js):
+        mine = wigner_6j(*js)
+        assert (mine.sign, mine.radicand) == _sympy_exact(spw.wigner_6j(*js))
+
+    def test_coupling_set_6j_are_stretched(self, monkeypatch):
+        # {l1 l2 l3; scr l3-scr l} has j4 + j5 = j3, so the triad sum j1 + j2 + j3 equals the
+        # pair sum j1 + j2 + j4 + j5: once its triads close (else the symbol is 0 before any
+        # sum), kmin == kmax, and the Racah sum is one product
+        calls = []
+        monkeypatch.setattr(closedform, "wigner_6j", lambda *js: calls.append(js) or WignerValue.zero())
+        for l1, l2, l3 in itertools.product(range(21), repeat=3):
+            for _ in closedform._coupling_terms(l1, l2, l3):
+                pass
+        summed = [js for js in calls if _triads_close(js)]
+        assert len(summed) > len(calls) // 2
+        for js in summed:
+            kmin, kmax = _six_j_range(*js)
+            assert kmin == kmax, js

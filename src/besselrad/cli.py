@@ -422,10 +422,11 @@ def _suite_eq212(max_l: int, tol: float):
 
 
 _EQ21_LAMBDAS = ((0, 0, 0), (1, 1, 0), (0, 1, 1), (1, 1, 2), (2, 2, 2))
-_EQ21_KTRIPLES = ((1.0, 1.0, 1.0), (1.0, 2.0, 2.5), (1.0, 1.0, 3.0))
+_EQ21_KTRIPLES = ((1.0, 1.0, 1.0), (1.0, 2.0, 2.5), (0.5, 1.0, 1.2), (1.0, 1.0, 3.0))
 
 
 def _suite_eq21(max_l: int, tol: float):
+    """Fixed cases: `max_l` bounds none of them."""
     for l1, l2, l3 in _EQ21_LAMBDAS:
         for k1, k2, k3 in _EQ21_KTRIPLES:
             cf = closedform.three_bessel_product(l1, l2, l3, k1, k2, k3)
@@ -435,48 +436,55 @@ def _suite_eq21(max_l: int, tol: float):
             scale = max(1.0, abs(cf), abs(w3 * q.value))
             label = f"eq21 l=({l1},{l2},{l3}) k=({k1:g},{k2:g},{k3:g})"
             yield label, diff <= tol * scale, f"diff={diff:.3e}"
+    q = oracle.integrate_three_bessel_regularized(0, 0, 0, 1.0, 1.0, 1.0)
+    diff = abs(q.value - math.pi / 4)
+    yield "eq21 oracle l=(0,0,0) k=(1,1,1) vs pi/4", diff <= tol, f"diff={diff:.3e}"
 
 
 def _suite_wigner(max_l: int, tol: float):
-    jmax = 5
-    for j1 in range(jmax + 1):
-        for j2 in range(jmax + 1):
-            lo = abs(j1 - j2)
+    """Exact relations: orthogonality for j1, j2 <= max_l + 1 and every j3, j3',
+    the 3j and 6j symmetries for every momentum <= max_l."""
+    for j1 in range(max_l + 2):
+        for j2 in range(max_l + 2):
             hi = j1 + j2
-            for j3 in range(lo, min(hi, jmax) + 1):
-                for j3p in range(j3, min(hi, jmax) + 1):
+            for j3 in range(abs(j1 - j2), hi + 1):
+                for j3p in range(j3, hi + 1):
                     for m3 in range(-min(j3, j3p), min(j3, j3p) + 1):
                         defect = wigner._orthogonality_defect(j1, j2, j3, m3, j3p, m3)
                         label = f"wigner orth j1={j1} j2={j2} j3={j3} j3'={j3p} m3={m3}"
                         yield label, defect == 0, f"defect={defect}"
-    # 3j column symmetries, exact
-    for j1 in range(5):
-        for j2 in range(5):
-            for j3 in range(abs(j1 - j2), min(j1 + j2, 4) + 1):
-                for m1 in range(-j1, j1 + 1):
-                    for m2 in range(-j2, j2 + 1):
-                        m3 = -m1 - m2
-                        if abs(m3) > j3:
-                            continue
-                        base = wigner.wigner_3j(wigner.AngularMomenta3j(j1, j2, j3, m1, m2, m3))
-                        even = wigner.wigner_3j(wigner.AngularMomenta3j(j2, j3, j1, m2, m3, m1))
-                        odd = wigner.wigner_3j(wigner.AngularMomenta3j(j2, j1, j3, m2, m1, m3))
-                        phase = -1 if (j1 + j2 + j3) % 2 else 1
-                        ok = even == base and odd.radicand == base.radicand and odd.sign == phase * base.sign
-                        if not ok:
-                            yield (
-                                f"wigner 3j-symmetry ({j1},{j2},{j3};{m1},{m2},{m3})",
-                                False,
-                                "symmetry violated",
-                            )
-    yield "wigner 3j-symmetry sweep j<=4", True, "exact"
+    def w3j(*jm):
+        return wigner.wigner_3j(wigner.AngularMomenta3j(*jm))
+
+    js = range(max_l + 1)
+    for j1, j2 in itertools.product(js, js):
+        for j3 in range(abs(j1 - j2), min(j1 + j2, max_l) + 1):
+            phase = -1 if (j1 + j2 + j3) % 2 else 1
+            for m1, m2 in itertools.product(range(-j1, j1 + 1), range(-j2, j2 + 1)):
+                m3 = -m1 - m2
+                if abs(m3) > j3:
+                    continue
+                base = w3j(j1, j2, j3, m1, m2, m3)
+                odd = w3j(j2, j1, j3, m2, m1, m3)
+                ok = (w3j(j2, j3, j1, m2, m3, m1) == base == w3j(j3, j1, j2, m3, m1, m2)
+                      and odd.radicand == base.radicand and odd.sign == phase * base.sign)
+                yield f"wigner 3j-symmetry ({j1},{j2},{j3};{m1},{m2},{m3})", ok, "exact"
+    for top in itertools.product(js, repeat=3):
+        for bottom in itertools.product(js, repeat=3):
+            base = wigner.wigner_6j(*top, *bottom)
+            label = f"wigner 6j-symmetry {{{','.join(map(str, top))};{','.join(map(str, bottom))}}}"
+            for cols in itertools.permutations(range(3)):
+                same = wigner.wigner_6j(*(top[c] for c in cols), *(bottom[c] for c in cols)) == base
+                yield f"{label} columns {cols}", same, "exact"
+            swapped = wigner.wigner_6j(*bottom[:2], top[2], *top[:2], bottom[2]) == base
+            yield f"{label} rows swapped in columns 1-2", swapped, "exact"
 
 
 def _suite_qfunc(max_l: int, tol: float):
     inner = max(tol * 1e-2, 1e-12)
     for y in (1.01, 1.5, 2.0, 10.0, 100.0):
-        for M in range(7):
-            for L in range(11):
+        for M in range(max_l + 3):
+            for L in range(2 * max_l + 3):
                 q = oracle.integrate_q_definition(L, M, y, inner)
                 target = specfun.paper_q_combination(L, M, y)
                 lhs = math.factorial(M) / 2.0 * q.value
@@ -495,6 +503,7 @@ _SUITES = {
     "wigner": (_suite_wigner, 0.0),
     "qfunc": (_suite_qfunc, 1e-9),
 }
+_FIXED_SUITES = frozenset({"eq21"})  # suites whose cases do not depend on --max-l
 
 
 def cmd_check(args: argparse.Namespace) -> int:
@@ -505,7 +514,8 @@ def cmd_check(args: argparse.Namespace) -> int:
         runner, default_tol = _SUITES[name]
         tol = args.rel_tol if args.rel_tol is not None else default_tol
         if not args.quiet:
-            print(f"suite {name} (max-l {args.max_l}, tol {tol:g})")
+            bound = "fixed cases" if name in _FIXED_SUITES else f"max-l {args.max_l}"
+            print(f"suite {name} ({bound}, tol {tol:g})")
         for label, ok, detail in runner(args.max_l, tol):
             total += 1
             if ok:
@@ -569,7 +579,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_check = sub.add_parser("check", parents=[common], help="run an identity-check suite")
     p_check.add_argument("--suite", required=True, choices=list(_SUITES) + ["all"])
     p_check.add_argument("--max-l", type=int, default=4, dest="max_l",
-                         help="angular-order bound for suites that honor it")
+                         help="angular-order bound (default %(default)s): L of eq29, l1 and "
+                         "l2 of eq28 and eq211, l and l3 of eq26, and L of eq212 <= max-l, "
+                         "l of eq212 <= max-l + 2; wigner: j1, j2 <= max-l + 1 for "
+                         "orthogonality, j <= max-l for the symmetries; qfunc: "
+                         "L <= 2 max-l + 2, M <= max-l + 2; eq21's cases are fixed")
     p_check.add_argument("--rel-tol", type=float, default=None, dest="rel_tol",
                          help="override the suite's default tolerance")
     p_check.set_defaults(func=cmd_check)

@@ -49,18 +49,18 @@ code on numpy object arrays of Decimals in a 40-digit context.
 
 The derivative orders at one y do not depend on the orders (l1, l2, n) a
 caller sums them for, and one point's rows ask for many derivative orders
-at one y.  So the only module state is a small memo of derivative chains,
-keyed by (lmax, y, precision): the Q seed and the orders built so far,
-extended on demand and never handed out.  A chain's values do not depend
-on how far it had been extended, so no value depends on call history.  The
-memo is guarded by a lock, and everything is safe for concurrent use.
+at one y.  So the only module state is a small memo of derivative chains
+at the last y asked for, keyed by (lmax, y, precision): the Q seed and the
+orders built so far, extended on demand and never handed out.  A chain's
+values do not depend on how far it had been extended, so no value depends
+on call history.  The memo is guarded by a lock, and everything is safe
+for concurrent use.
 """
 
 from __future__ import annotations
 
 import math
 import threading
-from collections import OrderedDict
 from contextlib import nullcontext
 from decimal import Context, Decimal, localcontext
 from typing import Optional
@@ -506,16 +506,14 @@ def paper_q_combination_all_dec(lmax: int, M: int, y: float, prec: int = 40) -> 
 # library) ask for R(., M, y) at one y for many (lmax, M).  Each key's
 # chain is seeded once and extended to the highest M asked for.  The seed
 # rule, the guard digits and the top ratio depend on lmax, so a key's lmax
-# is never topped up; a new lmax is a new key.  The least recently used
-# chain goes once the memo holds `_CHAINS_MAX`.  Every order (l1, l2, n)
-# with l1, l2 <= 10 at one point, as the benchmark's `order_scan` runs
-# them, needs at most 22 keys (11 values of lmax at each precision; 21 on
-# average, 10 of them at 40 digits), so the bound holds them all.  At most
-# it holds about 0.5 MB, nearly all in 40-digit chains.  One lock guards
-# the memo and every extension.
+# is never topped up; a new lmax is a new key.  The memo holds the chains
+# of the last y asked for only, and a new y empties it: every row of a
+# `table` sweep of orders at one point, as the benchmark's `order_scan`
+# runs them, finds the chains of the rows before it, and a batch's rescued
+# points, each at its own y, leave no chain behind but the last one's.
+# One lock guards the memo and every extension.
 
-_CHAINS_MAX = 24
-_CHAINS: OrderedDict = OrderedDict()
+_CHAINS: dict = {}
 _CHAINS_LOCK = threading.Lock()
 
 
@@ -526,9 +524,7 @@ def _chain_values(lmax: int, M: int, y: float, prec: int) -> np.ndarray:
     with _CHAINS_LOCK, localcontext(Context(prec=prec)) if prec else nullcontext():
         chain = _CHAINS.get(key)
         if chain is None:
+            if any(held != y for _, held, _ in _CHAINS):
+                _CHAINS.clear()
             chain = _CHAINS[key] = _DerivativeChain(_q_seed(lmax, y, prec), Decimal(y) if prec else y)
-            if len(_CHAINS) > _CHAINS_MAX:
-                _CHAINS.popitem(last=False)
-        else:
-            _CHAINS.move_to_end(key)
         return chain.signed(M)

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import math
@@ -8,7 +9,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from besselrad import cli, closedform, oracle
+from besselrad import cli, closedform, oracle, wigner
 
 LOG5_OVER_4 = 0.25 * math.log(5.0)
 
@@ -403,6 +404,48 @@ class TestCheck:
         )
         assert code == 1
         assert "FAIL" in out
+
+    # the smallest max-l at which a case misses a 1e-18 tolerance (eq29's test is the one above)
+    @pytest.mark.parametrize("suite, max_l", [("eq26", 2), ("eq212", 0), ("eq21", 0), ("qfunc", 0)])
+    def test_suite_fails_at_unreachable_tolerance(self, capsys, suite, max_l):
+        code, out, _ = run_cli(
+            capsys, ["check", "--suite", suite, "--max-l", str(max_l), "--rel-tol", "1e-18", "--quiet"]
+        )
+        assert code == 1
+        assert " FAIL\n" in out
+
+    # every eq28 and eq211 case agrees with the oracle within three times the oracle's
+    # error estimate, so no tolerance fails them; a wrong product does
+    @pytest.mark.parametrize("suite", ["eq28", "eq211"])
+    def test_product_suite_fails_on_a_wrong_product(self, capsys, monkeypatch, suite):
+        product = closedform.two_bessel_product
+
+        def off_by_a_millionth(*args):
+            right = product(*args)
+            return dataclasses.replace(right, value=right.value * (1.0 + 1e-6))
+
+        monkeypatch.setattr(closedform, "two_bessel_product", off_by_a_millionth)
+        code, out, _ = run_cli(capsys, ["check", "--suite", suite, "--max-l", "0", "--quiet"])
+        assert code == 1
+        assert " FAIL\n" in out
+
+    def test_wigner_fails_on_an_orthogonality_defect(self, capsys, monkeypatch):
+        monkeypatch.setattr(wigner, "_orthogonality_defect", lambda *args: Fraction(1, 10**30))
+        code, out, _ = run_cli(capsys, ["check", "--suite", "wigner", "--max-l", "0", "--quiet"])
+        assert code == 1
+        assert " FAIL\n" in out
+
+    # the default max-l of 4 runs 114573 wigner and 385 qfunc cases (acceptance criteria 9 and 6)
+    @pytest.mark.parametrize("suite, cases", [("wigner", 603), ("qfunc", 100)])
+    def test_max_l_bounds_the_cases(self, capsys, suite, cases):
+        code, out, _ = run_cli(capsys, ["check", "--suite", suite, "--max-l", "1", "--quiet"])
+        assert code == 0
+        assert out.splitlines()[-1] == f"PASS {cases}/{cases}"
+
+    def test_fixed_suite_banner(self, capsys):
+        _, out, _ = run_cli(capsys, ["check", "--suite", "eq21", "--max-l", "0"])
+        assert out.startswith("suite eq21 (fixed cases, tol 0.001)\n")
+        assert out.splitlines()[-1] == "PASS 21/21"
 
     def test_order_above_maximum_exit_2(self, capsys):
         code, _, err = run_cli(capsys, ["check", "--suite", "eq29", "--max-l", "21", "--quiet"])

@@ -38,8 +38,16 @@ class TestParameters:
         assert closedform.condition_number(1.0, 1.0, 1e-7) == pytest.approx(2e14, rel=1e-14)
 
     @given(positive, positive, positive)
+    @example(74.0, 74.0, 0.001)  # y - 1 ~ 9e-11: 1/(y - 1) of the float y keeps only 6 digits
     def test_y_always_above_one(self, k1, k2, alpha):
         assert y_param(k1, k2, alpha) > 1.0
+        k1x, k2x, ax = Fraction(k1), Fraction(k2), Fraction(alpha)
+        inverse = 2 * k1x * k2x / ((k1x - k2x) ** 2 + ax**2)  # 1/(y - 1) in exact arithmetic
+        assert closedform.condition_number(k1, k2, alpha) == pytest.approx(float(inverse), rel=1e-6)
+
+    def test_result_carries_condition_number(self):
+        # (n, lambda1, lambda2, k1, k2, alpha) = (3, 1, 2, 1, 2, 0.5), at y = 1.3125
+        assert bare_integral(3, 1, 2, 1.0, 2.0, 0.5).condition == closedform.condition_number(1.0, 2.0, 0.5)
 
     def test_delta_param(self):
         assert delta_param(1.0, 1.0, 1.0) == pytest.approx(0.5, rel=1e-15)
@@ -264,28 +272,6 @@ class TestBareIntegral:
             assert res.condition == pytest.approx(2.0 / alpha**2, rel=1e-12)
             values.append(res.value)
         assert values[0] < values[1] < values[2]
-
-
-class TestDataTypes:
-    def test_integral_spec_invariants(self):
-        # The integral (n, lambda1, lambda2, k1, k2, alpha) = (3, 1, 2, 1, 2, 0.5):
-        # its y and the 1/(y - 1) that its closed-form result carries.
-        assert y_param(1.0, 2.0, 0.5) == pytest.approx(1.3125, rel=1e-15)
-        res = bare_integral(3, 1, 2, 1.0, 2.0, 0.5)
-        assert res.condition == pytest.approx(1.0 / 0.3125, rel=1e-14)
-        assert res.condition == closedform.condition_number(1.0, 2.0, 0.5)
-
-    @given(positive, positive, positive)
-    @example(74.0, 74.0, 0.001)  # y - 1 ~ 9e-11: 1/(y - 1) of the float y keeps only 6 digits
-    def test_integral_spec_y_above_one(self, k1, k2, alpha):
-        y = y_param(k1, k2, alpha)
-        assert y > 1.0
-        k1x, k2x, ax = Fraction(k1), Fraction(k2), Fraction(alpha)
-        inverse = 2 * k1x * k2x / ((k1x - k2x) ** 2 + ax**2)  # 1/(y - 1) in exact arithmetic
-        assert closedform.condition_number(k1, k2, alpha) == pytest.approx(float(inverse), rel=1e-6)
-
-    def test_three_bessel_spec_delta(self):
-        assert delta_param(3.0, 4.0, 5.0) == 0.0
 
 
 class TestOrderValidation:

@@ -556,12 +556,12 @@ class TestChainMemo:
         values[:] = [Decimal(-1)] * len(values)
         assert [str(v) for v in specfun.paper_q_combination_all_dec(8, M, y)] == expected
 
-    def test_bounded(self):
-        for i, y in enumerate(np.linspace(1.5, 3.0, 1000).tolist()):
+    def test_holds_last_point_only(self):
+        for y in np.linspace(1.5, 3.0, 100).tolist():
             specfun.paper_q_combination_all(2, 1, y)
-            if i % 10 == 0:
-                specfun.paper_q_combination_all_dec(2, 1, y)
-            assert len(specfun._CHAINS) <= specfun._CHAINS_MAX
+            specfun.paper_q_combination_all(5, 3, y)
+            specfun.paper_q_combination_all_dec(2, 1, y)
+            assert sorted(specfun._CHAINS) == [(2, y, 0), (2, y, 40), (5, y, 0)]
 
     def test_concurrent_extension_of_one_chain(self):
         y, lmax, top = 1.05, 20, 21

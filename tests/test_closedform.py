@@ -38,12 +38,8 @@ class TestParameters:
         assert closedform.condition_number(1.0, 1.0, 1e-7) == pytest.approx(2e14, rel=1e-14)
 
     @given(positive, positive, positive)
-    @example(74.0, 74.0, 0.001)  # y - 1 ~ 9e-11: 1/(y - 1) of the float y keeps only 6 digits
     def test_y_always_above_one(self, k1, k2, alpha):
         assert y_param(k1, k2, alpha) > 1.0
-        k1x, k2x, ax = Fraction(k1), Fraction(k2), Fraction(alpha)
-        inverse = 2 * k1x * k2x / ((k1x - k2x) ** 2 + ax**2)  # 1/(y - 1) in exact arithmetic
-        assert closedform.condition_number(k1, k2, alpha) == pytest.approx(float(inverse), rel=1e-6)
 
     def test_result_carries_condition_number(self):
         # (n, lambda1, lambda2, k1, k2, alpha) = (3, 1, 2, 1, 2, 0.5), at y = 1.3125
@@ -59,6 +55,20 @@ class TestParameters:
             y_param(0.0, 1.0, 1.0)
         with pytest.raises(ValueError):
             delta_param(1.0, -1.0, 1.0)
+
+
+class TestDataTypes:
+    @given(positive, positive, positive)
+    @example(74.0, 74.0, 0.001)  # y - 1 ~ 9e-11: 1/(y - 1) of the float y keeps only 6 digits
+    def test_integral_spec_y_above_one(self, k1, k2, alpha):
+        y = y_param(k1, k2, alpha)
+        assert y > 1.0
+        k1x, k2x, ax = Fraction(k1), Fraction(k2), Fraction(alpha)
+        inverse = 2 * k1x * k2x / ((k1x - k2x) ** 2 + ax**2)  # 1/(y - 1) in exact arithmetic
+        assert closedform.condition_number(k1, k2, alpha) == pytest.approx(float(inverse), rel=1e-6)
+
+    def test_three_bessel_spec_delta(self):
+        assert delta_param(3.0, 4.0, 5.0) == 0.0
 
 
 class TestBetaStep:

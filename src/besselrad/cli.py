@@ -193,10 +193,10 @@ def _parse_sweep(text: str) -> tuple[str, list[float]]:
 
 
 # An order with at least this many rows in a table is evaluated as one
-# batch.  Over orders with l3 = 0..12 at y >= 1.5 (2-vCPU AMD EPYC virtual
-# machine, Python 3.11, numpy 2.4), bare_integral_batch cost 0.56-0.81 of
-# the per-point bare_integral time at 4 points, 0.70-1.06 at 3 and
-# 0.91-1.52 at 2.
+# batch.  At l3 = 0..12, y >= 1.75 (2-vCPU Intel Xeon VM, CPU time, medians
+# of 8 pairs) a batch cost 2.1, 0.88, 0.83, 0.77 of the row-by-row time at
+# 1-4 rows per order with an order's rows consecutive, and 2.2, 1.4, 1.1,
+# 1.1 with a point's rows consecutive, which then share its Q tables.
 BATCH_MIN_ROWS = 4
 
 
@@ -346,7 +346,7 @@ _ALPHA_GRID = (0.5, 1.0, 2.0)
 
 
 def _suite_eq29(max_l: int, tol: float):
-    inner = max(tol * 1e-2, 1e-12)
+    inner = tol * 1e-2
     for L in range(max_l + 1):
         for k1 in _K_GRID:
             for k2 in _K_GRID:
@@ -373,7 +373,7 @@ def _two_bessel_cases(max_l: int):
 
 
 def _suite_two_bessel(max_l: int, tol: float, offset: int, name: str):
-    inner = max(tol * 1e-2, 1e-12)
+    inner = tol * 1e-2
     for l1, l2, l3 in _two_bessel_cases(max_l):
         w3 = float(wigner.wigner_3j(wigner.AngularMomenta3j(l1, l2, l3, 0, 0, 0)))
         n = l3 + offset
@@ -392,7 +392,7 @@ def _suite_two_bessel(max_l: int, tol: float, offset: int, name: str):
 
 
 def _suite_eq26(max_l: int, tol: float):
-    inner = max(tol * 1e-2, 1e-12)
+    inner = tol * 1e-2
     for l in range(max_l + 1):
         for l3 in range(max_l + 1):
             for k1 in _K_GRID:
@@ -410,7 +410,7 @@ def _suite_eq26(max_l: int, tol: float):
 
 
 def _suite_eq212(max_l: int, tol: float):
-    inner = max(tol * 1e-2, 1e-12)
+    inner = tol * 1e-2
     for l in range(max_l + 3):
         for L in range(max_l + 1):
             for y0 in (1.1, 1.5, 3.0):
@@ -481,7 +481,7 @@ def _suite_wigner(max_l: int, tol: float):
 
 
 def _suite_qfunc(max_l: int, tol: float):
-    inner = max(tol * 1e-2, 1e-12)
+    inner = tol * 1e-2
     for y in (1.01, 1.5, 2.0, 10.0, 100.0):
         for M in range(max_l + 3):
             for L in range(2 * max_l + 3):
@@ -507,6 +507,11 @@ _FIXED_SUITES = frozenset({"eq21"})  # suites whose cases do not depend on --max
 
 
 def cmd_check(args: argparse.Namespace) -> int:
+    if args.max_l < 0:
+        raise ValueError(f"--max-l must be >= 0, got {args.max_l}")
+    if args.rel_tol is not None and not (args.rel_tol >= 1e-10 and math.isfinite(args.rel_tol)):
+        raise ValueError(f"--rel-tol must be finite and >= 1e-10 (the oracle runs at 1e-2 of it, "
+                         f"down to 1e-12), got {args.rel_tol!r}")
     names = list(_SUITES) if args.suite == "all" else [args.suite]
     passed = 0
     total = 0
@@ -537,46 +542,45 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--json", action="store_true", help="emit JSON instead of text")
-    common.add_argument("--quiet", action="store_true", help="suppress banners")
+    as_json = argparse.ArgumentParser(add_help=False)
+    as_json.add_argument("--json", action="store_true", help="emit JSON instead of text")
+    quiet = argparse.ArgumentParser(add_help=False)
+    quiet.add_argument("--quiet", action="store_true", help="suppress banners")
+    with_oracle = argparse.ArgumentParser(add_help=False)
+    with_oracle.add_argument("--oracle", action="store_true", help="also run the quadrature oracle")
+    with_oracle.add_argument("--rel-tol", type=float, default=1e-8, dest="rel_tol")
+    with_oracle.add_argument("--fallback-oracle", action="store_true", dest="fallback_oracle",
+                             help="fall back to quadrature when no closed form applies")
 
-    p_eval = sub.add_parser("eval", parents=[common], help="evaluate one integral")
+    p_eval = sub.add_parser("eval", parents=[as_json, with_oracle], help="evaluate one integral")
     p_eval.add_argument("--lambda1", type=int, required=True)
     p_eval.add_argument("--lambda2", type=int, required=True)
     p_eval.add_argument("--power", type=int, required=True, help="radial power n")
     p_eval.add_argument("--k1", type=float, required=True)
     p_eval.add_argument("--k2", type=float, required=True)
     p_eval.add_argument("--alpha", type=float, required=True)
-    p_eval.add_argument("--oracle", action="store_true", help="also run the quadrature oracle")
-    p_eval.add_argument("--rel-tol", type=float, default=1e-8, dest="rel_tol")
     p_eval.add_argument("--product", action="store_true", help="also print the 3j-weighted product")
-    p_eval.add_argument("--fallback-oracle", action="store_true", dest="fallback_oracle",
-                        help="fall back to quadrature when no closed form applies")
     p_eval.set_defaults(func=cmd_eval)
 
-    p_table = sub.add_parser("table", parents=[common], help="parameter sweep to CSV/JSON")
+    p_table = sub.add_parser("table", parents=[quiet, with_oracle], help="parameter sweep to CSV/JSON")
     p_table.add_argument("--sweep", action="append", metavar="NAME=START:STOP:COUNT",
                          help="sweep axis (repeatable; cartesian product)")
     for name in PARAM_NAMES:
         p_table.add_argument(f"--{name}", type=int if name in INT_PARAMS else float, default=None)
     p_table.add_argument("--out", required=True, help="output file path")
     p_table.add_argument("--format", choices=("csv", "json"), default="csv")
-    p_table.add_argument("--oracle", action="store_true")
-    p_table.add_argument("--rel-tol", type=float, default=1e-8, dest="rel_tol")
-    p_table.add_argument("--fallback-oracle", action="store_true", dest="fallback_oracle")
     p_table.set_defaults(func=cmd_table)
 
-    p_w3 = sub.add_parser("wigner3j", parents=[common], help="exact 3j symbol")
+    p_w3 = sub.add_parser("wigner3j", parents=[as_json], help="exact 3j symbol")
     p_w3.add_argument("--j", required=True, help="three momenta a,b,c")
     p_w3.add_argument("--m", required=True, help="three projections x,y,z")
     p_w3.set_defaults(func=cmd_wigner3j)
 
-    p_w6 = sub.add_parser("wigner6j", parents=[common], help="exact 6j symbol")
+    p_w6 = sub.add_parser("wigner6j", parents=[as_json], help="exact 6j symbol")
     p_w6.add_argument("--j", required=True, help="six momenta a,b,c,d,e,f")
     p_w6.set_defaults(func=cmd_wigner6j)
 
-    p_check = sub.add_parser("check", parents=[common], help="run an identity-check suite")
+    p_check = sub.add_parser("check", parents=[quiet], help="run an identity-check suite")
     p_check.add_argument("--suite", required=True, choices=list(_SUITES) + ["all"])
     p_check.add_argument("--max-l", type=int, default=4, dest="max_l",
                          help="angular-order bound (default %(default)s): L of eq29, l1 and "

@@ -34,9 +34,9 @@ and 40-digit rescue are `_products`.
 The coupling coefficients depend on the orders only.  Each (l1, l2, l3)
 set is compiled once per process (`_coupling_set`), in one pass over its
 Wigner symbols, into float factors and the 40-digit Decimal factors of
-the rescue, which runs the same term product on them.  R(l, M, y) at one
-point comes from `specfun`'s memo of derivative chains, which builds the
-Q table of each (lmax, y, precision) once for all the orders of a point.
+the rescue, which runs the same term product on them.  R(l, M, y) comes
+from `specfun`'s memo of derivative chains, which builds the Q table of
+each (lmax, points, precision) once for all the orders at those points.
 
 Everything here is a pure function apart from those caches, which hand
 out no value a caller can change; parameter sweeps may call these

@@ -39,7 +39,7 @@ import numpy as np
 
 from . import specfun
 from .closedform import _LAMBDA_MAX, _three_bessel_orders
-from .specfun import _L_MAX_BESSEL, _order, _positive_finite
+from .specfun import _L_MAX_BESSEL, _order, _positive_finite, _reachable_tolerance
 
 # QUADPACK qk15 (Piessens et al. 1983): Kronrod nodes x >= 0 and their
 # weights, and the weights of the 7-point Gauss rule on the nodes xgk[1::2]
@@ -235,6 +235,7 @@ def _radial_quadrature(
     coarse pass), appends panels up to it, then refines the same panels,
     none wider than half the shortest oscillation period.
     """
+    _reachable_tolerance(rel_tol)
 
     def f(r: np.ndarray) -> np.ndarray:
         out = r**n * np.exp(-alpha * r)
@@ -273,8 +274,6 @@ def integrate_two_bessel(
     lambda2 = _order("lambda2", lambda2, _L_MAX_BESSEL)
     n = _order("n", n, maximum=None)
     _positive_finite(k1=k1, k2=k2, alpha=alpha)
-    if rel_tol < 1e-12:
-        raise ValueError(f"rel_tol must be >= 1e-12, got {rel_tol!r}")
     return _radial_quadrature(
         n, alpha, (k1, k2), (lambda1, lambda2), rel_tol,
         f"two-Bessel integral n={n} l=({lambda1},{lambda2})",
@@ -318,6 +317,7 @@ def integrate_q_definition(L: int, M: int, y: float, rel_tol: float = 1e-10) -> 
     y = float(y)
     if not (y > 1.0):
         raise ValueError(f"argument must satisfy y > 1, got {y!r}")
+    _reachable_tolerance(rel_tol)
     u_top = math.log((y + 1.0) / (y - 1.0))
     ym1 = y - 1.0
     power = M + L
@@ -398,6 +398,7 @@ def check_eq_2_6(
     """
     l, lambda3 = _order("l", l, _LAMBDA_MAX), _order("lambda3", lambda3, _LAMBDA_MAX)
     _positive_finite(k1=k1, k2=k2, alpha=alpha)
+    _reachable_tolerance(rel_tol)
     lo = abs(k1 - k2)
     hi = k1 + k2
     two_k1k2 = 2.0 * k1 * k2
@@ -425,6 +426,7 @@ def check_eq_2_12(l: int, L: int, y0: float, rel_tol: float = 1e-8) -> Quadratur
     y0 = float(y0)
     if not (y0 > 1.0):
         raise ValueError(f"lower limit must satisfy y0 > 1, got {y0!r}")
+    _reachable_tolerance(rel_tol)
     m = L + 1
     b_split = max(2.0 * y0, y0 + 3.0)
 

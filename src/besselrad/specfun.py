@@ -47,14 +47,14 @@ point, so batching changes no value.  The
 extended-precision rescue (`paper_q_combination_all_dec`) runs the same
 code on numpy object arrays of Decimals in a 40-digit context.
 
-The derivative orders at one y do not depend on the orders (l1, l2, n) a
-caller sums them for, and one point's rows ask for many derivative orders
-at one y.  So the only module state is a small memo of derivative chains
-at the last y asked for, keyed by (lmax, y, precision): the Q seed and the
-orders built so far, extended on demand and never handed out.  A chain's
-values do not depend on how far it had been extended, so no value depends
-on call history.  The memo is guarded by a lock, and everything is safe
-for concurrent use.
+The derivative orders at y do not depend on the orders (l1, l2, n) a
+caller sums them for, and one point's rows ask for many of them.  So every
+Q and R table (a float y, an array of points, the rescue) is read from the
+only module state, a small memo of derivative chains at the last points,
+keyed by (lmax, points, precision): the Q seed and the orders built so
+far, extended on demand and never handed out.  No value depends on how far
+a chain had been extended, or on call history.  A lock guards the memo,
+and everything is safe for concurrent use.
 """
 
 from __future__ import annotations
@@ -78,6 +78,12 @@ def _positive_finite(**values: float) -> None:
     for name, v in values.items():
         if not (v > 0.0 and math.isfinite(v)):
             raise ValueError(f"{name} must be positive and finite, got {v!r}")
+
+
+def _reachable_tolerance(rel_tol: float) -> None:
+    """Raise ValueError unless rel_tol is finite and at least 1e-12, the oracle's floor."""
+    if not (rel_tol >= 1e-12 and math.isfinite(rel_tol)):
+        raise ValueError(f"rel_tol must be finite and >= 1e-12, got {rel_tol!r}")
 
 
 def _above_one(y) -> float:
@@ -295,50 +301,22 @@ def _q_ratio(top: int, y, digits: int):
     return r
 
 
-def _pointwise(fn, y):
-    """fn at a float y, or at each point of a float64 array y."""
-    if np.ndim(y) == 0:
-        return fn(y)
-    return np.array([fn(v) for v in y.tolist()])
-
-
 def legendre_q_all(lmax: int, y) -> np.ndarray:
     """Q_0(y) .. Q_lmax(y) along the first axis, y > 1.
 
-    y is a float or a float64 array of points.  A point takes the forward
-    recurrence from Q_0 = log1p(2/(y - 1))/2 where it loses at most
-    `_FLOAT_FORWARD_DIGITS` digits, else the backward ratios from that Q_0.
-    An array takes the same operations point by point as a float (the seed
-    choice, the top ratio and Q_0 per point, the recurrences elementwise),
-    so its values equal the float ones bit for bit.  A float y reads the
-    seed of its chain in the memo (`_chain_values`); the result is a new
-    array either way.
+    y is a float or a float64 array of points.  The values are the seed
+    (`_q_seed`) of y's chain in the memo (`_chain_values`), as a new array;
+    every point takes the same operations, so a value does not depend on
+    the shape of y or on the other points.
     """
-    if np.ndim(y) == 0:
-        return _chain_values(lmax, 0, float(y), 0)
-    forward = np.array([_forward_digits(lmax, v) <= _FLOAT_FORWARD_DIGITS for v in y.tolist()],
-                       dtype=bool)
-    out = np.empty((lmax + 1,) + y.shape)
-    for points, seed in ((forward, True), (~forward, False)):
-        if points.any():
-            out[:, points] = _q_float(lmax, y[points], seed)
-    return out
-
-
-def _q_float(lmax: int, y, forward: bool) -> np.ndarray:
-    """Q_0..Q_lmax in floats by the forward recurrence or by the backward ratios to 16 digits."""
-    out = np.empty((lmax + 1,) + np.shape(y))
-    out[0] = _pointwise(lambda v: 0.5 * math.log1p(2.0 / (v - 1.0)), y)
-    if forward or lmax == 0:
-        return _q_forward(out, y)
-    return _q_downward(out, _pointwise(lambda v: _q_ratio(lmax + 1, v, 16), y), y)
+    return _chain_values(lmax, 0, y, 0)
 
 
 def _q_forward(out: np.ndarray, y) -> np.ndarray:
     """Fill out[1:] with Q_1..Q_lmax by the forward recurrence, given Q_0 in out[0].
 
-    out is a float64 array (y a float or an array of points) or an object
-    array of Decimals (y a Decimal, run in the caller's context).
+    out is a float64 array (y an array of points) or an object array of
+    Decimals (y a Decimal, run in the caller's context).
     """
     if len(out) > 1:
         out[1] = y * out[0] - 1
@@ -350,14 +328,15 @@ def _q_forward(out: np.ndarray, y) -> np.ndarray:
 def _q_downward(out: np.ndarray, r, y) -> np.ndarray:
     """Fill out[1:] with Q_1..Q_lmax, given Q_0 in out[0] and r = Q_{lmax+1}/Q_lmax.
 
-    out is a float64 array (y a float or an array of points) or an object
-    array of Decimals (y a Decimal, run in the caller's context).
+    out is a float64 array (y and r arrays of points) or an object array
+    of Decimals (y and r Decimals, run in the caller's context).
     """
-    for l in range(len(out) - 1, 0, -1):
-        r = l / ((2 * l + 1) * y - (l + 1) * r)
-        out[l] = r
-    # out[l] holds Q_l/Q_{l-1}; the running product turns the ratios into Q_l
-    with np.errstate(under="ignore"):
+    # (2l + 1) y overflows only where Q_l underflows: the ratio 0 is right
+    with np.errstate(over="ignore", under="ignore"):
+        for l in range(len(out) - 1, 0, -1):
+            r = l / ((2 * l + 1) * y - (l + 1) * r)
+            out[l] = r
+        # out[l] holds Q_l/Q_{l-1}; the running product turns the ratios into Q_l
         np.multiply.accumulate(out, axis=0, out=out)
     return out
 
@@ -374,14 +353,10 @@ def paper_q_combination_all(lmax: int, M: int, y) -> np.ndarray:
     y is a float or a float64 array of points, as for `legendre_q_all`.
     Each derivative order is a few array operations over l (and the
     points); they are the per-l products of the recurrence in the same
-    order, so the values do not depend on the shape of y.  A float y reads
-    its chain in the memo (`_chain_values`), which keeps the seed and the
-    orders already built for (lmax, y); an array of points runs the same
-    steps on a chain of its own.  The result is a new array either way.
+    order, so the values do not depend on the shape of y.  They are read
+    from y's chain in the memo (`_chain_values`), as a new array.
     """
-    if np.ndim(y) == 0:
-        return _chain_values(lmax, M, float(y), 0)
-    return _DerivativeChain(legendre_q_all(lmax, y), y).signed(M)
+    return _chain_values(lmax, M, y, 0)
 
 
 def _r_step(d_prev: Optional[np.ndarray], d_curr: np.ndarray, m: int, y, ym1, ls) -> np.ndarray:
@@ -419,7 +394,8 @@ class _DerivativeChain:
 
     def __init__(self, q: np.ndarray, y):
         self.y, self.orders = y, [q]
-        self.ym1 = (y - 1) * (y + 1)  # y^2 - 1 without the cancellation of y * y - 1 near y = 1
+        with np.errstate(over="ignore"):  # past y = 1e154, where R underflows for M >= 1
+            self.ym1 = (y - 1) * (y + 1)  # y^2 - 1 without the cancellation of y * y - 1 near y = 1
         self.ls = np.arange(1, len(q)).astype(q.dtype).reshape((-1,) + (1,) * (q.ndim - 1))
 
     def signed(self, M: int) -> np.ndarray:
@@ -462,16 +438,27 @@ def _q0_dec(y: Decimal) -> Decimal:
     return +q0
 
 
-def _q_seed(lmax: int, y: float, prec: int) -> np.ndarray:
-    """Q_0..Q_lmax at a float y: in floats for prec 0, else as prec-digit Decimals.
+def _q_seed(lmax: int, y, prec: int) -> np.ndarray:
+    """Q_0..Q_lmax at y: floats for prec 0 (y a float or a float64 array), else prec-digit Decimals.
 
-    Floats follow `legendre_q_all`'s rule.  In a prec-digit context, Q_l is
-    seeded by the forward recurrence at prec + g digits when its guard g is
-    at most prec, otherwise by the backward ratios, whose top ratio is
-    carried to prec - 4 digits.
+    A float point takes the forward recurrence from Q_0 = log1p(2/(y - 1))/2
+    where it loses at most `_FLOAT_FORWARD_DIGITS` digits, else the backward
+    ratios.  With Decimals (y a float), Q_l is seeded by the forward
+    recurrence at prec + g digits when its guard g is at most prec, else by
+    the backward ratios, whose top ratio is carried to prec - 4 digits.
     """
     if not prec:
-        return _q_float(lmax, y, _forward_digits(lmax, y) <= _FLOAT_FORWARD_DIGITS)
+        points = np.reshape(y, -1)
+        q = np.empty((lmax + 1, points.size))
+        q[0] = [0.5 * math.log1p(2.0 / (v - 1.0)) for v in points.tolist()]
+        back = np.array([lmax > 0 and _forward_digits(lmax, v) > _FLOAT_FORWARD_DIGITS
+                         for v in points.tolist()], dtype=bool)
+        if not back.all():
+            q[:, ~back] = _q_forward(q[:, ~back], points[~back])
+        if back.any():
+            ratios = np.array([_q_ratio(lmax + 1, v, 16) for v in points[back].tolist()])
+            q[:, back] = _q_downward(q[:, back], ratios, points[back])
+        return q.reshape((lmax + 1,) + np.shape(y))
     y_d = Decimal(y)
     guard = _forward_guard_digits(lmax, y)
     q = np.empty(lmax + 1, dtype=object)
@@ -502,29 +489,34 @@ def paper_q_combination_all_dec(lmax: int, M: int, y: float, prec: int = 40) -> 
 # ----------------------------------------------------------------------
 # the memo of derivative chains
 #
-# A point's one-point rows (`table` orders with few rows, `eval`, the
-# library) ask for R(., M, y) at one y for many (lmax, M).  Each key's
-# chain is seeded once and extended to the highest M asked for.  The seed
-# rule, the guard digits and the top ratio depend on lmax, so a key's lmax
-# is never topped up; a new lmax is a new key.  The memo holds the chains
-# of the last y asked for only, and a new y empties it: every row of a
-# `table` sweep of orders at one point, as the benchmark's `order_scan`
-# runs them, finds the chains of the rows before it, and a batch's rescued
-# points, each at its own y, leave no chain behind but the last one's.
-# One lock guards the memo and every extension.
+# A point's rows (`eval`, the library, `table` orders with few rows) ask
+# for R(., M, y) at one y for many (lmax, M), a batch at its array of
+# points.  A key holds the points' shape and float64 bytes, so a float y
+# and an array are held and evicted alike.  Each key's chain is seeded
+# once and extended to the highest M asked for.  The seed rule, the guard
+# digits and the top ratio depend on lmax, so a new lmax is a new key.
+# The memo holds the chains of the last points asked for only, and new
+# points empty it: every row of a `table` sweep of orders at one point, as
+# the benchmark's `order_scan` runs them, finds the chains of the rows
+# before it, and a batch's rescued points, each at its own y, leave no
+# chain behind but the last one's.  One lock guards the memo and every
+# extension.
 
 _CHAINS: dict = {}
 _CHAINS_LOCK = threading.Lock()
 
 
-def _chain_values(lmax: int, M: int, y: float, prec: int) -> np.ndarray:
-    """R(l, M, y) for l = 0..lmax from the memo's chain of (lmax, y, prec), as a new array."""
-    key = (lmax, y, prec)
+def _chain_values(lmax: int, M: int, y, prec: int) -> np.ndarray:
+    """R(l, M, y), l = 0..lmax, y a float (or for prec 0 an array), from the memo; a new array."""
+    held = np.array(y, dtype=float)  # a copy: the caller cannot change a chain's points
+    points = (held.shape, held.tobytes())
+    y = held if held.ndim else float(held)
+    key = (lmax, points, prec)
     # a fresh context: a chain's values must not depend on its first caller's
     with _CHAINS_LOCK, localcontext(Context(prec=prec)) if prec else nullcontext():
         chain = _CHAINS.get(key)
         if chain is None:
-            if any(held != y for _, held, _ in _CHAINS):
+            if any(other != points for _, other, _ in _CHAINS):
                 _CHAINS.clear()
             chain = _CHAINS[key] = _DerivativeChain(_q_seed(lmax, y, prec), Decimal(y) if prec else y)
         return chain.signed(M)

@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import json
 import math
+import os
 import subprocess
 import sys
 from fractions import Fraction
@@ -9,7 +10,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from besselrad import cli, closedform, oracle, wigner
+from besselrad import cli, closedform, oracle, specfun, wigner
 
 LOG5_OVER_4 = 0.25 * math.log(5.0)
 
@@ -117,6 +118,12 @@ class TestEval:
         code, out, err = run_cli(capsys, argv)
         assert code == 4
         assert out == "" and err.startswith("error: ") and "integrand not finite" in err
+
+    @pytest.mark.parametrize("tol", ["nan", "inf"])
+    def test_oracle_rel_tol_not_finite_exit_2(self, capsys, tol):
+        code, out, err = run_cli(capsys, BASE_EVAL + ["--oracle", "--rel-tol", tol])
+        assert (code, out) == (2, "")
+        assert err == f"error: rel_tol must be finite and >= 1e-12, got {float(tol)!r}\n"
 
     def test_oracle_rel_tol_below_floor_exit_2(self, capsys, tmp_path):
         code, out, err = run_cli(capsys, BASE_EVAL + ["--oracle", "--rel-tol", "1e-13"])
@@ -357,6 +364,21 @@ class TestParserReuse:
         assert with_oracle.startswith(plain)
         assert vars(cli._parser().parse_args(BASE_EVAL)) == self._parse_fresh(BASE_EVAL)
 
+    # each command declares only the flags it reads
+    @pytest.mark.parametrize("argv", [
+        ["table", "--sweep", "alpha=1:2:2", "--lambda1", "0", "--lambda2", "0", "--power", "1",
+         "--k1", "1", "--k2", "1", "--out", os.devnull, "--json"],
+        BASE_EVAL + ["--quiet"],
+        ["check", "--suite", "eq29", "--max-l", "0", "--json"],
+        ["wigner3j", "--j", "1,1,0", "--m", "0,0,0", "--quiet"],
+        ["wigner6j", "--j", "1,1,1,1,1,1", "--quiet"],
+    ])
+    def test_flag_the_command_does_not_read_exit_2(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
     def test_usage_error_then_valid(self, capsys):
         code, first, _ = run_cli(capsys, BASE_EVAL)
         with pytest.raises(SystemExit) as exc:
@@ -398,21 +420,47 @@ class TestCheck:
         k, n = lines[-1].split()[1].split("/")
         assert k == n
 
-    def test_unreachable_tolerance_fails(self, capsys):
-        code, out, _ = run_cli(
-            capsys, ["check", "--suite", "eq29", "--max-l", "0", "--rel-tol", "1e-18", "--quiet"]
-        )
+    def test_unreachable_tolerance_fails(self, capsys, monkeypatch):
+        # an equal-order closed form off by 1e-6 misses eq29's tolerance of 1e-8
+        equal_order = closedform.two_bessel_equal_order
+
+        def off_by_a_millionth(*args):
+            right = equal_order(*args)
+            return dataclasses.replace(right, value=right.value * (1.0 + 1e-6))
+
+        monkeypatch.setattr(closedform, "two_bessel_equal_order", off_by_a_millionth)
+        code, out, _ = run_cli(capsys, ["check", "--suite", "eq29", "--max-l", "0", "--quiet"])
         assert code == 1
         assert "FAIL" in out
 
-    # the smallest max-l at which a case misses a 1e-18 tolerance (eq29's test is the one above)
+    # the closed-form side of each suite (eq29's test is the one above) off by 1e-2,
+    # more than any suite's tolerance
     @pytest.mark.parametrize("suite, max_l", [("eq26", 2), ("eq212", 0), ("eq21", 0), ("qfunc", 0)])
-    def test_suite_fails_at_unreachable_tolerance(self, capsys, suite, max_l):
-        code, out, _ = run_cli(
-            capsys, ["check", "--suite", suite, "--max-l", str(max_l), "--rel-tol", "1e-18", "--quiet"]
-        )
+    def test_suite_fails_at_unreachable_tolerance(self, capsys, monkeypatch, suite, max_l):
+        module, name = ((closedform, "three_bessel_product") if suite == "eq21"
+                        else (specfun, "paper_q_combination"))
+        right = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *args: right(*args) * 1.01)
+        code, out, _ = run_cli(capsys, ["check", "--suite", suite, "--max-l", str(max_l), "--quiet"])
         assert code == 1
         assert " FAIL\n" in out
+
+    @pytest.mark.parametrize("suite", ["eq29", "eq28", "eq26", "eq212"])
+    def test_negative_max_l_exit_2(self, capsys, suite):
+        code, out, err = run_cli(capsys, ["check", "--suite", suite, "--max-l", "-1"])
+        assert (code, out, err) == (2, "", "error: --max-l must be >= 0, got -1\n")
+
+    # the suites run the oracle at 1e-2 of the tolerance, and the oracle stops at 1e-12
+    @pytest.mark.parametrize("tol", ["1e-18", "9e-11", "nan", "inf", "-1"])
+    def test_unreachable_rel_tol_exit_2(self, capsys, tol):
+        code, out, err = run_cli(capsys, ["check", "--suite", "eq28", "--max-l", "0", "--rel-tol", tol])
+        assert code == 2 and out == ""
+        assert err.startswith("error: --rel-tol must be finite and >= 1e-10")
+
+    def test_rel_tol_at_the_floor_is_checked(self, capsys):
+        argv = ["check", "--suite", "eq29", "--max-l", "0", "--rel-tol", "1e-10", "--quiet"]
+        code, out, _ = run_cli(capsys, argv)
+        assert (code, out.splitlines()[-1]) == (0, "PASS 54/54")
 
     # every eq28 and eq211 case agrees with the oracle within three times the oracle's
     # error estimate, so no tolerance fails them; a wrong product does

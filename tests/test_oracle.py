@@ -85,6 +85,19 @@ class TestTwoBessel:
         with pytest.raises(ValueError):
             integrate_two_bessel(1, 0, 0, 1.0, 1.0, 1.0, 1e-13)
 
+    # every entry point that takes a tolerance refuses one it cannot reach
+    @pytest.mark.parametrize("rel_tol", [1e-13, math.nan, math.inf])
+    @pytest.mark.parametrize("integrate", [
+        lambda tol: integrate_two_bessel(1, 0, 0, 1.0, 1.0, 1.0, tol),
+        lambda tol: integrate_single_bessel(0, 1.0, 1.0, 1, tol),
+        lambda tol: integrate_q_definition(0, 0, 2.0, tol),
+        lambda tol: oracle.check_eq_2_6(0, 0, 1.0, 1.0, 1.0, tol),
+        lambda tol: oracle.check_eq_2_12(0, 0, 2.0, tol),
+    ])
+    def test_unreachable_rel_tol(self, integrate, rel_tol):
+        with pytest.raises(ValueError, match=r"rel_tol must be finite and >= 1e-12"):
+            integrate(rel_tol)
+
 
 class TestFloatRange:
     """Integrals whose integrand or tail bound leaves the float range get a typed refusal."""

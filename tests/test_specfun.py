@@ -505,7 +505,7 @@ class TestFloatSeed:
 
 
 def memo_values(lmax, M, y, prec):
-    """R(l, M, y), l = 0..lmax, as bytes (floats, prec 0) or digit strings (prec-digit Decimals)."""
+    """R(l, M, y), l = 0..lmax, as bytes (floats, prec 0: y a float or an array) or digit strings."""
     if prec:
         return [str(v) for v in specfun.paper_q_combination_all_dec(lmax, M, y, prec)]
     return specfun.paper_q_combination_all(lmax, M, y).tobytes()
@@ -521,19 +521,23 @@ class TestChainMemo:
     @pytest.mark.parametrize("prec", [0, 40])
     @pytest.mark.parametrize("y", SEED_GRID_Y)
     def test_cold_warm_and_extended_agree(self, y, prec):
+        # in floats the point y and a batch that holds it, read in both orders
+        reads = [y] if prec else [y, np.array([1.5, y]), np.array([1.5, y]), y]
         with np.errstate(all="ignore"):
             cold = {}
             for lmax, M in MEMO_ORDERS:
-                specfun._CHAINS.clear()
-                cold[lmax, M] = memo_values(lmax, M, y, prec)
-                if not prec:  # the array path never reads the memo
-                    column = specfun.paper_q_combination_all(lmax, M, np.array([y]))[:, 0]
-                    assert column.tobytes() == cold[lmax, M]
+                for i, points in enumerate(reads):
+                    specfun._CHAINS.clear()
+                    cold[lmax, M, i] = memo_values(lmax, M, points, prec)
+                if not prec:
+                    column = specfun.paper_q_combination_all(lmax, M, reads[1])[:, 1]
+                    assert column.tobytes() == cold[lmax, M, 0]
             specfun._CHAINS.clear()
             # (40, 21) extends the chain of (40, 12); the reverse pass reads every
             # order warm, the lower M of lmax = 40 after the higher one
             for lmax, M in MEMO_ORDERS + MEMO_ORDERS[::-1]:
-                assert memo_values(lmax, M, y, prec) == cold[lmax, M], (lmax, M)
+                for i, points in enumerate(reads):
+                    assert memo_values(lmax, M, points, prec) == cold[lmax, M, i], (lmax, M, i)
 
     def test_caller_context_changes_no_value(self):
         cold = memo_values(10, 5, 1.3, 40)
@@ -546,11 +550,13 @@ class TestChainMemo:
     @pytest.mark.parametrize("M", [0, 2, 3])
     def test_changing_a_result_changes_no_later_one(self, M):
         y = 1.7
-        for read in (lambda: specfun.paper_q_combination_all(8, M, y), lambda: specfun.legendre_q_all(8, y)):
-            values = read()
-            expected = values.tobytes()
-            values[:] = -1.0
-            assert read().tobytes() == expected
+        for points in (y, np.array([y, 2.5])):
+            for read in (lambda: specfun.paper_q_combination_all(8, M, points),
+                         lambda: specfun.legendre_q_all(8, points)):
+                values = read()
+                expected = values.tobytes()
+                values[:] = -1.0
+                assert read().tobytes() == expected
         values = specfun.paper_q_combination_all_dec(8, M, y)
         expected = [str(v) for v in values]
         values[:] = [Decimal(-1)] * len(values)
@@ -561,7 +567,30 @@ class TestChainMemo:
             specfun.paper_q_combination_all(2, 1, y)
             specfun.paper_q_combination_all(5, 3, y)
             specfun.paper_q_combination_all_dec(2, 1, y)
-            assert sorted(specfun._CHAINS) == [(2, y, 0), (2, y, 40), (5, y, 0)]
+            point = ((), np.float64(y).tobytes())
+            assert sorted(specfun._CHAINS) == [(2, point, 0), (2, point, 40), (5, point, 0)]
+
+    def test_batch_then_rescue_of_one_of_its_points(self):
+        ys = np.linspace(1.5, 3.0, 5)
+        batch = ((5,), ys.tobytes())
+        specfun.paper_q_combination_all(2, 1, ys)
+        specfun.legendre_q_all(5, ys)
+        assert sorted(specfun._CHAINS) == [(2, batch, 0), (5, batch, 0)]
+        y = float(ys[3])
+        specfun.paper_q_combination_all_dec(2, 1, y)
+        assert list(specfun._CHAINS) == [(2, ((), ys[3].tobytes()), 40)]
+        # the batch's chains are gone, and built again give the same bytes
+        assert specfun.paper_q_combination_all(2, 1, ys)[:, 3].tobytes() == \
+            specfun.paper_q_combination_all(2, 1, y).tobytes()
+
+    def test_changing_the_points_after_a_read_changes_no_later_one(self):
+        ys = np.array([1.5, 2.0, 3.0])
+        expected = specfun.paper_q_combination_all(4, 3, ys.copy()).tobytes()
+        specfun._CHAINS.clear()
+        specfun.legendre_q_all(4, ys)  # seeds the chain of these points
+        ys[:] = 9.0
+        # extending that chain must not see the caller's change
+        assert specfun.paper_q_combination_all(4, 3, np.array([1.5, 2.0, 3.0])).tobytes() == expected
 
     def test_concurrent_extension_of_one_chain(self):
         y, lmax, top = 1.05, 20, 21

@@ -216,10 +216,10 @@ def _batch_closed_forms(points: list[tuple]) -> dict[int, tuple[float, str]]:
             continue
         k1, k2, alpha = ([points[i][j] for i in rows] for j in (3, 4, 5))
         try:
-            method, values = closedform.bare_integral_batch(n, l1, l2, k1, k2, alpha)
+            methods, values = closedform.bare_integral_batch(n, l1, l2, k1, k2, alpha)
         except (closedform.FormulaInapplicable, ValueError):
             continue
-        for i, value in zip(rows, values):
+        for i, method, value in zip(rows, methods, values):
             if value is not None:
                 out[i] = (value, method.value)
     return out
@@ -493,6 +493,29 @@ def _suite_qfunc(max_l: int, tol: float):
                 yield label, rel <= tol, f"rel={rel:.3e}"
 
 
+# near-singular points (y - 1 = 0.02, 0.045, 0.011), where the Hankel route
+# replaces the 40-digit rescue
+_HANKEL_POINTS = ((1.0, 1.0, 0.2), (1.0, 1.1, 0.3), (1.0, 0.9, 0.1))
+
+
+def _suite_hankel(max_l: int, tol: float):
+    """The double sum against the Hankel route, with no oracle, at every order with
+    l1, l2 <= max_l and l3 <= 20 where neither keeps fewer than 14 digits."""
+    for l1 in range(max_l + 1):
+        for l2 in range(max_l + 1):
+            for n in range(1, min(l1 + l2, closedform._LAMBDA_MAX) + 3):
+                for k1, k2, alpha in _HANKEL_POINTS:
+                    try:
+                        double, hankel = closedform._both_closed_forms(n, l1, l2, k1, k2, alpha)
+                    except closedform.FormulaInapplicable:
+                        break
+                    if double is None or hankel is None:
+                        continue
+                    rel = _rel_discrepancy(double, hankel)
+                    label = f"hankel l=({l1},{l2}) n={n} k1={k1:g} k2={k2:g} alpha={alpha:g}"
+                    yield label, rel <= tol, f"rel={rel:.3e}"
+
+
 _SUITES = {
     "eq29": (_suite_eq29, 1e-8),
     "eq28": (lambda ml, t: _suite_two_bessel(ml, t, 1, "eq28"), 1e-7),
@@ -502,6 +525,7 @@ _SUITES = {
     "eq21": (_suite_eq21, 1e-3),
     "wigner": (_suite_wigner, 0.0),
     "qfunc": (_suite_qfunc, 1e-9),
+    "hankel": (_suite_hankel, 1e-10),
 }
 _FIXED_SUITES = frozenset({"eq21"})  # suites whose cases do not depend on --max-l
 
@@ -587,7 +611,8 @@ def build_parser() -> argparse.ArgumentParser:
                          "l2 of eq28 and eq211, l and l3 of eq26, and L of eq212 <= max-l, "
                          "l of eq212 <= max-l + 2; wigner: j1, j2 <= max-l + 1 for "
                          "orthogonality, j <= max-l for the symmetries; qfunc: "
-                         "L <= 2 max-l + 2, M <= max-l + 2; eq21's cases are fixed")
+                         "L <= 2 max-l + 2, M <= max-l + 2; hankel: l1, l2 <= max-l "
+                         "(every l3 <= 20 at 10); eq21's cases are fixed")
     p_check.add_argument("--rel-tol", type=float, default=None, dest="rel_tol",
                          help="override the suite's default tolerance")
     p_check.set_defaults(func=cmd_check)

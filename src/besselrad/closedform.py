@@ -14,7 +14,19 @@ of the second kind, evaluated at
 
 With the real combination R the phase prefactor i^(l1+l2-l3) collapses to
 the sign (-1)^((l1+l2-l3)/2): nonzero terms force l1+l2+l3 (and hence
-l1+l2-l3) even, so no complex intermediate is ever formed.
+l1+l2-l3) even, so the double sum forms no complex intermediate.
+
+Near k1 = k2 with small damping (y -> 1) that sum cancels.  There a second
+closed form, from the Hankel expansion of j_l (DLMF 10.49), replaces the
+40-digit rescue where it keeps its digits.  It writes j_l1 j_l2 as
+(1/2) Re(h_l1 h_l2 + h_l1 conj(h_l2)), with
+h_l(x) = e^(ix) sum_k i^(k-l-1) a_k(l) x^(-k-1), and integrates term by
+term: int_0^inf r^m e^(-pr) dr = m!/p^(m+1) for m >= 0
+(Gradshteyn-Ryzhik 3.381.4) and, for m < 0 with K = -m - 1, the finite
+part (-1)^K p^K/K! (psi(K+1) - ln p) (DLMF 5.2, 5.4); the poles cancel
+because the integrand is regular at r = 0.  It works in units of k1, so
+p = alpha/k1 - i (k1 +- k2)/k1, a complex number per sign and point, whose
+powers and logarithm are the only complex intermediates of the module.
 
 The three-Bessel kernel product (same 3j weight, integrand
 r^2 j_l1(k1 r) j_l2(k2 r) j_l3(k3 r)) has an analogous finite sum against
@@ -28,8 +40,8 @@ a genuine coverage boundary, not a failure.  `bare_integral_batch` gives
 the same values for many points of one order at once, and None exactly
 where `bare_integral` raises.  Both check a point by the same arithmetic
 (`y_param`, `condition_number`) and run one evaluator per route
-(`_evaluate`), which takes one point or arrays of points; its double sum
-and 40-digit rescue are `_products`.
+(`_evaluate`), which takes one point or arrays of points; its double sum,
+Hankel route and 40-digit rescue are `_products`.
 
 The coupling coefficients depend on the orders only.  Each (l1, l2, l3)
 set is compiled once per process (`_coupling_set`), in one pass over its
@@ -45,10 +57,12 @@ concurrently without restriction.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from enum import Enum
+from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple, Optional, Sequence
 
@@ -60,6 +74,12 @@ from .wigner import AngularMomenta3j, WignerValue, threej_000_nonzero, wigner_3j
 
 _LAMBDA_MAX = 20
 _RESCUE_DIGITS = 40  # precision of the rescue for sums that cancel in floats
+# the Hankel route is tried below this y - 1 only: of the rows where the
+# double sum cancels it kept its digits on 56-93 % per decade of y - 1 from
+# 1e-5 to 1e-1, but on 3-20 % from 0.3 to 1.5, where it would mostly be a
+# wasted call before the rescue
+_HANKEL_MAX_Y_MINUS_1 = 0.1
+_EULER_GAMMA = 0.57721566490153286061
 
 
 class Method(Enum):
@@ -68,6 +88,7 @@ class Method(Enum):
     EQ_2_8 = "EQ_2_8"      # power l3+1 double sum
     EQ_2_9 = "EQ_2_9"      # equal-order special case, power 1
     EQ_2_11 = "EQ_2_11"    # power l3+2 double sum
+    HANKEL = "HANKEL"      # Hankel-expansion sum, where the double sum cancels near y = 1
 
 
 class FormulaInapplicable(Exception):
@@ -344,65 +365,203 @@ def _prefactor(
 
 def _needs_rescue(peak: float, total: float) -> bool:
     # the sum cancels catastrophically as y -> 1 with high lambda3; it is
-    # redone in 40-digit decimals when more than ~2 digits cancel
+    # redone by the Hankel route or in 40-digit decimals when more than ~2
+    # digits cancel
     return peak > 100.0 * abs(total)
 
 
-def _products(
-    cs: _CouplingSet, lambda1: int, lambda2: int, lambda3: int, offset: int, k1, k2, alpha, y
-) -> list[float]:
-    """The 3j-weighted product, prefactor times double sum, at each point.
+class _HankelSet(NamedTuple):
+    """The terms of the Hankel-expansion sum of one order (l1, l2, n).
 
-    k1, k2, alpha and y are as for `_evaluate`, which runs this with float
-    warnings off; R and the terms are computed for all points at once.  A
-    point whose sum cancels takes the 40-digit rescue.  The value is NaN at
-    a point where R, a power of k2/k1, a term or the prefactor is not finite.
+    Term t, for a sign s of k1 +- k2 and indices i <= l1, j <= l2, is
+    (1/2) i^q a_i(l1) a_j(l2) (k1/k2)^(j+1) F(m, p_s) in units of k1, with
+    m = n - i - j - 2 and q = i - l1 - 1 +- (j - l2 - 1).  Its real part is
+        coef[t] * (k1/k2)^(j[t] + 1) * [Re Z; Im Z][row[t]],
+    where Z, per sign s and exponent e = -(m + 1) from e_low = 1 - n up,
+    is p^e (e < 0) or p^e (psi(e + 1) - ln p) (e >= 0).  coef folds in
+    1/2, the sign that i^q gives the chosen part, m! for m >= 0 and
+    (-1)^K/K! for K = e >= 0, each product of exact rationals rounded
+    once.  |term| is |coef| (k1/k2)^(j + 1) |Z[row % len(Z)]|.
     """
-    m_order = lambda3 + offset - 1
+
+    coef: np.ndarray    # (terms,) floats
+    j: np.ndarray       # (terms,) ints
+    row: np.ndarray     # (terms,) ints into [Re Z; Im Z], Z of 2 signs x (e_high - e_low + 1) exponents
+    e_low: int          # 1 - n
+    e_high: int         # l1 + l2 + 1 - n
+    psi: tuple[float, ...]  # psi(e + 1) = H_e - gamma for e = 0 .. e_high
+
+
+def _hankel_a(l: int, k: int) -> Fraction:
+    """a_k(l + 1/2) = (l + k)!/(2^k k! (l - k)!) of DLMF 10.49.1."""
+    return Fraction(math.factorial(l + k), 2**k * math.factorial(k) * math.factorial(l - k))
+
+
+@lru_cache(maxsize=None)
+def _hankel_set(l1: int, l2: int, n: int) -> _HankelSet:
+    """The Hankel set of the order (l1, l2, n), compiled once per process."""
+    e_low, e_high = 1 - n, l1 + l2 + 1 - n
+    width = e_high - e_low + 1
+    coef, js, row = [], [], []
+    for s, sign in enumerate((1, -1)):
+        for i in range(l1 + 1):
+            for j in range(l2 + 1):
+                q = (i - l1 - 1 + sign * (j - l2 - 1)) % 4
+                e = i + j + 1 - n
+                if e < 0:
+                    weight = Fraction(math.factorial(-e - 1))
+                else:
+                    weight = Fraction((-1) ** e, math.factorial(e))
+                c = Fraction(1, 2) * _hankel_a(l1, i) * _hankel_a(l2, j) * weight
+                # Re(i^q Z) is Re Z, -Im Z, -Re Z, Im Z for q = 0, 1, 2, 3
+                coef.append(float(c if q in (0, 3) else -c))
+                js.append(j)
+                row.append((q % 2) * 2 * width + s * width + e - e_low)
+    psi = tuple(
+        float(sum(Fraction(1, k) for k in range(1, e + 1))) - _EULER_GAMMA
+        for e in range(e_high + 1)
+    )
+    return _HankelSet(np.array(coef), np.array(js), np.array(row), e_low, e_high, psi)
+
+
+def _hankel_table(hs: _HankelSet, k1: float, k2: float, alpha: float) -> list[complex]:
+    """Z per sign and exponent of `_HankelSet`, at one point."""
+    a = alpha / k1
+    table = []
+    # k1 - k2 is exact where the route runs (Sterbenz); 1 - k2/k1 would carry eps/(y - 1)
+    for w in (1.0 + k2 / k1, (k1 - k2) / k1):
+        p = complex(a, -w)
+        log_p = cmath.log(p)
+        z = (1.0 / p) ** -hs.e_low if hs.e_low < 0 else p**hs.e_low
+        for e in range(hs.e_low, hs.e_high + 1):
+            table.append(z if e < 0 else z * (hs.psi[e] - log_p))
+            z *= p
+    return table
+
+
+def _hankel_values(
+    lambda1: int, lambda2: int, n: int, k1: Sequence[float], k2: Sequence[float],
+    alpha: Sequence[float],
+) -> list[tuple[Optional[float], float]]:
+    """The bare integral by the Hankel route at each point, and the digits its sum loses.
+
+    The value is None where it is not trusted: where the sum's largest
+    |term| (complex modulus) exceeds 100 |sum| (the trigger of the double
+    sum's rescue) or the value is not finite.  The digits lost are
+    log10(largest |term| / |sum|).  The terms are formed for all points at
+    once and each point's real parts summed with fsum, so a point gets the
+    same bits alone or in a batch.
+    """
+    hs = _hankel_set(lambda1, lambda2, n)
+    z = np.array([_hankel_table(hs, a, b, c) for a, b, c in zip(k1, k2, alpha)]).T
+    re, im = z.real, z.imag
+    # (k1/k2)^(j + 1), one product at a time per point
+    ratio = np.cumprod(np.broadcast_to(np.divide(k1, k2), (lambda2 + 1, len(k1))), axis=0)
+    scaled = hs.coef[:, None] * ratio[hs.j]
+    terms = scaled * np.concatenate((re, im))[hs.row]
+    modulus = np.sqrt(re * re + im * im)
+    peaks = (np.abs(scaled) * modulus[hs.row % len(z)]).max(axis=0).tolist()
+    out: list[tuple[Optional[float], float]] = []
+    for a, point_terms, peak in zip(k1, terms.T.tolist(), peaks):
+        total = _fsum(point_terms)
+        value = total * _power(a, -(n + 1))
+        trusted = not _needs_rescue(peak, total) and math.isfinite(value)
+        lost = math.log10(peak / abs(total)) if 0.0 < abs(total) < math.inf else math.inf
+        out.append((value if trusted else None, lost))
+    return out
+
+
+def _fsum(terms: list[float]) -> float:
+    """math.fsum of the terms, NaN where it overflows or meets inf - inf."""
+    try:
+        return math.fsum(terms)
+    except (OverflowError, ValueError):
+        return math.nan
+
+
+def _double_sums(cs: _CouplingSet, lambda3: int, m_order: int, k1, k2, y) -> list[tuple[float, float]]:
+    """The double sum and its largest |term| at each point, R and the terms for all points at once.
+
+    The sum is NaN at a point where R, a power of k2/k1 or a term is not finite.
+    """
     rvals = specfun.paper_q_combination_all(cs.l_need, m_order, y)
     terms = _contributions(cs, lambda3, k2 / k1, rvals)
     rvals, terms = (v.reshape(len(v), -1).T for v in (rvals, terms))  # one row per point
     finite = (np.isfinite(rvals).all(axis=1) & np.isfinite(terms).all(axis=1)).tolist()
     peaks = np.abs(terms).max(axis=1).tolist()
+    return [(_fsum(t) if ok else math.nan, peak) for t, ok, peak in zip(terms.tolist(), finite, peaks)]
+
+
+def _products(
+    cs: _CouplingSet, lambda1: int, lambda2: int, lambda3: int, offset: int, k1, k2, alpha, y
+) -> tuple[list[float], list[bool]]:
+    """The 3j-weighted product at each point, and whether the Hankel route gave it.
+
+    k1, k2, alpha and y are as for `_evaluate`, which runs this with float
+    warnings off.  The value is prefactor times double sum, NaN at a point
+    where the sum or the prefactor is not finite.  A point whose sum
+    cancels takes the Hankel route, as a batch, where y - 1 is below
+    `_HANKEL_MAX_Y_MINUS_1` and that route keeps its digits, and the
+    40-digit rescue otherwise.
+    """
+    m_order = lambda3 + offset - 1
+    sums = _double_sums(cs, lambda3, m_order, k1, k2, y)
     points = zip(*(np.reshape(v, -1).tolist() for v in (k1, k2, alpha, y)))
-    values = []
-    for (a, b, c, yi), point_terms, ok, peak in zip(points, terms.tolist(), finite, peaks):
+    values, rescues = [], []
+    for i, ((a, b, c, yi), (total, peak)) in enumerate(zip(points, sums)):
         pref = _prefactor(lambda1, lambda2, lambda3, a, b, c, offset)
-        if not (ok and math.isfinite(pref)):
+        if not (math.isfinite(total) and math.isfinite(pref)):
             values.append(math.nan)
             continue
-        total = math.fsum(point_terms)
         if _needs_rescue(peak, total):
-            total = _decimal_weighted_sum(cs, lambda3, m_order, a, b, yi)
+            rescues.append((i, pref, a, b, c, yi))
         values.append(pref * total)
-    return values
+    hankel = [False] * len(values)
+    near = [(i, a, b, c) for i, _, a, b, c, yi in rescues if yi - 1.0 < _HANKEL_MAX_Y_MINUS_1]
+    if near:
+        index, a, b, c = zip(*near)
+        for i, (value, _) in zip(index, _hankel_values(lambda1, lambda2, lambda3 + offset, a, b, c)):
+            if value is not None:
+                values[i], hankel[i] = value * _w3j000(lambda1, lambda2, lambda3), True
+    for i, pref, a, b, _, yi in rescues:
+        if not hankel[i]:
+            values[i] = pref * _decimal_weighted_sum(cs, lambda3, m_order, a, b, yi)
+    return values, hankel
+
+
+def _decimal_terms(
+    cs: _CouplingSet, lambda3: int, m_order: int, k1: float, k2: float, y: float
+) -> np.ndarray:
+    """The terms of `_contributions` over the set's exact factors, in the caller's `_RESCUE_DIGITS`-digit context."""
+    rd = specfun.paper_q_combination_all_dec(cs.l_need, m_order, y, prec=_RESCUE_DIGITS)
+    ratio = Decimal(k2) / Decimal(k1)
+    return _contributions(cs, lambda3, ratio, np.array(rd, dtype=object), exact=True)
 
 
 def _decimal_weighted_sum(
     cs: _CouplingSet, lambda3: int, m_order: int, k1: float, k2: float, y: float
 ) -> float:
-    """The double sum of `_contributions` over the set's exact factors, in `_RESCUE_DIGITS` digits."""
-    rd = specfun.paper_q_combination_all_dec(cs.l_need, m_order, y, prec=_RESCUE_DIGITS)
+    """The double sum of `_decimal_terms`, in `_RESCUE_DIGITS` digits."""
     with localcontext() as ctx:
         ctx.prec = _RESCUE_DIGITS
-        ratio = Decimal(k2) / Decimal(k1)
-        terms = _contributions(cs, lambda3, ratio, np.array(rd, dtype=object), exact=True)
-        return float(sum(terms, Decimal(0)))
+        return float(sum(_decimal_terms(cs, lambda3, m_order, k1, k2, y), Decimal(0)))
 
 
 def _evaluate(
     route: tuple[int, int, int, int], k1, k2, alpha, y, weighted: bool = False
-) -> tuple[Method, list[Optional[float]]]:
-    """The closed form of route = (l1, l2, l3, offset) at each point, and its method.
+) -> tuple[list[Method], list[Optional[float]]]:
+    """The closed form of route = (l1, l2, l3, offset) at each point, and each point's method.
 
     The bare integral of r^(l3 + offset) e^(-alpha r) j_l1(k1 r) j_l2(k2 r),
     or with `weighted` the 3j-weighted product of `two_bessel_product`:
-    the double sum at every l3, and exact 0 where the parity kills the 3j
-    weight.  k1, k2, alpha and y = `y_param(k1, k2, alpha)` are floats
-    (one point) or float64 arrays of points that `y_param` and
-    `condition_number` accept.  A value is None where it is not finite.
+    the double sum, or the Hankel route where it cancels, at every l3, and
+    exact 0 where the parity kills the 3j weight.  k1, k2, alpha and
+    y = `y_param(k1, k2, alpha)` are floats (one point) or float64 arrays
+    of points that `y_param` and `condition_number` accept.  A value is
+    None where it is not finite.
     """
     l1, l2, l3, offset = route
+    hankel = [False] * np.size(y)
     with np.errstate(all="ignore"):  # R, a term or a value may leave the float range: None below
         if offset == 1 and l3 == 0 and not weighted:
             method = Method.EQ_2_9
@@ -413,10 +572,42 @@ def _evaluate(
             if cs is None:
                 values = np.zeros(np.shape(y))
             else:
-                values = np.array(_products(cs, l1, l2, l3, offset, k1, k2, alpha, y))
+                values, hankel = _products(cs, l1, l2, l3, offset, k1, k2, alpha, y)
+                values = np.array(values)
             if not weighted:
                 values = values / _w3j000(l1, l2, l3)
-    return method, [v if math.isfinite(v) else None for v in np.reshape(values, -1).tolist()]
+    methods = [Method.HANKEL if h else method for h in hankel]
+    return methods, [v if math.isfinite(v) else None for v in np.reshape(values, -1).tolist()]
+
+
+def _both_closed_forms(
+    n: int, lambda1: int, lambda2: int, k1: float, k2: float, alpha: float
+) -> tuple[Optional[float], Optional[float]]:
+    """The bare integral at one point by the double sum and by the Hankel route.
+
+    The double sum is taken in floats, or in `_RESCUE_DIGITS` digits where
+    the float sum cancels, as `bare_integral` takes it without the Hankel
+    route.  Each value is None where its sum keeps fewer than 14 digits
+    (loses more than 2 of a float's 16, or more than `_RESCUE_DIGITS` - 14
+    in decimals) or is not finite.  Raises the errors of the order and of
+    `y_param`.  `besselrad check --suite hankel` compares the two.
+    """
+    l1, l2, l3, offset = _route(n, lambda1, lambda2)
+    cs, m_order = _coupling_set(l1, l2, l3), l3 + offset - 1
+    y = y_param(k1, k2, alpha)
+    with np.errstate(all="ignore"):
+        ((total, peak),) = _double_sums(cs, l3, m_order, k1, k2, y)
+        ((hankel, _),) = _hankel_values(l1, l2, n, [k1], [k2], [alpha])
+    kept = not _needs_rescue(peak, total)
+    if not kept:
+        with localcontext() as ctx:
+            ctx.prec = _RESCUE_DIGITS
+            terms = _decimal_terms(cs, l3, m_order, k1, k2, y)
+            exact = sum(terms, Decimal(0))
+            kept = max(map(abs, terms)) <= abs(exact).scaleb(_RESCUE_DIGITS - 14)
+            total = float(exact)
+    double = _prefactor(l1, l2, l3, k1, k2, alpha, offset) * total / _w3j000(l1, l2, l3)
+    return (double if kept and math.isfinite(double) else None), hankel
 
 
 def _point(route: tuple[int, int, int, int], k1: float, k2: float, alpha: float,
@@ -427,7 +618,7 @@ def _point(route: tuple[int, int, int, int], k1: float, k2: float, alpha: float,
     """
     y = y_param(k1, k2, alpha)
     condition = condition_number(k1, k2, alpha)
-    method, (value,) = _evaluate(route, k1, k2, alpha, y, weighted)
+    (method,), (value,) = _evaluate(route, k1, k2, alpha, y, weighted)
     if value is None:
         raise _float_range_error(k1, k2, alpha)
     return EvalResult(value, method, condition)
@@ -565,17 +756,18 @@ def bare_integral_batch(
     k1: Sequence[float],
     k2: Sequence[float],
     alpha: Sequence[float],
-) -> tuple[Method, list[Optional[float]]]:
+) -> tuple[list[Optional[Method]], list[Optional[float]]]:
     """`bare_integral` at the points (k1[i], k2[i], alpha[i]) of one order.
 
-    Returns the route's method and the values, equal bit for bit to
-    `bare_integral(n, lambda1, lambda2, k1[i], k2[i], alpha[i]).value`,
-    and None exactly where `bare_integral` raises: at a point that
+    Returns each point's method and value, equal bit for bit to
+    `bare_integral(n, lambda1, lambda2, k1[i], k2[i], alpha[i])`'s, and
+    None for both exactly where `bare_integral` raises: at a point that
     `y_param` or `condition_number` refuses, found by their float
     arithmetic over all points at once, or whose value leaves the float
     range.  The other points run through `_evaluate` together, so a sum
-    that cancels takes the same 40-digit rescue.  Raises only the errors
-    of the order, as `bare_integral` does before it looks at a point.
+    that cancels takes the same Hankel route or 40-digit rescue.  Raises
+    only the errors of the order, as `bare_integral` does before it looks
+    at a point.
     """
     route = _route(n, lambda1, lambda2)
     k1, k2, alpha = (np.asarray(v, dtype=float) for v in (k1, k2, alpha))
@@ -587,8 +779,10 @@ def bare_integral_batch(
             (k1 > 0.0) & (k2 > 0.0) & (alpha > 0.0)
             & (y > 1.0) & np.isfinite(y) & np.isfinite(condition)
         )
-    method, found = _evaluate(route, k1[clear], k2[clear], alpha[clear], y[clear])
+    found_methods, found = _evaluate(route, k1[clear], k2[clear], alpha[clear], y[clear])
+    methods: list[Optional[Method]] = [None] * k1.size
     values: list[Optional[float]] = [None] * k1.size
-    for i, value in zip(clear.tolist(), found):
-        values[i] = value
-    return method, values
+    for i, method, value in zip(clear.tolist(), found_methods, found):
+        if value is not None:
+            methods[i], values[i] = method, value
+    return methods, values

@@ -237,14 +237,22 @@ def _radial_quadrature(
     """
     _reachable_tolerance(rel_tol)
 
+    # past this radius r^n may overflow (r ~ 369 at n = 120) where r^n e^(-alpha r) does not
+    r_overflow = math.exp(_LOG_BOUND_MAX / n) if n else math.inf
+
     def f(r: np.ndarray) -> np.ndarray:
         out = r**n * np.exp(-alpha * r)
+        if r.max() > r_overflow:
+            big = ~np.isfinite(out)
+            out[big] = np.exp(n * np.log(r[big]) - alpha * r[big])
         for l, k in zip(ls, ks):
             out = out * specfun.spherical_bessel_j_array(l, k * r)
         return out
 
     max_width = math.pi / max(ks)
-    r_end = max(40.0 / alpha, 6.0 * max_width, *[2.0 * (l + 1) / k for l, k in zip(ls, ks)])
+    # the coarse pass reaches past the peak of r^n e^(-alpha r) at n/alpha
+    r_end = max(40.0 / alpha, 2.0 * n / alpha, 6.0 * max_width,
+                *[2.0 * (l + 1) / k for l, k in zip(ls, ks)])
     panels = _Panels(f, _initial_edges(0.0, r_end, max_width, context), context)
     coarse, _ = panels.refine(1e-4)
     scale = max(abs(coarse), 1e-300)

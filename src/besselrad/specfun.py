@@ -9,8 +9,10 @@ and the derivative combination
 
 a strictly positive quantity for y > 1 which is what the closed-form sums
 consume (`paper_q_combination`).  No complex intermediates are formed
-anywhere; the real combination above absorbs the branch ambiguity of
-associated Legendre functions on (1, inf).
+here; the real combination above absorbs the branch ambiguity of
+associated Legendre functions on (1, inf).  The package's only complex
+arithmetic is `closedform`'s Hankel route near y = 1, on its own powers
+and logarithm of p = alpha/k1 - i (k1 +- k2)/k1, not on these functions.
 
 Stability choices:
 

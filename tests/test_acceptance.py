@@ -1,7 +1,7 @@
 """Acceptance suite: every shipping criterion at its pinned tolerance.
 
-Each test prints one `ACCEPTANCE <n> <name>: PASS|FAIL` line.  Criteria 1-3
-and 5-9 run the `besselrad check` suites (`cli._SUITES`) at a pinned max-l
+Each test prints one `ACCEPTANCE <n> <name>: PASS|FAIL` line.  Criteria 1-3,
+5-9 and 12 run the `besselrad check` suites (`cli._SUITES`) at a pinned max-l
 and tolerance, and pin each suite's case count; the grids and pass rules
 are the suites'.  Their oracle comparisons measure |closed - oracle|
 against tol * max(|closed|, |oracle|), plus, for the product and kernel
@@ -128,3 +128,9 @@ def test_criterion_11_swap_symmetry():
             if abs(a - b) > 1e-12 * max(abs(a), abs(b), 1e-300):
                 failures.append((l1, l2, l3, k1, k2, alpha, a, b))
     _report(11, "swap symmetry of the bare integral", failures, total)
+
+
+def test_criterion_12_hankel_route():
+    # the double sum against the Hankel route at every order with l1, l2 <= 10 (so l3 <= 20)
+    # at three points with y - 1 from 0.011 to 0.045, where neither keeps fewer than 14 digits
+    _check_suite(12, "Hankel route vs double sum near y = 1", "hankel", 10, 1e-10, 2069)

@@ -112,8 +112,8 @@ class TestEval:
         assert out == "" and err == "error: alpha must be positive and finite, got -1.0\n"
 
     def test_integrand_out_of_float_range_exit_4(self, capsys):
-        # no closed form at power 120; the oracle's r^120 leaves the float range
-        argv = ["eval", "--lambda1", "3", "--lambda2", "3", "--power", "120",
+        # no closed form at power 200; r^200 e^(-r/2) leaves the float range past r ~ 38
+        argv = ["eval", "--lambda1", "3", "--lambda2", "3", "--power", "200",
                 "--k1", "1", "--k2", "1", "--alpha", "0.5", "--fallback-oracle"]
         code, out, err = run_cli(capsys, argv)
         assert code == 4
@@ -477,14 +477,26 @@ class TestCheck:
         assert code == 1
         assert " FAIL\n" in out
 
+    def test_hankel_suite_fails_on_a_wrong_route(self, capsys, monkeypatch):
+        hankel = closedform._hankel_values
+
+        def off_by_a_millionth(*args):
+            return [(None if v is None else v * (1.0 + 1e-6), lost) for v, lost in hankel(*args)]
+
+        monkeypatch.setattr(closedform, "_hankel_values", off_by_a_millionth)
+        code, out, _ = run_cli(capsys, ["check", "--suite", "hankel", "--max-l", "0", "--quiet"])
+        assert code == 1
+        assert " FAIL\n" in out
+
     def test_wigner_fails_on_an_orthogonality_defect(self, capsys, monkeypatch):
         monkeypatch.setattr(wigner, "_orthogonality_defect", lambda *args: Fraction(1, 10**30))
         code, out, _ = run_cli(capsys, ["check", "--suite", "wigner", "--max-l", "0", "--quiet"])
         assert code == 1
         assert " FAIL\n" in out
 
-    # the default max-l of 4 runs 114573 wigner and 385 qfunc cases (acceptance criteria 9 and 6)
-    @pytest.mark.parametrize("suite, cases", [("wigner", 603), ("qfunc", 100)])
+    # the default max-l of 4 runs 114573 wigner and 385 qfunc cases (acceptance criteria 9 and 6),
+    # and max-l 10 2069 hankel cases (criterion 12)
+    @pytest.mark.parametrize("suite, cases", [("wigner", 603), ("qfunc", 100), ("hankel", 30)])
     def test_max_l_bounds_the_cases(self, capsys, suite, cases):
         code, out, _ = run_cli(capsys, ["check", "--suite", suite, "--max-l", "1", "--quiet"])
         assert code == 0

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
 from besselrad import closedform, specfun
 from besselrad.closedform import (
@@ -392,6 +392,111 @@ class TestRescueAccuracy:
         assert bare_integral(*args).value == pytest.approx(reference, rel=1e-7)
 
 
+NEAR_Y_MINUS_1 = (1e-1, 1e-4, 1e-8, 1e-12)
+
+
+def _near_point(t: float) -> tuple[float, float, float]:
+    """(k1, k2, alpha) at y - 1 = t (to rounding), with k2/k1 = 1 + sqrt(t)/2."""
+    k1 = 0.8
+    k2 = k1 * (1.0 + 0.5 * math.sqrt(t))
+    return k1, k2, math.sqrt(2.0 * k1 * k2 * t - (k1 - k2) ** 2)
+
+
+class TestHankelRoute:
+    """The Hankel route near y = 1, against perfbench/reference.py (mpmath, no besselrad import).
+
+    One order (n, l1, l2) for each l3 = 0..20, with l1, l2 <= 10, at the
+    points `_near_point` gives for y - 1 = 1e-1, 1e-4, 1e-8 and 1e-12.
+    """
+
+    REFERENCE = {
+        (1, 1, 1): (0.45500122456908026, 3.0723444904544848, 6.684754871885541, 10.282873099390526),
+        (3, 2, 1): (0.1740278838784574, -3827.969437934759, -40349911.76498591, -403707506627.5294),
+        (3, 4, 2): (-0.7906901224142029, -4678.3301420738535, -45793739.05640089, -457765426350.04395),
+        (5, 2, 1): (-137.36321000533746, -278251862.57517296, -2.8380177922426764e+16,
+                    -2.838577552462988e+24),
+        (5, 4, 0): (92.48529438045453, 47716507.2306897, 3588731017610312.5, 3.576403258493009e+23),
+        (7, 5, 0): (-9550.484683731902, -36751158689379.09, -3.6959181832774926e+25,
+                    -3.696070352767858e+37),
+        (7, 4, 2): (-4647.849380873023, 23596647805343.258, 2.5129981890203997e+25,
+                    2.5145552216886706e+37),
+        (9, 5, 2): (4940667.97906022, 3.933009304349955e+18, 3.6413947062981402e+34,
+                    3.6383515121358474e+50),
+        (9, 7, 1): (-1616734.264779382, 1.3366214557301762e+19, 1.4201520543132355e+35,
+                    1.4209860976120263e+51),
+        (11, 5, 4): (-430056433.5721857, 3.510748467294606e+24, 3.749554548773919e+44,
+                     3.7519936430768195e+64),
+        (11, 7, 3): (-1311185497.0574648, -7.189317693152148e+24, -7.346954351915223e+44,
+                     -7.348474467436716e+64),
+        (13, 8, 3): (-560698998816.521, 6.157720299161189e+30, 6.59090299988538e+54,
+                     6.595300218743856e+78),
+        (13, 7, 5): (1991312267164.7532, 2.669931715257202e+30, 2.6043106715152064e+54,
+                     2.60360447530284e+78),
+        (15, 8, 5): (-1333827849906967.8, -7.838928973106774e+36, -8.124496993459954e+64,
+                     -8.127359326759721e+92),
+        (15, 10, 4): (1406766590503555.8, -2.3151027454039354e+36, -2.930359812405992e+64,
+                      -2.936772226399499e+92),
+        (17, 8, 7): (3.2712657783876244e+18, 6.759402816718997e+42, 6.813034246023938e+74,
+                     6.813520687495196e+106),
+        (17, 10, 6): (-1.1400272708546423e+18, 1.1449961630754325e+43, 1.2423220958529094e+75,
+                      1.2433194979348225e+107),
+        (19, 10, 7): (-4.605548053146584e+21, 5.182697589934962e+48, 6.601627834079688e+84,
+                      6.616479283757728e+120),
+        (19, 10, 8): (-3.4017751825553975e+21, -2.7991225590511e+49, -2.9378119899399346e+85,
+                      -2.939221033911781e+121),
+        (21, 10, 9): (-7.968074732774409e+22, -6.037957736500561e+55, -6.515382842024948e+95,
+                      -6.52031005185441e+135),
+        (21, 10, 10): (1.5034439205405344e+25, 4.5850612877414754e+55, 4.719244765832228e+95,
+                       4.720595141665137e+135),
+    }
+
+    def test_grid_covers_every_coupling_order(self):
+        assert sorted(closedform.coupling_route(*order)[0] for order in self.REFERENCE) == list(range(21))
+
+    @pytest.mark.parametrize("order", list(REFERENCE))
+    def test_accepted_values_within_their_bound(self, order):
+        # the error bound of an accepted value grows with the digits its sum loses
+        n, l1, l2 = order
+        k1, k2, alpha = zip(*map(_near_point, NEAR_Y_MINUS_1))
+        found = closedform._hankel_values(l1, l2, n, k1, k2, alpha)
+        for (value, lost), reference in zip(found, self.REFERENCE[order]):
+            assert value is None or lost <= 2.0
+            if value is not None:
+                assert abs(value - reference) <= 4e-15 * 10 ** max(lost, 0.0) * abs(reference)
+
+    @given(
+        st.sampled_from([(13, 6, 6), (9, 4, 4), (21, 10, 10), (12, 8, 5), (16, 7, 9), (7, 3, 3)]),
+        st.floats(0.5, 2.0), st.floats(-1e-3, 1e-3), st.floats(-6.0, -1.5), st.integers(-20, 20),
+    )
+    def test_scale_covariance(self, order, k1, delta, log_alpha, log2_c):
+        # I(c k1, c k2, c alpha) = c^-(n+1) I; with c a power of 2 the scaled inputs are exact
+        n, l1, l2 = order
+        c = 2.0**log2_c
+        k2, alpha = k1 * (1.0 + delta), 10.0**log_alpha
+        base = bare_integral(n, l1, l2, k1, k2, alpha)
+        assume(base.method is Method.HANKEL)
+        scaled = bare_integral(n, l1, l2, c * k1, c * k2, c * alpha)
+        assert scaled.method is Method.HANKEL
+        assert scaled.value == pytest.approx(c ** -(n + 1) * base.value, rel=1e-15)
+
+    def test_replaces_the_rescue(self, monkeypatch):
+        calls = []
+        dec = specfun.paper_q_combination_all_dec
+        monkeypatch.setattr(specfun, "paper_q_combination_all_dec",
+                            lambda *a, **k: calls.append(a) or dec(*a, **k))
+        result = bare_integral(13, 6, 6, 1.0, 1.0, 0.01)
+        assert result.method is Method.HANKEL
+        assert not calls
+
+    def test_batch_reports_each_method(self):
+        # the Hankel route at alpha 1e-3, the float sum at y - 1 = 1.25, the rescue at k2/k1 = 2.6
+        k1, k2, alpha = [1.0, 1.0, 1.0], [1.0, 1.0, 2.6], [1e-3, 1.5, 0.5]
+        methods, _ = closedform.bare_integral_batch(3, 4, 2, k1, k2, alpha)
+        assert methods == [bare_integral(3, 4, 2, *p).method for p in zip(k1, k2, alpha)]
+        assert methods[0] is Method.HANKEL and methods[1] is methods[2] is Method.EQ_2_8
+        _assert_batch_matches_scalar(3, 4, 2, k1, k2, alpha)
+
+
 class TestCouplingRoute:
     @given(st.integers(0, 20), st.integers(0, 20), st.integers(1, 30))
     def test_parity_and_triangle(self, l1, l2, n):
@@ -444,10 +549,11 @@ class TestCouplingSet:
         monkeypatch.setattr(specfun, "paper_q_combination_all_dec",
                             lambda *a, **k: rescues.append(a) or dec(*a, **k))
         closedform._coupling_set.cache_clear()
-        bare_integral(13, 6, 6, 1.0, 1.0, 0.01)
-        bare_integral(13, 6, 6, 1.0, 1.0, 0.02)
+        # y - 1 = 1.1 and 1.5: far from y = 1, where the Hankel route is not tried
+        bare_integral(3, 4, 2, 1.0, 2.6, 0.5)
+        bare_integral(3, 4, 2, 1.0, 3.0, 0.5)
         assert len(rescues) == 2
-        assert len(sixj) == closedform._coupling_set(6, 6, 12).index.shape[1]
+        assert len(sixj) == closedform._coupling_set(4, 2, 2).index.shape[1]
 
 
 def _scalar_values(n, l1, l2, k1, k2, alpha):
@@ -482,8 +588,8 @@ class TestBareIntegralBatch:
             with pytest.raises(FormulaInapplicable):
                 closedform.bare_integral_batch(n, l1, l2, k1, k2, alpha)
             return
-        method, values = closedform.bare_integral_batch(n, l1, l2, k1, k2, alpha)
-        assert method is bare_integral(n, l1, l2, k1[0], k2[0], alpha[0]).method
+        methods, values = closedform.bare_integral_batch(n, l1, l2, k1, k2, alpha)
+        assert methods == [bare_integral(n, l1, l2, *point).method for point in zip(k1, k2, alpha)]
         assert [v.hex() for v in values] == [v.hex() for v in expected]
 
     def test_rescue_and_near_unity_points(self, monkeypatch):

@@ -103,8 +103,8 @@ class TestFloatRange:
     """Integrals whose integrand or tail bound leaves the float range get a typed refusal."""
 
     @pytest.mark.parametrize("args", [
-        (200, 0, 0, 1.0, 1.0, 0.5),   # r^200 overflows inside the first pass
-        (120, 3, 3, 1.0, 1.0, 0.5),   # r^120 overflows where the tail bound moves the radius
+        (200, 0, 0, 1.0, 1.0, 0.5),   # r^200 e^(-r/2) overflows past r ~ 38, in the first pass
+        (160, 3, 3, 1.0, 1.0, 0.5),   # r^160 overflows past r ~ 85, r^160 e^(-r/2) past r ~ 124
     ])
     def test_non_finite_integrand_raises_at_once(self, args):
         start = time.perf_counter()
@@ -113,6 +113,14 @@ class TestFloatRange:
             with pytest.raises(NonConvergence, match="integrand not finite"):
                 integrate_two_bessel(*args)
         assert time.perf_counter() - start < 5.0
+
+    def test_power_overflows_where_the_integrand_does_not(self):
+        # r^120 overflows past r ~ 369, but r^120 e^(-r/2) peaks near 3e233 at r = 240;
+        # mpmath quadrature at 30 digits gives 1.5568698834572434520e230
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = integrate_two_bessel(120, 3, 3, 1.0, 1.0, 0.5)
+        assert result.value == pytest.approx(1.5568698834572434520e230, rel=1e-10)
 
     @pytest.mark.parametrize("m", [0, 1, 3, 8, 20])
     @pytest.mark.parametrize("alpha,r", [(0.05, 800.0), (0.5, 80.0), (2.0, 3.0)])

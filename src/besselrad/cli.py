@@ -192,36 +192,25 @@ def _parse_sweep(text: str) -> tuple[str, list[float]]:
     return name, values
 
 
-# An order with at least this many rows in a table is evaluated as one
-# batch.  At l3 = 0..12, y >= 1.75 (2-vCPU Intel Xeon VM, CPU time, medians
-# of 8 pairs) a batch cost 2.1, 0.88, 0.83, 0.77 of the row-by-row time at
-# 1-4 rows per order with an order's rows consecutive, and 2.2, 1.4, 1.1,
-# 1.1 with a point's rows consecutive, which then share its Q tables.
-BATCH_MIN_ROWS = 4
+def _closed_forms(points: list[tuple]) -> list[Optional[closedform.EvalResult]]:
+    """The closed-form result of every row, from one `bare_integral_batch` per order.
 
-
-def _batch_closed_forms(points: list[tuple]) -> dict[int, tuple[float, str]]:
-    """Closed-form (value, method) of the rows of every order with BATCH_MIN_ROWS rows or more.
-
-    A row the batch gives no value, and every row of an order with no
-    closed form, is left out: `cmd_table` evaluates it with
-    `bare_integral`, which raises the row's error.
+    A row the batch gives no result, and every row of an order with no
+    closed form, is None: `cmd_table` evaluates it with `bare_integral`,
+    which raises the row's error.
     """
-    orders: dict[tuple, list[int]] = {}
-    for i, (l1, l2, n, _, _, _) in enumerate(points):
-        orders.setdefault((l1, l2, n), []).append(i)
-    out = {}
+    orders: dict[tuple, list[tuple]] = {}
+    for i, (l1, l2, n, k1, k2, alpha) in enumerate(points):
+        orders.setdefault((l1, l2, n), []).append((i, k1, k2, alpha))
+    out: list[Optional[closedform.EvalResult]] = [None] * len(points)
     for (l1, l2, n), rows in orders.items():
-        if len(rows) < BATCH_MIN_ROWS:
-            continue
-        k1, k2, alpha = ([points[i][j] for i in rows] for j in (3, 4, 5))
+        index, k1, k2, alpha = zip(*rows)
         try:
-            methods, values = closedform.bare_integral_batch(n, l1, l2, k1, k2, alpha)
+            results = closedform.bare_integral_batch(n, l1, l2, k1, k2, alpha)
         except (closedform.FormulaInapplicable, ValueError):
             continue
-        for i, method, value in zip(rows, methods, values):
-            if value is not None:
-                out[i] = (value, method.value)
+        for i, result in zip(index, results):
+            out[i] = result
     return out
 
 
@@ -257,17 +246,14 @@ def cmd_table(args: argparse.Namespace) -> int:
             int(point["lambda1"]), int(point["lambda2"]), int(point["power"]),
             float(point["k1"]), float(point["k2"]), float(point["alpha"]),
         ))
-    batched = _batch_closed_forms(points)
 
     rows: list[list] = []
-    for i, (l1, l2, n, k1, k2, alpha) in enumerate(points):
+    for (l1, l2, n, k1, k2, alpha), res in zip(points, _closed_forms(points)):
         try:
-            condition = closedform.condition_number(k1, k2, alpha)
-            if i in batched:
-                value, method = batched[i]
-            else:
+            if res is None:
+                condition = closedform.condition_number(k1, k2, alpha)
                 res = closedform.bare_integral(n, l1, l2, k1, k2, alpha)
-                value, method = res.value, res.method.value
+            value, method, condition = res.value, res.method.value, res.condition
         except closedform.FormulaInapplicable:
             value = None
             method = "NA"

@@ -37,9 +37,10 @@ outside the wavenumber triangle via the step factor beta.
 out the exact 3j symbol; when the parity-selected l3 violates the triangle
 rule there is no closed form and `FormulaInapplicable` is raised; that is
 a genuine coverage boundary, not a failure.  `bare_integral_batch` gives
-the same values for many points of one order at once, and None exactly
-where `bare_integral` raises.  Both check a point by the same arithmetic
-(`y_param`, `condition_number`) and run one evaluator per route
+the same results for many points of one order at once, and None exactly
+where `bare_integral` raises; `besselrad table` runs every order through
+it.  Both check a point by one float arithmetic (`_y_and_condition`, that
+of `y_param` and `condition_number`) and run one evaluator per route
 (`_evaluate`), which takes one point or arrays of points; its double sum,
 Hankel route and 40-digit rescue are `_products`.
 
@@ -104,6 +105,18 @@ class EvalResult:
     condition: float
 
 
+def _y_and_condition(k1: float, k2: float, alpha: float) -> tuple[float, float]:
+    """y and 1/(y - 1) at one point, in float arithmetic.
+
+    1/(y - 1) is 2 k1 k2 / ((k1 - k2)^2 + alpha^2), which is exact up to
+    rounding; forming y first and subtracting 1 would lose digits.  y is
+    NaN where 2 k1 k2 is 0, and 1/(y - 1) inf where its denominator is.
+    """
+    den, gap = 2.0 * k1 * k2, (k1 - k2) * (k1 - k2) + alpha * alpha
+    y = (k1 * k1 + k2 * k2 + alpha * alpha) / den if den > 0.0 else math.nan
+    return y, den / gap if gap > 0.0 else math.inf
+
+
 def y_param(k1: float, k2: float, alpha: float) -> float:
     """y = (k1^2 + k2^2 + alpha^2) / (2 k1 k2); strictly > 1 for alpha > 0.
 
@@ -111,8 +124,7 @@ def y_param(k1: float, k2: float, alpha: float) -> float:
     squares overflow (y is NaN), underflow (0/0), or y rounds to 1.
     """
     _positive_finite(k1=k1, k2=k2, alpha=alpha)
-    num, den = k1 * k1 + k2 * k2 + alpha * alpha, 2.0 * k1 * k2
-    y = num / den if den > 0.0 else math.nan
+    y = _y_and_condition(k1, k2, alpha)[0]
     if not (y > 1.0 and math.isfinite(y)):
         raise ValueError(
             f"y = (k1^2 + k2^2 + alpha^2) / (2 k1 k2) is {y!r} in float arithmetic, not a "
@@ -124,14 +136,10 @@ def y_param(k1: float, k2: float, alpha: float) -> float:
 def condition_number(k1: float, k2: float, alpha: float) -> float:
     """Proximity to the k1 = k2, alpha -> 0 singularity: 1/(y - 1).
 
-    Evaluated as 2 k1 k2 / ((k1 - k2)^2 + alpha^2), which is exact up to
-    rounding; forming y first and subtracting 1 would lose digits.  Raises
-    ValueError when the float arithmetic gives no finite value.
+    Raises ValueError when the float arithmetic gives no finite value.
     """
     _positive_finite(k1=k1, k2=k2, alpha=alpha)
-    # x * x, as in the batch: Python's x**2 calls libm pow, which can differ in the last bit
-    den = (k1 - k2) * (k1 - k2) + alpha * alpha
-    condition = 2.0 * k1 * k2 / den if den > 0.0 else math.inf
+    condition = _y_and_condition(k1, k2, alpha)[1]
     if not math.isfinite(condition):
         raise ValueError(
             f"1/(y - 1) = 2 k1 k2 / ((k1 - k2)^2 + alpha^2) is not finite in float "
@@ -525,40 +533,37 @@ def _products(
                 values[i], hankel[i] = value * _w3j000(lambda1, lambda2, lambda3), True
     for i, pref, a, b, _, yi in rescues:
         if not hankel[i]:
-            values[i] = pref * _decimal_weighted_sum(cs, lambda3, m_order, a, b, yi)
+            values[i] = pref * _decimal_weighted_sum(cs, lambda3, m_order, a, b, yi)[0]
     return values, hankel
-
-
-def _decimal_terms(
-    cs: _CouplingSet, lambda3: int, m_order: int, k1: float, k2: float, y: float
-) -> np.ndarray:
-    """The terms of `_contributions` over the set's exact factors, in the caller's `_RESCUE_DIGITS`-digit context."""
-    rd = specfun.paper_q_combination_all_dec(cs.l_need, m_order, y, prec=_RESCUE_DIGITS)
-    ratio = Decimal(k2) / Decimal(k1)
-    return _contributions(cs, lambda3, ratio, np.array(rd, dtype=object), exact=True)
 
 
 def _decimal_weighted_sum(
     cs: _CouplingSet, lambda3: int, m_order: int, k1: float, k2: float, y: float
-) -> float:
-    """The double sum of `_decimal_terms`, in `_RESCUE_DIGITS` digits."""
+) -> tuple[float, float]:
+    """The double sum and its largest |term|, as `_double_sums` gives them, in `_RESCUE_DIGITS` digits.
+
+    The terms are those of `_contributions` over the set's exact factors.
+    """
     with localcontext() as ctx:
         ctx.prec = _RESCUE_DIGITS
-        return float(sum(_decimal_terms(cs, lambda3, m_order, k1, k2, y), Decimal(0)))
+        rd = specfun.paper_q_combination_all_dec(cs.l_need, m_order, y, prec=_RESCUE_DIGITS)
+        ratio = Decimal(k2) / Decimal(k1)
+        terms = _contributions(cs, lambda3, ratio, np.array(rd, dtype=object), exact=True).tolist()
+        return float(sum(terms, Decimal(0))), float(max(map(abs, terms)))
 
 
 def _evaluate(
-    route: tuple[int, int, int, int], k1, k2, alpha, y, weighted: bool = False
-) -> tuple[list[Method], list[Optional[float]]]:
-    """The closed form of route = (l1, l2, l3, offset) at each point, and each point's method.
+    route: tuple[int, int, int, int], k1, k2, alpha, y, conditions: Sequence[float], weighted: bool = False
+) -> list[Optional[EvalResult]]:
+    """The closed form of route = (l1, l2, l3, offset) at each point.
 
     The bare integral of r^(l3 + offset) e^(-alpha r) j_l1(k1 r) j_l2(k2 r),
     or with `weighted` the 3j-weighted product of `two_bessel_product`:
     the double sum, or the Hankel route where it cancels, at every l3, and
-    exact 0 where the parity kills the 3j weight.  k1, k2, alpha and
-    y = `y_param(k1, k2, alpha)` are floats (one point) or float64 arrays
-    of points that `y_param` and `condition_number` accept.  A value is
-    None where it is not finite.
+    exact 0 where the parity kills the 3j weight.  k1, k2, alpha and their
+    y are floats (one point) or float64 arrays of points that `y_param` and
+    `condition_number` accept, and `conditions` their 1/(y - 1), one per
+    point.  A result is None where its value is not finite.
     """
     l1, l2, l3, offset = route
     hankel = [False] * np.size(y)
@@ -576,8 +581,10 @@ def _evaluate(
                 values = np.array(values)
             if not weighted:
                 values = values / _w3j000(l1, l2, l3)
-    methods = [Method.HANKEL if h else method for h in hankel]
-    return methods, [v if math.isfinite(v) else None for v in np.reshape(values, -1).tolist()]
+    return [
+        EvalResult(v, Method.HANKEL if h else method, c) if math.isfinite(v) else None
+        for v, h, c in zip(np.reshape(values, -1).tolist(), hankel, conditions)
+    ]
 
 
 def _both_closed_forms(
@@ -600,12 +607,8 @@ def _both_closed_forms(
         ((hankel, _),) = _hankel_values(l1, l2, n, [k1], [k2], [alpha])
     kept = not _needs_rescue(peak, total)
     if not kept:
-        with localcontext() as ctx:
-            ctx.prec = _RESCUE_DIGITS
-            terms = _decimal_terms(cs, l3, m_order, k1, k2, y)
-            exact = sum(terms, Decimal(0))
-            kept = max(map(abs, terms)) <= abs(exact).scaleb(_RESCUE_DIGITS - 14)
-            total = float(exact)
+        total, peak = _decimal_weighted_sum(cs, l3, m_order, k1, k2, y)
+        kept = peak <= abs(total) * 10.0 ** (_RESCUE_DIGITS - 14)
     double = _prefactor(l1, l2, l3, k1, k2, alpha, offset) * total / _w3j000(l1, l2, l3)
     return (double if kept and math.isfinite(double) else None), hankel
 
@@ -614,14 +617,13 @@ def _point(route: tuple[int, int, int, int], k1: float, k2: float, alpha: float,
            weighted: bool = False) -> EvalResult:
     """`_evaluate` at one point that `y_param` and `condition_number` accept.
 
-    Raises their errors, and `_float_range_error` where the value is None.
+    Raises their errors, and `_float_range_error` where the result is None.
     """
     y = y_param(k1, k2, alpha)
-    condition = condition_number(k1, k2, alpha)
-    (method,), (value,) = _evaluate(route, k1, k2, alpha, y, weighted)
-    if value is None:
+    (result,) = _evaluate(route, k1, k2, alpha, y, [condition_number(k1, k2, alpha)], weighted)
+    if result is None:
         raise _float_range_error(k1, k2, alpha)
-    return EvalResult(value, method, condition)
+    return result
 
 
 def two_bessel_product(
@@ -756,33 +758,32 @@ def bare_integral_batch(
     k1: Sequence[float],
     k2: Sequence[float],
     alpha: Sequence[float],
-) -> tuple[list[Optional[Method]], list[Optional[float]]]:
+) -> list[Optional[EvalResult]]:
     """`bare_integral` at the points (k1[i], k2[i], alpha[i]) of one order.
 
-    Returns each point's method and value, equal bit for bit to
-    `bare_integral(n, lambda1, lambda2, k1[i], k2[i], alpha[i])`'s, and
-    None for both exactly where `bare_integral` raises: at a point that
-    `y_param` or `condition_number` refuses, found by their float
-    arithmetic over all points at once, or whose value leaves the float
-    range.  The other points run through `_evaluate` together, so a sum
-    that cancels takes the same Hankel route or 40-digit rescue.  Raises
-    only the errors of the order, as `bare_integral` does before it looks
-    at a point.
+    Returns each point's result, equal to
+    `bare_integral(n, lambda1, lambda2, k1[i], k2[i], alpha[i])`, and None
+    exactly where `bare_integral` raises: at a point that `y_param` or
+    `condition_number` refuses, found by their float arithmetic
+    (`_y_and_condition`), or whose value leaves the float range.  The other
+    points run through `_evaluate` together, so a sum that cancels takes
+    the same Hankel route or 40-digit rescue.  Raises only the errors of
+    the order, as `bare_integral` does before it looks at a point.
     """
     route = _route(n, lambda1, lambda2)
-    k1, k2, alpha = (np.asarray(v, dtype=float) for v in (k1, k2, alpha))
-    with np.errstate(all="ignore"):
-        # operation for operation the floats of `y_param` and `condition_number`
-        y = (k1 * k1 + k2 * k2 + alpha * alpha) / (2.0 * k1 * k2)
-        condition = 2.0 * k1 * k2 / ((k1 - k2) * (k1 - k2) + alpha * alpha)
-        clear = np.flatnonzero(
-            (k1 > 0.0) & (k2 > 0.0) & (alpha > 0.0)
-            & (y > 1.0) & np.isfinite(y) & np.isfinite(condition)
-        )
-    found_methods, found = _evaluate(route, k1[clear], k2[clear], alpha[clear], y[clear])
-    methods: list[Optional[Method]] = [None] * k1.size
-    values: list[Optional[float]] = [None] * k1.size
-    for i, method, value in zip(clear.tolist(), found_methods, found):
-        if value is not None:
-            methods[i], values[i] = method, value
-    return methods, values
+    points = [
+        (a, b, c, *_y_and_condition(a, b, c))
+        for a, b, c in zip(map(float, k1), map(float, k2), map(float, alpha), strict=True)
+    ]
+    clear = [
+        i for i, (a, b, c, y, condition) in enumerate(points)
+        if a > 0.0 and b > 0.0 and c > 0.0 and y > 1.0 and math.isfinite(y) and math.isfinite(condition)
+    ]
+    results: list[Optional[EvalResult]] = [None] * len(points)
+    if clear:
+        # one point runs on floats, which numpy serves faster than arrays of one
+        *columns, conditions = zip(*(points[i] for i in clear))
+        found = _evaluate(route, *(c[0] if len(c) == 1 else np.array(c) for c in columns), conditions)
+        for i, result in zip(clear, found):
+            results[i] = result
+    return results

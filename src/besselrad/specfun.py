@@ -50,11 +50,12 @@ extended-precision rescue (`paper_q_combination_all_dec`) runs the same
 code on numpy object arrays of Decimals in a 40-digit context.
 
 The derivative orders at y do not depend on the orders (l1, l2, n) a
-caller sums them for, and one point's rows ask for many of them.  So every
-Q and R table (a float y, an array of points, the rescue) is read from the
-only module state, a small memo of derivative chains at the last points,
-keyed by (lmax, points, precision): the Q seed and the orders built so
-far, extended on demand and never handed out.  No value depends on how far
+caller sums them for, and the orders of a sweep ask for many of them at
+the same points.  So every Q and R table (a float y, an array of points,
+the rescue) is read from the only module state, a small memo of
+derivative chains at the points of the last float chain seeded, keyed by
+(lmax, points, precision): the Q seed and the orders built so far,
+extended on demand and never handed out.  No value depends on how far
 a chain had been extended, or on call history.  A lock guards the memo,
 and everything is safe for concurrent use.
 """
@@ -491,34 +492,40 @@ def paper_q_combination_all_dec(lmax: int, M: int, y: float, prec: int = 40) -> 
 # ----------------------------------------------------------------------
 # the memo of derivative chains
 #
-# A point's rows (`eval`, the library, `table` orders with few rows) ask
-# for R(., M, y) at one y for many (lmax, M), a batch at its array of
-# points.  A key holds the points' shape and float64 bytes, so a float y
-# and an array are held and evicted alike.  Each key's chain is seeded
-# once and extended to the highest M asked for.  The seed rule, the guard
-# digits and the top ratio depend on lmax, so a new lmax is a new key.
-# The memo holds the chains of the last points asked for only, and new
-# points empty it: every row of a `table` sweep of orders at one point, as
-# the benchmark's `order_scan` runs them, finds the chains of the rows
-# before it, and a batch's rescued points, each at its own y, leave no
-# chain behind but the last one's.  One lock guards the memo and every
-# extension.
+# Every order of a `table` sweep asks for R(., M, y) at the same points for
+# many (lmax, M): a batch's float tables at its array of points, then the
+# 40-digit rescue at some of those points, one at a time.  A key holds the
+# points' shape and float64 bytes, so a float y and an array are held
+# alike.  Each key's chain is seeded once and extended to the highest M
+# asked for.  The seed rule, the guard digits and the top ratio depend on
+# lmax, so a new lmax is a new key.  The memo keeps the chains at the
+# points of the last float chain it seeded (`_HELD`), at both precisions:
+# a new 40-digit chain at one of those points drops nothing, and a new
+# chain at other points drops every chain at a point outside them.  So
+# every order of a sweep, and every row of an `order_scan` command at its
+# one point, finds the chains of the orders before it.  One lock guards
+# the memo and every extension.
 
 _CHAINS: dict = {}
+_HELD: frozenset = frozenset()  # every chain's points lie in it
 _CHAINS_LOCK = threading.Lock()
 
 
 def _chain_values(lmax: int, M: int, y, prec: int) -> np.ndarray:
     """R(l, M, y), l = 0..lmax, y a float (or for prec 0 an array), from the memo; a new array."""
-    held = np.array(y, dtype=float)  # a copy: the caller cannot change a chain's points
-    points = (held.shape, held.tobytes())
-    y = held if held.ndim else float(held)
+    global _HELD
+    copy = np.array(y, dtype=float)  # the caller cannot change a chain's points
+    points = (copy.shape, copy.tobytes())
+    y = copy if copy.ndim else float(copy)
     key = (lmax, points, prec)
     # a fresh context: a chain's values must not depend on its first caller's
     with _CHAINS_LOCK, localcontext(Context(prec=prec)) if prec else nullcontext():
         chain = _CHAINS.get(key)
         if chain is None:
-            if any(other != points for _, other, _ in _CHAINS):
-                _CHAINS.clear()
+            values = frozenset(copy.ravel().tolist())
+            if values != _HELD and not (prec and values <= _HELD):
+                _HELD = values
+                for other in [k for k in _CHAINS if not values.issuperset(np.frombuffer(k[1][1]).tolist())]:
+                    del _CHAINS[other]
             chain = _CHAINS[key] = _DerivativeChain(_q_seed(lmax, y, prec), Decimal(y) if prec else y)
         return chain.signed(M)

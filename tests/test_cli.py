@@ -249,7 +249,11 @@ class TestTable:
 
 
 def reference_table(sweeps, fixed):
-    """The CSV `table` must write, evaluated row by row with bare_integral."""
+    """The CSV `table` must write, evaluated row by row with bare_integral.
+
+    Raises the ValueError of the first row that has one, as `table` checks
+    the row: `condition_number` first, then `bare_integral`.
+    """
     axes = []
     for name, start, stop, count in sweeps:
         values = [float(v) for v in np.linspace(start, stop, count)]
@@ -259,13 +263,13 @@ def reference_table(sweeps, fixed):
         p = {**fixed, **dict(zip([name for name, _ in axes], combo))}
         l1, l2, n = int(p["lambda1"]), int(p["lambda2"]), int(p["power"])
         k1, k2, alpha = float(p["k1"]), float(p["k2"]), float(p["alpha"])
+        cond = format(closedform.condition_number(k1, k2, alpha), ".17g")
         try:
             res = closedform.bare_integral(n, l1, l2, k1, k2, alpha)
             value, method = format(res.value, ".17g"), res.method.value
         except closedform.FormulaInapplicable:
             value, method = "NA", "NA"
         cells = [str(l1), str(l2), str(n)] + [format(v, ".17g") for v in (k1, k2, alpha)]
-        cond = format(closedform.condition_number(k1, k2, alpha), ".17g")
         lines.append(",".join(cells + [value, method, cond]))
     return "\n".join(lines) + "\n"
 
@@ -280,7 +284,7 @@ def table_argv(sweeps, fixed, out_path):
 
 
 class TestTableBatches:
-    """`table` evaluates orders with BATCH_MIN_ROWS rows or more as batches; the rows must not change."""
+    """`table` evaluates every order as one batch; the rows must equal `bare_integral`'s, row by row."""
 
     CASES = [
         # equal order, power l3 + 1 and power l3 + 2, 150 rows each
@@ -293,11 +297,10 @@ class TestTableBatches:
         ([("alpha", 1e-4, 1e-2, 7)], {"lambda1": 1, "lambda2": 1, "power": 2, "k1": 1.0, "k2": 1.0}),
         # lambda2 and power sweeps as in order_scan: NA rows, one row per order
         ([("lambda2", 0, 6, 7), ("power", 1, 9, 9)], {"lambda1": 3, "k1": 1.1, "k2": 0.9, "alpha": 0.7}),
-        # the same orders with 3 and 4 rows each, below and at the batch threshold
-        ([("power", 1, 6, 6), ("alpha", 0.5, 1.5, cli.BATCH_MIN_ROWS - 1)],
-         {"lambda1": 2, "lambda2": 3, "k1": 1.0, "k2": 1.7}),
-        ([("power", 1, 6, 6), ("alpha", 0.5, 1.5, cli.BATCH_MIN_ROWS)],
-         {"lambda1": 2, "lambda2": 3, "k1": 1.0, "k2": 1.7}),
+        # the same orders with 3 rows each, an order's rows consecutive, and
+        # with 4 rows each, a point's rows consecutive
+        ([("power", 1, 6, 6), ("alpha", 0.5, 1.5, 3)], {"lambda1": 2, "lambda2": 3, "k1": 1.0, "k2": 1.7}),
+        ([("alpha", 0.5, 1.5, 4), ("power", 1, 6, 6)], {"lambda1": 2, "lambda2": 3, "k1": 1.0, "k2": 1.7}),
     ]
 
     @pytest.mark.parametrize("sweeps,fixed", CASES)
@@ -307,14 +310,33 @@ class TestTableBatches:
         assert out_path.read_text(encoding="utf-8") == reference_table(sweeps, fixed)
 
     def test_orders_are_batched(self, capsys, tmp_path, monkeypatch):
-        calls = []
-        batch = closedform.bare_integral_batch
-        monkeypatch.setattr(closedform, "bare_integral_batch", lambda *a: calls.append(a) or batch(*a))
-        for sweeps, fixed in self.CASES[-2:]:
-            calls.clear()
-            run_cli(capsys, table_argv(sweeps, fixed, tmp_path / "t.csv"))
-            rows = sweeps[1][3]
-            assert len(calls) == (6 if rows >= cli.BATCH_MIN_ROWS else 0)
+        # one batch per order, whatever its row count and the row order; only
+        # the rows of power 1, which has no closed form here, go to bare_integral
+        batches, rows = [], []
+        batch, scalar = closedform.bare_integral_batch, closedform.bare_integral
+        monkeypatch.setattr(closedform, "bare_integral_batch", lambda *a: batches.append(a) or batch(*a))
+        monkeypatch.setattr(closedform, "bare_integral", lambda *a: rows.append(a) or scalar(*a))
+        for (sweeps, fixed), count in zip(self.CASES[-2:], (3, 4)):
+            batches.clear()
+            rows.clear()
+            assert run_cli(capsys, table_argv(sweeps, fixed, tmp_path / "t.csv")) == (0, "", "")
+            assert sorted(a[0] for a in batches) == [1, 2, 3, 4, 5, 6]
+            assert all(len(a[3]) == count for a in batches)
+            assert [a[0] for a in rows] == [1] * count
+
+    def test_point_major_equals_order_major(self, capsys, tmp_path):
+        # one sweep with its points outside and inside its orders, with NA rows and rescued rows
+        fixed = {"lambda1": 4, "k1": 1.0, "k2": 1.3}
+        orders = [("lambda2", 0, 6, 7), ("power", 1, 9, 9)]
+        points = [("alpha", 0.8, 1.4, 3)]
+        tables = []
+        for sweeps in (points + orders, orders + points):
+            out_path = tmp_path / "t.csv"
+            assert run_cli(capsys, table_argv(sweeps, fixed, out_path)) == (0, "", "")
+            header, *rows = out_path.read_text(encoding="utf-8").splitlines()
+            tables.append((header, sorted(rows)))
+        assert tables[0] == tables[1]
+        assert any(",NA,NA," in row for row in tables[0][1])
 
     @pytest.mark.parametrize("sweeps,fixed", [
         # y rounds to 1 on the last alpha of both batched orders
@@ -329,12 +351,11 @@ class TestTableBatches:
         ([("k1", 1e-150, 1e-160, 5)], {"lambda1": 0, "lambda2": 0, "power": 1, "k2": 1.5e-160, "alpha": 1e-160}),
     ])
     @pytest.mark.filterwarnings("error")
-    def test_bad_point_in_batch_matches_row_by_row(self, capsys, tmp_path, monkeypatch, sweeps, fixed):
+    def test_bad_point_in_batch_matches_row_by_row(self, capsys, tmp_path, sweeps, fixed):
+        with pytest.raises(ValueError) as row_by_row:
+            reference_table(sweeps, fixed)
         batched = run_cli(capsys, table_argv(sweeps, fixed, tmp_path / "a.csv"))
-        monkeypatch.setattr(cli, "BATCH_MIN_ROWS", 10**9)
-        row_by_row = run_cli(capsys, table_argv(sweeps, fixed, tmp_path / "b.csv"))
-        assert batched == row_by_row
-        assert batched[0] == 2 and batched[2].startswith("error: ")
+        assert batched == (2, "", f"error: {row_by_row.value}\n")
         assert not (tmp_path / "a.csv").exists()
 
 

@@ -311,7 +311,7 @@ class TestOrderValidation:
 class TestFloatRange:
     """y, 1/(y - 1) or the closed form's powers outside float range give ValueError, never another error.
 
-    The batch gives None at such a point and the same bits as `bare_integral` elsewhere.
+    The batch gives None at such a point and `bare_integral`'s result elsewhere.
     """
 
     @pytest.mark.parametrize("k1,k2,alpha", [
@@ -337,8 +337,8 @@ class TestFloatRange:
         message = re.escape(f"leave the float range (k1={k1!r}, k2={k2!r}, alpha={alpha!r})")
         with pytest.raises(ValueError, match=message):
             bare_integral(21, 10, 10, k1, k2, alpha)
-        _, values = closedform.bare_integral_batch(21, 10, 10, [1.0, k1], [1.0, k2], [1.0, alpha])
-        assert values == [bare_integral(21, 10, 10, 1.0, 1.0, 1.0).value, None]
+        results = closedform.bare_integral_batch(21, 10, 10, [1.0, k1], [1.0, k2], [1.0, alpha])
+        assert results == [bare_integral(21, 10, 10, 1.0, 1.0, 1.0), None]
 
     @pytest.mark.filterwarnings("error")
     def test_r_out_of_float_range(self):
@@ -347,9 +347,9 @@ class TestFloatRange:
         with pytest.raises(ValueError, match=message):
             bare_integral(21, 10, 10, 1.0, 1.0, 3e-8)
         alpha = [1.0, 0.5, 3e-8, 0.1]
-        _, values = closedform.bare_integral_batch(21, 10, 10, [1.0] * 4, [1.0] * 4, alpha)
-        assert values[2] is None
-        assert values[:2] + values[3:] == [bare_integral(21, 10, 10, 1.0, 1.0, a).value for a in (1.0, 0.5, 0.1)]
+        results = closedform.bare_integral_batch(21, 10, 10, [1.0] * 4, [1.0] * 4, alpha)
+        assert results[2] is None
+        assert results[:2] + results[3:] == [bare_integral(21, 10, 10, 1.0, 1.0, a) for a in (1.0, 0.5, 0.1)]
 
     @pytest.mark.filterwarnings("error")
     def test_equal_order_out_of_float_range(self):
@@ -360,8 +360,8 @@ class TestFloatRange:
             two_bessel_equal_order(0, *point)
         with pytest.raises(ValueError, match=message):
             bare_integral(1, 0, 0, *point)
-        _, values = closedform.bare_integral_batch(1, 0, 0, [1.0, 1e-160, 1.0], [1.0, 1.5e-160, 1.0], [1.0, 1e-160, -1.0])
-        assert values == [bare_integral(1, 0, 0, 1.0, 1.0, 1.0).value, None, None]
+        results = closedform.bare_integral_batch(1, 0, 0, [1.0, 1e-160, 1.0], [1.0, 1.5e-160, 1.0], [1.0, 1e-160, -1.0])
+        assert results == [bare_integral(1, 0, 0, 1.0, 1.0, 1.0), None, None]
 
     def test_condition_number(self):
         with pytest.raises(ValueError, match="not finite"):
@@ -491,7 +491,7 @@ class TestHankelRoute:
     def test_batch_reports_each_method(self):
         # the Hankel route at alpha 1e-3, the float sum at y - 1 = 1.25, the rescue at k2/k1 = 2.6
         k1, k2, alpha = [1.0, 1.0, 1.0], [1.0, 1.0, 2.6], [1e-3, 1.5, 0.5]
-        methods, _ = closedform.bare_integral_batch(3, 4, 2, k1, k2, alpha)
+        methods = [r.method for r in closedform.bare_integral_batch(3, 4, 2, k1, k2, alpha)]
         assert methods == [bare_integral(3, 4, 2, *p).method for p in zip(k1, k2, alpha)]
         assert methods[0] is Method.HANKEL and methods[1] is methods[2] is Method.EQ_2_8
         _assert_batch_matches_scalar(3, 4, 2, k1, k2, alpha)
@@ -556,20 +556,26 @@ class TestCouplingSet:
         assert len(sixj) == closedform._coupling_set(4, 2, 2).index.shape[1]
 
 
-def _scalar_values(n, l1, l2, k1, k2, alpha):
-    return [bare_integral(n, l1, l2, a, b, c).value for a, b, c in zip(k1, k2, alpha)]
+def _scalar_results(n, l1, l2, k1, k2, alpha):
+    return [bare_integral(n, l1, l2, a, b, c) for a, b, c in zip(k1, k2, alpha)]
+
+
+def _bits(results):
+    """Each result's value and condition as hex and its method, None for None."""
+    return [None if r is None else (r.value.hex(), r.method, r.condition.hex()) for r in results]
 
 
 def _assert_batch_matches_scalar(n, l1, l2, k1, k2, alpha):
-    """The batch gives None wherever `bare_integral` raises a ValueError, the same bits elsewhere."""
+    """The batch gives None wherever `bare_integral` raises a ValueError, its result bit for bit elsewhere."""
     expected = []
     for point in zip(k1, k2, alpha):
         try:
-            expected.append(bare_integral(n, l1, l2, *point).value.hex())
+            expected.append(bare_integral(n, l1, l2, *point))
         except ValueError:
             expected.append(None)
-    _, values = closedform.bare_integral_batch(n, l1, l2, k1, k2, alpha)
-    assert [None if v is None else v.hex() for v in values] == expected
+    results = closedform.bare_integral_batch(n, l1, l2, k1, k2, alpha)
+    assert results == expected
+    assert _bits(results) == _bits(expected)
 
 
 class TestBareIntegralBatch:
@@ -583,14 +589,14 @@ class TestBareIntegralBatch:
     def test_equals_scalar_bit_for_bit(self, l1, l2, n, points):
         k1, k2, alpha = (list(v) for v in zip(*points))
         try:
-            expected = _scalar_values(n, l1, l2, k1, k2, alpha)
+            expected = _scalar_results(n, l1, l2, k1, k2, alpha)
         except FormulaInapplicable:
             with pytest.raises(FormulaInapplicable):
                 closedform.bare_integral_batch(n, l1, l2, k1, k2, alpha)
             return
-        methods, values = closedform.bare_integral_batch(n, l1, l2, k1, k2, alpha)
-        assert methods == [bare_integral(n, l1, l2, *point).method for point in zip(k1, k2, alpha)]
-        assert [v.hex() for v in values] == [v.hex() for v in expected]
+        results = closedform.bare_integral_batch(n, l1, l2, k1, k2, alpha)
+        assert results == expected
+        assert _bits(results) == _bits(expected)
 
     def test_rescue_and_near_unity_points(self, monkeypatch):
         # (4, 2, 3) at k2/k1 in [2.6, 3.6], alpha 0.5 cancels and takes the
@@ -605,12 +611,13 @@ class TestBareIntegralBatch:
         alpha = [0.5, 0.5, 0.5, 0.5, 1e-3, 5e-4, 1e-5, 1e-2, 1.0]
         for n, l1, l2 in ((3, 4, 2), (1, 3, 3), (2, 1, 1), (9, 4, 4)):
             rescues.clear()
-            expected = _scalar_values(n, l1, l2, k1, k2, alpha)
+            expected = _scalar_results(n, l1, l2, k1, k2, alpha)
             scalar = closedform.bare_integral
             monkeypatch.setattr(closedform, "bare_integral", None)  # every point stays in the batch
-            _, values = closedform.bare_integral_batch(n, l1, l2, k1, k2, alpha)
+            results = closedform.bare_integral_batch(n, l1, l2, k1, k2, alpha)
             monkeypatch.setattr(closedform, "bare_integral", scalar)
-            assert [v.hex() for v in values] == [v.hex() for v in expected]
+            assert results == expected
+            assert _bits(results) == _bits(expected)
         rescues.clear()
         closedform.bare_integral_batch(3, 4, 2, k1, k2, alpha)
         assert rescues
@@ -624,8 +631,8 @@ class TestBareIntegralBatch:
         k1, k2, alpha = [1.0, 1.0, 1.0, 1.0], [1.0, 2.0, 1.0, 1.0], [1.0, -1.0, 1e-9, 0.5]
         with pytest.raises(ValueError, match=re.escape("alpha must be positive and finite, got -1.0")):
             bare_integral(2, 0, 1, k1[1], k2[1], alpha[1])
-        _, values = closedform.bare_integral_batch(2, 0, 1, k1, k2, alpha)
-        assert values[1] is None and values[2] is None
+        results = closedform.bare_integral_batch(2, 0, 1, k1, k2, alpha)
+        assert results[1] is None and results[2] is None
         _assert_batch_matches_scalar(2, 0, 1, k1, k2, alpha)
 
     @pytest.mark.filterwarnings("error")
@@ -637,7 +644,7 @@ class TestBareIntegralBatch:
     def test_first_failing_point(self, k1, k2, alpha):
         # the batch goes on past its first failing point, which `bare_integral` refuses
         with pytest.raises(ValueError):
-            _scalar_values(21, 10, 10, k1, k2, alpha)
+            _scalar_results(21, 10, 10, k1, k2, alpha)
         _assert_batch_matches_scalar(21, 10, 10, k1, k2, alpha)
 
     # 1.3e-160, 1.3e-160, 1e-170 has y > 1 in floats but no finite 1/(y - 1);
@@ -656,6 +663,23 @@ class TestBareIntegralBatch:
         with np.errstate(all="ignore"):
             _assert_batch_matches_scalar(*order, k1, k2, alpha)
 
+    def test_one_point_batches_seed_each_chain_once(self, monkeypatch):
+        # (4, 2, 3) and (4, 2, 5) at k2/k1 = 2.6, alpha 0.5 take the 40-digit rescue
+        expected = {n: [bare_integral(n, 4, 2, 1.0, 2.6, 0.5)] for n in (3, 5)}
+        specfun._CHAINS.clear()
+        seeds, rescues = [], []
+        seed, dec = specfun._q_seed, specfun.paper_q_combination_all_dec
+        monkeypatch.setattr(specfun, "_q_seed", lambda lmax, y, prec: seeds.append(
+            (lmax, prec, np.array(y, dtype=float).tobytes())) or seed(lmax, y, prec))
+        monkeypatch.setattr(specfun, "paper_q_combination_all_dec",
+                            lambda *a, **k: rescues.append(a) or dec(*a, **k))
+        for _ in range(3):
+            for n in (3, 5):
+                assert closedform.bare_integral_batch(n, 4, 2, [1.0], [2.6], [0.5]) == expected[n]
+        assert len(rescues) == 6
+        assert {prec for _, prec, _ in seeds} == {0, 40}
+        assert len(seeds) == len(set(seeds))
+
     def test_coupling_order_above_the_maximum(self):
         # (22, 10, 11) routes to l3 = 21: both paths refuse the order
         with pytest.raises(ValueError, match="lambda3=21 exceeds the supported maximum 20"):
@@ -668,5 +692,5 @@ class TestBareIntegralBatch:
         message = re.escape("leave the float range (k1=1e-103, k2=1e-103, alpha=1e-103)")
         with pytest.raises(ValueError, match=message):
             bare_integral(2, 0, 1, 1e-103, 1e-103, 1e-103)
-        _, values = closedform.bare_integral_batch(2, 0, 1, [1.0, 1e-103], [1.0, 1e-103], [1.0, 1e-103])
-        assert values == [bare_integral(2, 0, 1, 1.0, 1.0, 1.0).value, None]
+        results = closedform.bare_integral_batch(2, 0, 1, [1.0, 1e-103], [1.0, 1e-103], [1.0, 1e-103])
+        assert results == [bare_integral(2, 0, 1, 1.0, 1.0, 1.0), None]

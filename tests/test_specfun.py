@@ -573,15 +573,22 @@ class TestChainMemo:
     def test_batch_then_rescue_of_one_of_its_points(self):
         ys = np.linspace(1.5, 3.0, 5)
         batch = ((5,), ys.tobytes())
+        point = [((), v.tobytes()) for v in ys]
         specfun.paper_q_combination_all(2, 1, ys)
         specfun.legendre_q_all(5, ys)
         assert sorted(specfun._CHAINS) == [(2, batch, 0), (5, batch, 0)]
-        y = float(ys[3])
-        specfun.paper_q_combination_all_dec(2, 1, y)
-        assert list(specfun._CHAINS) == [(2, ((), ys[3].tobytes()), 40)]
-        # the batch's chains are gone, and built again give the same bytes
-        assert specfun.paper_q_combination_all(2, 1, ys)[:, 3].tobytes() == \
-            specfun.paper_q_combination_all(2, 1, y).tobytes()
+        # 40-digit reads at the batch's points drop nothing
+        specfun.paper_q_combination_all_dec(2, 1, float(ys[3]))
+        specfun.paper_q_combination_all_dec(2, 1, float(ys[1]))
+        assert sorted(specfun._CHAINS) == sorted([(2, batch, 0), (5, batch, 0), (2, point[3], 40), (2, point[1], 40)])
+        # a float read at one of them drops the chains at the others
+        one = specfun.paper_q_combination_all(2, 1, float(ys[3]))
+        assert sorted(specfun._CHAINS) == [(2, point[3], 0), (2, point[3], 40)]
+        # a 40-digit read at another point drops every chain but its own
+        specfun.paper_q_combination_all_dec(2, 1, 2.9)
+        assert list(specfun._CHAINS) == [(2, ((), np.float64(2.9).tobytes()), 40)]
+        # the batch's chains, built again, give the same bytes
+        assert specfun.paper_q_combination_all(2, 1, ys)[:, 3].tobytes() == one.tobytes()
 
     def test_changing_the_points_after_a_read_changes_no_later_one(self):
         ys = np.array([1.5, 2.0, 3.0])
@@ -621,5 +628,40 @@ class TestChainMemo:
                     t.join(timeout=120)
                 assert not any(t.is_alive() for t in threads)
                 assert all(r == cold for r in results)
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_concurrent_reads_at_other_points(self):
+        # four threads each read a batch's float tables, then the 40-digit tables at its
+        # points: every read drops or keeps chains, and no value may change
+        batches = [np.array([1.05, 1.5]), np.array([1.5, 2.5]), np.array([1.05, 1.5]), np.array([3.0])]
+        reads = [(points, M) for points in batches for M in (2, 7)]
+        cold = {}
+        for i, (points, M) in enumerate(reads):
+            specfun._CHAINS.clear()
+            cold[i] = (memo_values(12, M, points, 0), [memo_values(12, M, y, 40) for y in points.tolist()])
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            results = [[] for _ in batches]
+            start = threading.Barrier(len(batches))
+
+            def read(t):
+                start.wait(timeout=60)
+                for i in [(j + t) % len(reads) for j in range(len(reads))] * 5:  # each its own order
+                    points, M = reads[i]
+                    results[t].append((i, (memo_values(12, M, points, 0),
+                                           [memo_values(12, M, y, 40) for y in points.tolist()])))
+
+            threads = [threading.Thread(target=read, args=(t,)) for t in range(len(batches))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+            assert not any(t.is_alive() for t in threads)
+            assert all(len(r) == 5 * len(reads) for r in results)
+            assert all(values == cold[i] for r in results for i, values in r)
+            # every chain left lies at the points of the last float chain seeded
+            assert all(set(np.frombuffer(points).tolist()) <= specfun._HELD for _, (_, points), _ in specfun._CHAINS)
         finally:
             sys.setswitchinterval(interval)

@@ -3,6 +3,9 @@
 import importlib.util
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 from besselrad import cli, closedform, oracle, specfun
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
@@ -30,13 +33,13 @@ def test_traced_table_equals_plain(monkeypatch, tmp_path):
     assert cli.main(argv + ["--out", str(tmp_path / "traced.csv")]) == 0
     assert (tmp_path / "traced.csv").read_bytes() == (tmp_path / "plain.csv").read_bytes()
     kinds = {span[0] for span in tracer.spans}
-    assert {"closedform.bare_integral", "oracle.integrate_two_bessel"} <= kinds
-    # two rows per order, below BATCH_MIN_ROWS: one bare_integral call per row
-    assert spans.layer_metrics(tracer.spans)["closedform.calls"] == 6
+    assert {"specfun.paper_q_combination_all", "oracle.integrate_two_bessel"} <= kinds
+    # every order is one batch, and every row has a closed form: no bare_integral call
+    assert spans.layer_metrics(tracer.spans)["closedform.calls"] == 0
 
 
 def test_order_sweep_at_one_point(monkeypatch, tmp_path, cold_q_memo):
-    # every order (4, l2, n) at one point near y = 2, one row each: the one-point path
+    # every order (4, l2, n) at one point near y = 2, one row each: batches of one point
     for module in (closedform, specfun, oracle):
         for name, value in list(vars(module).items()):
             if callable(value):
@@ -65,3 +68,32 @@ def test_order_sweep_at_one_point(monkeypatch, tmp_path, cold_q_memo):
     # the Q seed runs once per (lmax, precision) the point asks for, at both precisions
     assert sorted(seeds) == sorted(keys)
     assert {prec for _, prec in seeds} == {0, 40}
+
+
+@pytest.mark.parametrize("sweeps", [
+    # point-major: a point's orders consecutive, 4 points
+    ["alpha=0.8:1.4:4", "lambda2=0:10:11", "power=1:21:21"],
+    # order-major: an order's points consecutive, 2 points
+    ["lambda2=0:10:11", "power=1:21:21", "alpha=0.8:1.4:2"],
+])
+def test_order_sweep_at_several_points(monkeypatch, tmp_path, cold_q_memo, sweeps):
+    # every order (4, l2, n) at y from 1.28 to 1.79, where most sums take the 40-digit rescue
+    rescued, seeds, keys = [], [], set()
+    weighted_sum, seed, chain_values = closedform._decimal_weighted_sum, specfun._q_seed, specfun._chain_values
+    monkeypatch.setattr(closedform, "_decimal_weighted_sum",
+                        lambda *a: rescued.append(a) or weighted_sum(*a))
+    monkeypatch.setattr(specfun, "_q_seed",
+                        lambda lmax, y, prec: seeds.append(_chain(lmax, y, prec)) or seed(lmax, y, prec))
+    monkeypatch.setattr(specfun, "_chain_values",
+                        lambda lmax, M, y, prec: keys.add(_chain(lmax, y, prec)) or chain_values(lmax, M, y, prec))
+    argv = ["table", "--lambda1", "4", "--k1", "1", "--k2", "1.3", "--quiet", "--out", str(tmp_path / "t.csv")]
+    assert cli.main(argv + [arg for sweep in sweeps for arg in ("--sweep", sweep)]) == 0
+    # the Q seed runs once per (lmax, precision, points) the sweep asks for, at both precisions
+    assert sorted(seeds) == sorted(keys)
+    assert {prec for _, prec, _, _ in seeds} == {0, 40}
+    assert len([key for key in keys if key[1]]) < len(rescued)
+
+
+def _chain(lmax, y, prec):
+    """The (lmax, precision, points' shape and bytes) of a chain of the memo."""
+    return lmax, prec, np.shape(y), np.array(y, dtype=float).tobytes()

@@ -192,26 +192,32 @@ def _parse_sweep(text: str) -> tuple[str, list[float]]:
     return name, values
 
 
-def _closed_forms(points: list[tuple]) -> list[Optional[closedform.EvalResult]]:
+def _closed_forms(points: list[tuple]) -> tuple[list[Optional[closedform.EvalResult]], set[tuple]]:
     """The closed-form result of every row, from one `bare_integral_batch` per order.
 
-    A row the batch gives no result, and every row of an order with no
-    closed form, is None: `cmd_table` evaluates it with `bare_integral`,
-    which raises the row's error.
+    Also returns the orders (l1, l2, n) with no closed form, whose batch
+    raised `FormulaInapplicable`.  Their rows are None, as is every row the
+    batch gives no result and every row of an order it refused with a
+    ValueError: `cmd_table` evaluates those with `bare_integral`, which
+    raises the row's error.
     """
     orders: dict[tuple, list[tuple]] = {}
     for i, (l1, l2, n, k1, k2, alpha) in enumerate(points):
         orders.setdefault((l1, l2, n), []).append((i, k1, k2, alpha))
     out: list[Optional[closedform.EvalResult]] = [None] * len(points)
+    refused = set()
     for (l1, l2, n), rows in orders.items():
         index, k1, k2, alpha = zip(*rows)
         try:
             results = closedform.bare_integral_batch(n, l1, l2, k1, k2, alpha)
-        except (closedform.FormulaInapplicable, ValueError):
+        except closedform.FormulaInapplicable:
+            refused.add((l1, l2, n))
+            continue
+        except ValueError:
             continue
         for i, result in zip(index, results):
             out[i] = result
-    return out
+    return out, refused
 
 
 def cmd_table(args: argparse.Namespace) -> int:
@@ -248,15 +254,17 @@ def cmd_table(args: argparse.Namespace) -> int:
         ))
 
     rows: list[list] = []
-    for (l1, l2, n, k1, k2, alpha), res in zip(points, _closed_forms(points)):
-        try:
-            if res is None:
-                condition = closedform.condition_number(k1, k2, alpha)
+    results, refused = _closed_forms(points)
+    for (l1, l2, n, k1, k2, alpha), res in zip(points, results):
+        if res is None:
+            # the condition column, and the row's point error before the order's
+            condition = closedform.condition_number(k1, k2, alpha)
+            if (l1, l2, n) not in refused:
                 res = closedform.bare_integral(n, l1, l2, k1, k2, alpha)
+        if res is None:
+            value, method = None, "NA"
+        else:
             value, method, condition = res.value, res.method.value, res.condition
-        except closedform.FormulaInapplicable:
-            value = None
-            method = "NA"
         oracle_value: Optional[float] = None
         rel_disc: Optional[float] = None
         if args.oracle or (value is None and args.fallback_oracle):

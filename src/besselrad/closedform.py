@@ -45,11 +45,12 @@ of `y_param` and `condition_number`) and run one evaluator per route
 Hankel route and 40-digit rescue are `_products`.
 
 The coupling coefficients depend on the orders only.  Each (l1, l2, l3)
-set is compiled once per process (`_coupling_set`), in one pass over its
-Wigner symbols, into float factors and the 40-digit Decimal factors of
-the rescue, which runs the same term product on them.  R(l, M, y) comes
-from `specfun`'s memo of derivative chains, which builds the Q table of
-each (lmax, points, precision) once for all the orders at those points.
+set is compiled once per process (`_coupling_set`), in one pass over the
+integer parts of its Wigner symbols, into float factors and, for the
+rescue, one 40-digit Decimal coefficient per term.  R(l, M, y) comes from
+`specfun`'s memo of derivative chains, which builds each Q table once for
+all the orders at its points: per lmax in floats, per bucket of lmax in
+40 digits.
 
 Everything here is a pure function apart from those caches, which hand
 out no value a caller can change; parameter sweeps may call these
@@ -61,9 +62,8 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from decimal import Decimal, localcontext
+from decimal import Context, Decimal, localcontext
 from enum import Enum
-from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple, Optional, Sequence
 
@@ -71,10 +71,14 @@ import numpy as np
 
 from . import specfun
 from .specfun import _order, _positive_finite
-from .wigner import AngularMomenta3j, WignerValue, threej_000_nonzero, wigner_3j, wigner_6j
+from .wigner import AngularMomenta3j, WignerValue, _six_j_parts, wigner_3j
+# the compile takes the 6j symbols as `_six_j_parts`; wigner_6j stays a name of this
+# module, which perfbench/spans.py wraps beside wigner_3j
+from .wigner import wigner_6j  # noqa: F401
 
 _LAMBDA_MAX = 20
 _RESCUE_DIGITS = 40  # precision of the rescue for sums that cancel in floats
+_RESCUE_CONTEXT = Context(prec=_RESCUE_DIGITS)
 # the Hankel route is tried below this y - 1 only: of the rows where the
 # double sum cancels it kept its digits on 56-93 % per decade of y - 1 from
 # 1e-5 to 1e-1, but on 3-20 % from 0.3 to 1.5, where it would mostly be a
@@ -245,27 +249,26 @@ def _w3j000(a: int, b: int, c: int) -> float:
 def _coupling_terms(l1: int, l2: int, l3: int):
     """Yield (script_l, l, sign, (num, den)) for every nonzero 3j*3j*6j product.
 
-    The parity gate runs before any symbol is evaluated, so the cost is
-    dominated by the nonzero terms.  sign * sqrt(num / den) is exact; num
-    and den are the products of the three radicands' numerators and
-    denominators, left unreduced.
+    l runs over the bounds of `summation_bounds`, which keep both 3j
+    triads closed, in steps of 2 from the parity that makes both nonzero
+    (one parity serves both, as l1 + l2 + l3 is even), so no symbol is
+    evaluated that the parity kills.  sign * sqrt(num / den) is exact;
+    num and den are the products of the three symbols' integer parts (the
+    3j radicands reduced, from their cache, and the stretched 6j's one
+    product of factorials, unreduced), so no term builds a fraction.
     """
     for scr in range(l3 + 1):
         l_lo, l_hi = summation_bounds(l1, l2, l3, scr)
-        for l in range(l_lo, l_hi + 1):
-            if not threej_000_nonzero(l1, l3 - scr, l):
-                continue
-            if not threej_000_nonzero(l2, scr, l):
-                continue
+        for l in range(l_lo + (l_lo + l2 + scr) % 2, l_hi + 1, 2):
             w1 = _w3j(l1, l3 - scr, l)
             w2 = _w3j(l2, scr, l)
-            w6 = wigner_6j(l1, l2, l3, scr, l3 - scr, l)
-            sign = w1.sign * w2.sign * w6.sign
+            s6, n6, d6 = _six_j_parts(l1, l2, l3, scr, l3 - scr, l)
+            sign = w1.sign * w2.sign * s6
             if sign == 0:
                 continue
             yield scr, l, sign, (
-                w1.radicand_num * w2.radicand_num * w6.radicand_num,
-                w1.radicand_den * w2.radicand_den * w6.radicand_den,
+                w1.radicand_num * w2.radicand_num * n6,
+                w1.radicand_den * w2.radicand_den * d6,
             )
 
 
@@ -274,26 +277,20 @@ class _CouplingSet(NamedTuple):
 
     Term i of the paper's double sum is
         binom[i] * (k2/k1)^scr[i] * two_l1[i] * weight[i] * R(l[i], M, y),
-    multiplied in that order, with binom = sqrt(C(2 l3, 2 scr)),
+    multiplied in that order in floats, with binom = sqrt(C(2 l3, 2 scr)),
     two_l1 = 2 l + 1 and weight = sign * sqrt(radicand).  The sign is
     exact, so folding it into the weight leaves every product unchanged.
-    `factors` holds these in floats; `exact` holds them for the 40-digit
-    rescue, binom and weight as `_RESCUE_DIGITS`-digit Decimals (binom
-    shared per l3) and two_l1 as an int.
+    `factors` holds these floats.  The 40-digit rescue forms
+        exact[i] * (k2/k1)^scr[i] * R(l[i], M, y),
+    where exact[i] = binom[i] * two_l1[i] * weight[i] is one
+    `_RESCUE_DIGITS`-digit Decimal, the square root of the exact rational
+    C(2 l3, 2 scr) (2 l + 1)^2 radicand rounded once (`_signed_root`).
     """
 
-    index: np.ndarray     # (2, terms) ints: scr, l
-    factors: np.ndarray   # (3, terms) floats: binom, two_l1, weight
-    exact: np.ndarray     # (3, terms) objects: Decimal binom, int two_l1, Decimal weight
-    l_need: int           # largest l of the set
-
-
-@lru_cache(maxsize=None)
-def _binom_dec(lambda3: int) -> tuple[Decimal, ...]:
-    """sqrt(C(2 l3, 2 scr)) for scr = 0..l3 in `_RESCUE_DIGITS`-digit Decimals."""
-    with localcontext() as ctx:
-        ctx.prec = _RESCUE_DIGITS
-        return tuple(Decimal(math.comb(2 * lambda3, 2 * scr)).sqrt() for scr in range(lambda3 + 1))
+    index: np.ndarray          # (2, terms) ints: scr, l
+    factors: np.ndarray        # (3, terms) floats: binom, two_l1, weight
+    exact: tuple[Decimal, ...]  # (terms,) Decimals: binom * two_l1 * weight
+    l_need: int                # largest l of the set
 
 
 @lru_cache(maxsize=None)
@@ -302,8 +299,8 @@ def _coupling_set(l1: int, l2: int, l3: int) -> Optional[_CouplingSet]:
 
     One pass over `_coupling_terms` gives both precisions, so each Wigner
     symbol of the set is evaluated once per process.  Int / int true
-    division and Decimal division are correctly rounded, so a weight taken
-    from the unreduced num / den equals the one of the reduced fraction.
+    division is correctly rounded, so a float weight taken from the
+    unreduced num / den equals the one of the reduced fraction.
     """
     terms = list(_coupling_terms(l1, l2, l3))
     if not terms:
@@ -313,14 +310,28 @@ def _coupling_set(l1: int, l2: int, l3: int) -> Optional[_CouplingSet]:
         (math.sqrt(math.comb(2 * l3, 2 * scr)), 2 * l + 1, sign * math.sqrt(num / den))
         for scr, l, sign, (num, den) in terms
     ]).T
-    binom = _binom_dec(l3)
-    with localcontext() as ctx:
-        ctx.prec = _RESCUE_DIGITS
-        exact = np.array([
-            (binom[scr], 2 * l + 1, sign * (Decimal(num) / Decimal(den)).sqrt())
-            for scr, l, sign, (num, den) in terms
-        ], dtype=object).T
+    exact = tuple(
+        _signed_root(sign, math.comb(2 * l3, 2 * scr) * (2 * l + 1) ** 2 * num, den)
+        for scr, l, sign, (num, den) in terms
+    )
     return _CouplingSet(index, factors, exact, int(index[1].max()))
+
+
+def _signed_root(sign: int, num: int, den: int) -> Decimal:
+    """sign * sqrt(num / den), correctly rounded to `_RESCUE_DIGITS` digits.
+
+    r = isqrt(num * 100^shift // den) is floor(sqrt(num / den) * 10^shift),
+    with shift chosen for about `_RESCUE_DIGITS` + 10 digits of r.  Where the
+    root is inexact it lies strictly between r and r + 1, so 10 r + 1 (a
+    sticky last digit) rounds to `_RESCUE_DIGITS` digits as the root does,
+    never as a tie; where it is exact, 10 r is the root.  It is faster than
+    a Decimal division and square root of these large ints.
+    """
+    shift = max(0, _RESCUE_DIGITS + 10 - (num.bit_length() - den.bit_length()) * 3 // 20)  # log10(2)/2 ~ 3/20
+    scaled = num * 100**shift
+    root = math.isqrt(scaled // den)
+    sticky = root * root * den != scaled
+    return _RESCUE_CONTEXT.create_decimal(sign * (10 * root + sticky)).scaleb(-shift - 1, _RESCUE_CONTEXT)
 
 
 def _power(base, exponent: int):
@@ -331,23 +342,23 @@ def _power(base, exponent: int):
         return math.inf
 
 
-def _contributions(
-    cs: _CouplingSet, lambda3: int, ratio, rvals: np.ndarray, exact: bool = False
-) -> np.ndarray:
-    """The terms of the double sum, shape (terms,) + shape of ratio.
+def _flat(v) -> list[float]:
+    """The values of a float or of an array of points, as a list of floats."""
+    return [v] if type(v) is float else np.ravel(v).tolist()
+
+
+def _contributions(cs: _CouplingSet, lambda3: int, ratio, rvals: np.ndarray) -> np.ndarray:
+    """The float terms of the double sum, shape (terms,) + shape of ratio.
 
     ratio = k2/k1 is a float or an array of points and rvals the matching
-    R(l, M, y) of `specfun.paper_q_combination_all`; or, for the rescue
-    (exact), ratio is a Decimal and rvals an object array of Decimals,
-    run in the caller's context on the set's exact factors.  The powers
-    of the ratio are taken with ** int, as a scalar evaluation would.
+    R(l, M, y) of `specfun.paper_q_combination_all`.  The powers of the
+    ratio are taken with ** int, as a scalar evaluation would.
     """
-    points = np.reshape(ratio, -1).tolist()
-    powers = np.array([[_power(r, scr) for r in points] for scr in range(lambda3 + 1)])
-    powers = powers.reshape((lambda3 + 1,) + np.shape(ratio))
+    shape = np.shape(ratio)
+    powers = np.array([[_power(r, scr) for r in _flat(ratio)] for scr in range(lambda3 + 1)])
+    powers = powers.reshape((lambda3 + 1,) + shape)
     scr, l = cs.index
-    factors = cs.exact if exact else cs.factors
-    binom, two_l1, weight = factors.reshape(factors.shape + (1,) * np.ndim(ratio))
+    binom, two_l1, weight = cs.factors.reshape(cs.factors.shape + (1,) * len(shape))
     return binom * powers[scr] * two_l1 * weight * rvals[l]
 
 
@@ -400,36 +411,38 @@ class _HankelSet(NamedTuple):
     psi: tuple[float, ...]  # psi(e + 1) = H_e - gamma for e = 0 .. e_high
 
 
-def _hankel_a(l: int, k: int) -> Fraction:
-    """a_k(l + 1/2) = (l + k)!/(2^k k! (l - k)!) of DLMF 10.49.1."""
-    return Fraction(math.factorial(l + k), 2**k * math.factorial(k) * math.factorial(l - k))
-
-
 @lru_cache(maxsize=None)
 def _hankel_set(l1: int, l2: int, n: int) -> _HankelSet:
-    """The Hankel set of the order (l1, l2, n), compiled once per process."""
+    """The Hankel set of the order (l1, l2, n), compiled once per process.
+
+    With a_k(l + 1/2) = (l + k)!/(2^k k! (l - k)!) (DLMF 10.49.1), a
+    coefficient's magnitude is (1/2) a_i(l1) a_j(l2) times (-e - 1)! for
+    e < 0 or 1/e! for e >= 0, formed as one int numerator over one int
+    denominator: int / int true division rounds it once, correctly, as
+    float(Fraction) would.  psi(e + 1) = H_e - gamma, with H_e from the
+    harmonic numbers as int pairs.
+    """
     e_low, e_high = 1 - n, l1 + l2 + 1 - n
     width = e_high - e_low + 1
+    f = math.factorial
     coef, js, row = [], [], []
     for s, sign in enumerate((1, -1)):
         for i in range(l1 + 1):
             for j in range(l2 + 1):
                 q = (i - l1 - 1 + sign * (j - l2 - 1)) % 4
                 e = i + j + 1 - n
-                if e < 0:
-                    weight = Fraction(math.factorial(-e - 1))
-                else:
-                    weight = Fraction((-1) ** e, math.factorial(e))
-                c = Fraction(1, 2) * _hankel_a(l1, i) * _hankel_a(l2, j) * weight
-                # Re(i^q Z) is Re Z, -Im Z, -Re Z, Im Z for q = 0, 1, 2, 3
-                coef.append(float(c if q in (0, 3) else -c))
+                num = f(l1 + i) * f(l2 + j) * (f(-e - 1) if e < 0 else 1)
+                den = 2 ** (i + j + 1) * f(i) * f(l1 - i) * f(j) * f(l2 - j) * (f(e) if e >= 0 else 1)
+                # Re(i^q Z) is Re Z, -Im Z, -Re Z, Im Z for q = 0, 1, 2, 3, times (-1)^e for e >= 0
+                negative = (q in (1, 2)) != (e > 0 and e % 2 == 1)
+                coef.append((-num if negative else num) / den)
                 js.append(j)
                 row.append((q % 2) * 2 * width + s * width + e - e_low)
-    psi = tuple(
-        float(sum(Fraction(1, k) for k in range(1, e + 1))) - _EULER_GAMMA
-        for e in range(e_high + 1)
-    )
-    return _HankelSet(np.array(coef), np.array(js), np.array(row), e_low, e_high, psi)
+    psi, h_num, h_den = [], 0, 1
+    for e in range(e_high + 1):
+        psi.append(h_num / h_den - _EULER_GAMMA)
+        h_num, h_den = h_num * (e + 1) + h_den, h_den * (e + 1)
+    return _HankelSet(np.array(coef), np.array(js), np.array(row), e_low, e_high, tuple(psi))
 
 
 def _hankel_table(hs: _HankelSet, k1: float, k2: float, alpha: float) -> list[complex]:
@@ -514,7 +527,7 @@ def _products(
     """
     m_order = lambda3 + offset - 1
     sums = _double_sums(cs, lambda3, m_order, k1, k2, y)
-    points = zip(*(np.reshape(v, -1).tolist() for v in (k1, k2, alpha, y)))
+    points = zip(*(_flat(v) for v in (k1, k2, alpha, y)))
     values, rescues = [], []
     for i, ((a, b, c, yi), (total, peak)) in enumerate(zip(points, sums)):
         pref = _prefactor(lambda1, lambda2, lambda3, a, b, c, offset)
@@ -542,13 +555,16 @@ def _decimal_weighted_sum(
 ) -> tuple[float, float]:
     """The double sum and its largest |term|, as `_double_sums` gives them, in `_RESCUE_DIGITS` digits.
 
-    The terms are those of `_contributions` over the set's exact factors.
+    Term i is the set's exact[i] * (k2/k1)^scr[i] * R(l[i], M, y), formed
+    over plain Decimals.
     """
     with localcontext() as ctx:
         ctx.prec = _RESCUE_DIGITS
         rd = specfun.paper_q_combination_all_dec(cs.l_need, m_order, y, prec=_RESCUE_DIGITS)
         ratio = Decimal(k2) / Decimal(k1)
-        terms = _contributions(cs, lambda3, ratio, np.array(rd, dtype=object), exact=True).tolist()
+        powers = [ratio**scr for scr in range(lambda3 + 1)]
+        scr, l = cs.index.tolist()
+        terms = [c * powers[s] * rd[i] for c, s, i in zip(cs.exact, scr, l)]
         return float(sum(terms, Decimal(0))), float(max(map(abs, terms)))
 
 
@@ -566,7 +582,7 @@ def _evaluate(
     point.  A result is None where its value is not finite.
     """
     l1, l2, l3, offset = route
-    hankel = [False] * np.size(y)
+    hankel = [False] * len(conditions)
     with np.errstate(all="ignore"):  # R, a term or a value may leave the float range: None below
         if offset == 1 and l3 == 0 and not weighted:
             method = Method.EQ_2_9
@@ -583,7 +599,7 @@ def _evaluate(
                 values = values / _w3j000(l1, l2, l3)
     return [
         EvalResult(v, Method.HANKEL if h else method, c) if math.isfinite(v) else None
-        for v, h, c in zip(np.reshape(values, -1).tolist(), hankel, conditions)
+        for v, h, c in zip(_flat(values), hankel, conditions)
     ]
 
 

@@ -54,10 +54,14 @@ caller sums them for, and the orders of a sweep ask for many of them at
 the same points.  So every Q and R table (a float y, an array of points,
 the rescue) is read from the only module state, a small memo of
 derivative chains at the points of the last float chain seeded, keyed by
-(lmax, points, precision): the Q seed and the orders built so far,
-extended on demand and never handed out.  No value depends on how far
-a chain had been extended, or on call history.  A lock guards the memo,
-and everything is safe for concurrent use.
+(top, points, precision): the Q seed of orders 0..top and the derivative
+orders built so far, extended on demand and never handed out.  A float
+chain's top is the lmax asked for; an extended-precision chain's is the
+smallest 2^k - 1 at least lmax (0, 1, 3, 7, 15, 31 or 63), and a read
+takes its first lmax + 1 rows, so the rescued rows of a sweep at one point
+share one chain per bucket.  No value depends on how far a chain had been extended, or
+on call history.  A lock guards the memo, and everything is safe for
+concurrent use.
 """
 
 from __future__ import annotations
@@ -401,12 +405,12 @@ class _DerivativeChain:
             self.ym1 = (y - 1) * (y + 1)  # y^2 - 1 without the cancellation of y * y - 1 near y = 1
         self.ls = np.arange(1, len(q)).astype(q.dtype).reshape((-1,) + (1,) * (q.ndim - 1))
 
-    def signed(self, M: int) -> np.ndarray:
-        """R(l, M, y) = (-1)^M d^M Q_l/dy^M for l = 0..lmax, as a new array."""
+    def signed(self, M: int, rows: int) -> np.ndarray:
+        """R(l, M, y) = (-1)^M d^M Q_l/dy^M for l = 0..rows - 1, as a new array."""
         orders = self.orders
         for m in range(len(orders) - 1, M):
             orders.append(_r_step(orders[m - 1] if m else None, orders[m], m, self.y, self.ym1, self.ls))
-        return -orders[M] if M % 2 else orders[M].copy()
+        return -orders[M][:rows] if M % 2 else orders[M][:rows].copy()
 
 
 def paper_q_combination(L: int, M: int, y: float) -> float:
@@ -480,9 +484,10 @@ def _q_seed(lmax: int, y, prec: int) -> np.ndarray:
 def paper_q_combination_all_dec(lmax: int, M: int, y: float, prec: int = 40) -> list[Decimal]:
     """R(l, M, y) for l = 0..lmax in `prec`-digit decimal arithmetic, y > 1.
 
-    The Q seed is `_q_seed`'s.  The values come from the chain of
-    (lmax, y, prec) in the memo (`_chain_values`), as a new list; they do
-    not depend on the caller's decimal context.
+    The values are the first lmax + 1 rows of the chain of y's bucket
+    (`_chain_top`) in the memo (`_chain_values`), seeded by `_q_seed` at
+    the bucket's top, as a new list.  They depend on y, the bucket and
+    prec only, not on the caller's decimal context or what was read before.
     """
     lmax, M = _order("lmax", lmax, _L_MAX_Q), _order("M", M, _M_MAX_Q)
     prec = _order("prec", prec, None, minimum=1)
@@ -495,20 +500,37 @@ def paper_q_combination_all_dec(lmax: int, M: int, y: float, prec: int = 40) -> 
 # Every order of a `table` sweep asks for R(., M, y) at the same points for
 # many (lmax, M): a batch's float tables at its array of points, then the
 # 40-digit rescue at some of those points, one at a time.  A key holds the
-# points' shape and float64 bytes, so a float y and an array are held
-# alike.  Each key's chain is seeded once and extended to the highest M
-# asked for.  The seed rule, the guard digits and the top ratio depend on
-# lmax, so a new lmax is a new key.  The memo keeps the chains at the
-# points of the last float chain it seeded (`_HELD`), at both precisions:
-# a new 40-digit chain at one of those points drops nothing, and a new
-# chain at other points drops every chain at a point outside them.  So
-# every order of a sweep, and every row of an `order_scan` command at its
-# one point, finds the chains of the orders before it.  One lock guards
-# the memo and every extension.
+# chain's top order, the points' shape and float64 bytes, and the
+# precision, so a float y and an array are held alike.  Each key's chain
+# is seeded once, at its top, and extended to the highest M asked for.
+# The seed rule, the guard digits and the top ratio depend on the top, so
+# row l of a chain depends on its top as well as on l.  A float chain's
+# top is the lmax asked for: its seed is cheap, and a higher top would
+# seed and extend rows that no read needs.  An extended chain's
+# top is its bucket's (`_chain_top`), so one 40-digit seed at a point
+# serves every lmax of its bucket (4 to 7, 8 to 15, ...), and a row's
+# value is the same whichever lmax of the bucket was asked for first; a
+# bucket at most doubles lmax, so a small lmax read at a fresh point seeds
+# few rows it does not read.  The memo keeps the
+# chains at the points of the last float chain it seeded (`_HELD`), at
+# both precisions: a new 40-digit chain at one of those points drops
+# nothing, and a new chain at other points drops every chain at a point
+# outside them.  So every order of a sweep, and every row of an
+# `order_scan` command at its one point, finds the chains of the orders
+# before it.  One lock guards the memo and every extension.
 
 _CHAINS: dict = {}
 _HELD: frozenset = frozenset()  # every chain's points lie in it
 _CHAINS_LOCK = threading.Lock()
+
+
+def _chain_top(lmax: int, prec: int) -> int:
+    """The top order of the chain that serves lmax.
+
+    lmax itself in floats (prec 0), else the smallest 2^k - 1 at least
+    lmax: 0, 1, 3, 7, 15, 31 or 63.
+    """
+    return (1 << lmax.bit_length()) - 1 if prec else lmax
 
 
 def _chain_values(lmax: int, M: int, y, prec: int) -> np.ndarray:
@@ -517,7 +539,8 @@ def _chain_values(lmax: int, M: int, y, prec: int) -> np.ndarray:
     copy = np.array(y, dtype=float)  # the caller cannot change a chain's points
     points = (copy.shape, copy.tobytes())
     y = copy if copy.ndim else float(copy)
-    key = (lmax, points, prec)
+    top = _chain_top(lmax, prec)
+    key = (top, points, prec)
     # a fresh context: a chain's values must not depend on its first caller's
     with _CHAINS_LOCK, localcontext(Context(prec=prec)) if prec else nullcontext():
         chain = _CHAINS.get(key)
@@ -527,5 +550,5 @@ def _chain_values(lmax: int, M: int, y, prec: int) -> np.ndarray:
                 _HELD = values
                 for other in [k for k in _CHAINS if not values.issuperset(np.frombuffer(k[1][1]).tolist())]:
                     del _CHAINS[other]
-            chain = _CHAINS[key] = _DerivativeChain(_q_seed(lmax, y, prec), Decimal(y) if prec else y)
-        return chain.signed(M)
+            chain = _CHAINS[key] = _DerivativeChain(_q_seed(top, y, prec), Decimal(y) if prec else y)
+        return chain.signed(M, lmax + 1)

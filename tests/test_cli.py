@@ -310,19 +310,26 @@ class TestTableBatches:
         assert out_path.read_text(encoding="utf-8") == reference_table(sweeps, fixed)
 
     def test_orders_are_batched(self, capsys, tmp_path, monkeypatch):
-        # one batch per order, whatever its row count and the row order; only
-        # the rows of power 1, which has no closed form here, go to bare_integral
-        batches, rows = [], []
-        batch, scalar = closedform.bare_integral_batch, closedform.bare_integral
+        # one batch per order, whatever its row count and the row order; the rows
+        # of power 1, which has no closed form here, are written NA from the
+        # batch's refusal, each with its point's condition: none reaches bare_integral
+        batches, rows, conditions = [], [], []
+        batch, scalar, condition = closedform.bare_integral_batch, closedform.bare_integral, closedform.condition_number
         monkeypatch.setattr(closedform, "bare_integral_batch", lambda *a: batches.append(a) or batch(*a))
         monkeypatch.setattr(closedform, "bare_integral", lambda *a: rows.append(a) or scalar(*a))
+        monkeypatch.setattr(closedform, "condition_number", lambda *a: conditions.append(a) or condition(*a))
         for (sweeps, fixed), count in zip(self.CASES[-2:], (3, 4)):
             batches.clear()
             rows.clear()
-            assert run_cli(capsys, table_argv(sweeps, fixed, tmp_path / "t.csv")) == (0, "", "")
+            conditions.clear()
+            out_path = tmp_path / "t.csv"
+            assert run_cli(capsys, table_argv(sweeps, fixed, out_path)) == (0, "", "")
             assert sorted(a[0] for a in batches) == [1, 2, 3, 4, 5, 6]
             assert all(len(a[3]) == count for a in batches)
-            assert [a[0] for a in rows] == [1] * count
+            assert rows == []
+            assert len(conditions) == count
+            na = [row for row in out_path.read_text(encoding="utf-8").splitlines() if ",NA," in row]
+            assert len(na) == count and all(row.startswith("2,3,1,") for row in na)
 
     def test_point_major_equals_order_major(self, capsys, tmp_path):
         # one sweep with its points outside and inside its orders, with NA rows and rescued rows
@@ -349,6 +356,9 @@ class TestTableBatches:
         ([("alpha", 1.0, 3e-8, 5)], {"lambda1": 10, "lambda2": 10, "power": 21, "k1": 1.0, "k2": 1.0}),
         # equal order: Q_0(y)/(2 k1 k2) overflows on the last k1, where 2 k1 k2 is subnormal
         ([("k1", 1e-150, 1e-160, 5)], {"lambda1": 0, "lambda2": 0, "power": 1, "k2": 1.5e-160, "alpha": 1e-160}),
+        # 1/(y - 1) is not finite (alpha^2 underflows) on the last alpha of an order
+        # with no closed form (power 1, l1 + l2 odd)
+        ([("alpha", 1.0, 1e-170, 5)], {"lambda1": 1, "lambda2": 2, "power": 1, "k1": 1.0, "k2": 1.0}),
     ])
     @pytest.mark.filterwarnings("error")
     def test_bad_point_in_batch_matches_row_by_row(self, capsys, tmp_path, sweeps, fixed):

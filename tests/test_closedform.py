@@ -1,6 +1,7 @@
+import itertools
 import math
 import re
-from decimal import Decimal, localcontext
+from decimal import Context, Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -479,6 +480,35 @@ class TestHankelRoute:
         assert scaled.method is Method.HANKEL
         assert scaled.value == pytest.approx(c ** -(n + 1) * base.value, rel=1e-15)
 
+    @pytest.mark.parametrize("l1", range(11))
+    def test_set_equals_fraction_reference(self, l1):
+        # every order with l2 <= 10 and n <= 22 (l3 <= 20), the coefficients rounded once from
+        # exact Fractions: (1/2) i^q a_i(l1) a_j(l2) times (-e - 1)! or (-1)^e/e!, and psi(e + 1)
+        # = H_e - gamma from a Fraction sum
+        def a(l, k):
+            return Fraction(math.factorial(l + k), 2**k * math.factorial(k) * math.factorial(l - k))
+
+        for l2, n in itertools.product(range(11), range(1, 23)):
+            hs = closedform._hankel_set(l1, l2, n)
+            e_low, e_high = 1 - n, l1 + l2 + 1 - n
+            width = e_high - e_low + 1
+            coef, js, rows = [], [], []
+            for s, sign in enumerate((1, -1)):
+                for i, j in itertools.product(range(l1 + 1), range(l2 + 1)):
+                    e = i + j + 1 - n
+                    weight = Fraction(math.factorial(-e - 1)) if e < 0 else Fraction((-1) ** e, math.factorial(e))
+                    c = Fraction(1, 2) * a(l1, i) * a(l2, j) * weight
+                    # Re(i^q Z) = Re(i^q) Re Z - Im(i^q) Im Z, and one of the two is 0
+                    re_q, im_q = [(1, 0), (0, 1), (-1, 0), (0, -1)][(i - l1 - 1 + sign * (j - l2 - 1)) % 4]
+                    coef.append(float(c * (re_q or -im_q)))
+                    js.append(j)
+                    rows.append((0 if re_q else 2 * width) + s * width + e - e_low)
+            assert hs.coef.tolist() == coef and hs.j.tolist() == js and hs.row.tolist() == rows
+            assert (hs.e_low, hs.e_high) == (e_low, e_high)
+            gamma = closedform._EULER_GAMMA
+            psi = [float(sum(Fraction(1, k) for k in range(1, e + 1))) - gamma for e in range(e_high + 1)]
+            assert list(hs.psi) == psi
+
     def test_replaces_the_rescue(self, monkeypatch):
         calls = []
         dec = specfun.paper_q_combination_all_dec
@@ -528,23 +558,46 @@ class TestCouplingSet:
                 signs = [t[2] for t in terms]
                 assert weight == [s * math.sqrt(float(r)) for s, r in zip(signs, radicands)]
                 assert cs.l_need == max(t[1] for t in terms)
+                # the folded coefficient binom * two_l1 * weight: its three factors, each taken
+                # at 80 digits from the reduced fraction, multiplied and rounded to 40 digits
                 with localcontext() as ctx:
-                    ctx.prec = closedform._RESCUE_DIGITS
-                    exact = [
-                        [Decimal(math.comb(2 * l3, 2 * scr)).sqrt() for scr, _, _, _ in terms],
-                        [2 * l + 1 for _, l, _, _ in terms],
-                        [s * (Decimal(r.numerator) / Decimal(r.denominator)).sqrt()
-                         for s, r in zip(signs, radicands)],
+                    ctx.prec = 80
+                    factors = [
+                        Decimal(math.comb(2 * l3, 2 * scr)).sqrt() * (2 * l + 1)
+                        * s * (Decimal(r.numerator) / Decimal(r.denominator)).sqrt()
+                        for (scr, l, _, _), s, r in zip(terms, signs, radicands)
                     ]
-                # repr tells Decimal('3') from 3 and Decimal('3.0') from Decimal('3')
-                got = [list(map(repr, row)) for row in cs.exact.tolist()]
-                assert got == [list(map(repr, row)) for row in exact]
+                    ctx.prec = closedform._RESCUE_DIGITS
+                    exact = [+f for f in factors]
+                assert all(type(c) is Decimal for c in cs.exact) and list(cs.exact) == exact
+
+    @pytest.mark.parametrize("last", [7, 8])
+    def test_folded_root_is_rounded_once(self, last):
+        # at a tie of the 41st digit, just above and just below it, for both parities of the
+        # 40th digit (half-even), and where num / den is far above or below 1
+        tie = 10 * (3 * 10**39 + 12345678901234567891234560 + last) + 5
+        cases = [(tie**2 + d, 10**82) for d in (-1, 0, 1)] + [(2 * 10**201, 1), (3, 7 * 10**200), (49, 4)]
+        for num, den in cases:
+            for sign in (1, -1):
+                assert closedform._signed_root(sign, num, den) == _rounded_root(sign, num, den), (num, den)
+
+    @pytest.mark.parametrize("l1", [14, 17, 20])
+    def test_folded_coefficients_of_the_largest_sets(self, l1):
+        # the sets up to l1 = l2 = l3 = 20, past those of the benchmark
+        for l2 in range(l1, 21):
+            for l3 in range(l2 - l1, min(l1 + l2, 20) + 1, 2):
+                cs = closedform._coupling_set(l1, l2, l3)
+                expected = [
+                    _rounded_root(sign, math.comb(2 * l3, 2 * scr) * (2 * l + 1) ** 2 * num, den)
+                    for scr, l, sign, (num, den) in closedform._coupling_terms(l1, l2, l3)
+                ]
+                assert list(cs.exact if cs else []) == expected
 
     def test_rescue_reuses_compiled_set(self, monkeypatch):
         # both calls take the 40-digit rescue; the set's symbols are evaluated once, by its compile
         sixj, rescues = [], []
-        w6 = closedform.wigner_6j
-        monkeypatch.setattr(closedform, "wigner_6j", lambda *a: sixj.append(a) or w6(*a))
+        w6 = closedform._six_j_parts
+        monkeypatch.setattr(closedform, "_six_j_parts", lambda *a: sixj.append(a) or w6(*a))
         dec = specfun.paper_q_combination_all_dec
         monkeypatch.setattr(specfun, "paper_q_combination_all_dec",
                             lambda *a, **k: rescues.append(a) or dec(*a, **k))
@@ -554,6 +607,12 @@ class TestCouplingSet:
         bare_integral(3, 4, 2, 1.0, 3.0, 0.5)
         assert len(rescues) == 2
         assert len(sixj) == closedform._coupling_set(4, 2, 2).index.shape[1]
+
+
+def _rounded_root(sign, num, den):
+    """sign * sqrt(num / den) at 150 digits, rounded to the rescue's digits."""
+    root = Context(prec=150).sqrt(Context(prec=150).divide(Decimal(num), Decimal(den)))
+    return Context(prec=closedform._RESCUE_DIGITS).plus(root if sign > 0 else root.copy_negate())
 
 
 def _scalar_results(n, l1, l2, k1, k2, alpha):

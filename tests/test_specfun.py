@@ -409,15 +409,18 @@ class TestDecimalSeed:
     @pytest.mark.parametrize("y", SEED_GRID_Y + [1e300])
     @pytest.mark.parametrize("lmax", [0, 1, 8, 20, 30, 40])
     def test_continued_fraction_only_past_the_guard_rule(self, monkeypatch, y, lmax):
-        # the top ratio Q_{lmax+1}/Q_lmax, to 36 digits, seeds Q only past the guard rule
+        # the chain of lmax runs to its bucket's top; the ratio Q_{top+1}/Q_top, to 36
+        # digits, seeds Q only past the guard rule at that top
         calls = []
         ratio = specfun._q_ratio
         monkeypatch.setattr(specfun, "_q_ratio", lambda *a: calls.append(a) or ratio(*a))
         specfun.paper_q_combination_all_dec(lmax, 2, y)
-        guard = specfun._forward_guard_digits(lmax, y)
+        chain_top = specfun._chain_top(lmax, 40)
+        assert chain_top == min(t for t in (0, 1, 3, 7, 15, 31, 63) if t >= lmax)
+        guard = specfun._forward_guard_digits(chain_top, y)
         assert guard > 0
-        assert bool(calls) == (guard > 40 and lmax > 0)
-        assert all(top == lmax + 1 and digits == 36 for top, _, digits in calls)
+        assert bool(calls) == (guard > 40 and chain_top > 0)
+        assert all(top == chain_top + 1 and digits == 36 for top, _, digits in calls)
 
 
 def float_r_bound(lmax, M):
@@ -511,7 +514,8 @@ def memo_values(lmax, M, y, prec):
     return specfun.paper_q_combination_all(lmax, M, y).tobytes()
 
 
-MEMO_ORDERS = [(0, 0), (5, 3), (20, 21), (40, 12), (40, 21)]
+# at 40 digits the buckets 0, 1, 3, 3, 7, 7, 15, 15, 31, 31, 63 and 63
+MEMO_ORDERS = [(0, 0), (1, 2), (2, 3), (3, 2), (5, 3), (7, 3), (8, 3), (15, 12), (20, 21), (31, 21), (40, 12), (40, 21)]
 
 
 @pytest.mark.usefixtures("cold_q_memo")
@@ -534,10 +538,19 @@ class TestChainMemo:
                     assert column.tobytes() == cold[lmax, M, 0]
             specfun._CHAINS.clear()
             # (40, 21) extends the chain of (40, 12); the reverse pass reads every
-            # order warm, the lower M of lmax = 40 after the higher one
+            # order warm, the lower M of lmax = 40 after the higher one.  At 40
+            # digits the orders of one bucket share its chain, the lower lmax read
+            # first in one pass and last in the other
             for lmax, M in MEMO_ORDERS + MEMO_ORDERS[::-1]:
                 for i, points in enumerate(reads):
                     assert memo_values(lmax, M, points, prec) == cold[lmax, M, i], (lmax, M, i)
+            if prec:
+                # a lower lmax reads the first rows of its bucket's chain (lmax <= 60 is public)
+                tops = {lmax: specfun._chain_top(lmax, prec) for lmax, _ in MEMO_ORDERS}
+                assert sorted(set(tops.values())) == [0, 1, 3, 7, 15, 31, 63]
+                for lmax, M in MEMO_ORDERS:
+                    assert cold[lmax, M, 0] == memo_values(min(tops[lmax], 60), M, y, prec)[:lmax + 1]
+                assert len({key[0] for key in specfun._CHAINS if key[2]}) == 7
 
     def test_caller_context_changes_no_value(self):
         cold = memo_values(10, 5, 1.3, 40)
@@ -568,7 +581,8 @@ class TestChainMemo:
             specfun.paper_q_combination_all(5, 3, y)
             specfun.paper_q_combination_all_dec(2, 1, y)
             point = ((), np.float64(y).tobytes())
-            assert sorted(specfun._CHAINS) == [(2, point, 0), (2, point, 40), (5, point, 0)]
+            # a float chain is keyed by its lmax, a 40-digit one by its bucket's top
+            assert sorted(specfun._CHAINS) == [(2, point, 0), (3, point, 40), (5, point, 0)]
 
     def test_batch_then_rescue_of_one_of_its_points(self):
         ys = np.linspace(1.5, 3.0, 5)
@@ -580,13 +594,13 @@ class TestChainMemo:
         # 40-digit reads at the batch's points drop nothing
         specfun.paper_q_combination_all_dec(2, 1, float(ys[3]))
         specfun.paper_q_combination_all_dec(2, 1, float(ys[1]))
-        assert sorted(specfun._CHAINS) == sorted([(2, batch, 0), (5, batch, 0), (2, point[3], 40), (2, point[1], 40)])
+        assert sorted(specfun._CHAINS) == sorted([(2, batch, 0), (5, batch, 0), (3, point[3], 40), (3, point[1], 40)])
         # a float read at one of them drops the chains at the others
         one = specfun.paper_q_combination_all(2, 1, float(ys[3]))
-        assert sorted(specfun._CHAINS) == [(2, point[3], 0), (2, point[3], 40)]
+        assert sorted(specfun._CHAINS) == [(2, point[3], 0), (3, point[3], 40)]
         # a 40-digit read at another point drops every chain but its own
         specfun.paper_q_combination_all_dec(2, 1, 2.9)
-        assert list(specfun._CHAINS) == [(2, ((), np.float64(2.9).tobytes()), 40)]
+        assert list(specfun._CHAINS) == [(3, ((), np.float64(2.9).tobytes()), 40)]
         # the batch's chains, built again, give the same bytes
         assert specfun.paper_q_combination_all(2, 1, ys)[:, 3].tobytes() == one.tobytes()
 

@@ -55,7 +55,7 @@ def test_order_sweep_at_one_point(monkeypatch, tmp_path, cold_q_memo):
     monkeypatch.setattr(specfun, "_q_seed",
                         lambda lmax, y, prec: seeds.append((lmax, prec)) or seed(lmax, y, prec))
     monkeypatch.setattr(specfun, "_chain_values",
-                        lambda lmax, M, y, prec: keys.add((lmax, prec)) or chain_values(lmax, M, y, prec))
+                        lambda lmax, M, y, prec: keys.add(_chain(lmax, y, prec)[:2]) or chain_values(lmax, M, y, prec))
     spans = _load_spans()
     tracer = spans.Tracer()
     spans.install(tracer, closedform, specfun, oracle)
@@ -64,10 +64,22 @@ def test_order_sweep_at_one_point(monkeypatch, tmp_path, cold_q_memo):
     # one 40-digit span per rescued row, whether its chain was built or read
     metrics = spans.layer_metrics(tracer.spans)
     assert metrics["closedform.rescue_calls"] == len(rescued)
-    assert len({(lmax, prec) for lmax, prec in seeds if prec}) < len(rescued)
-    # the Q seed runs once per (lmax, precision) the point asks for, at both precisions
+    # the Q seed runs once per float lmax and once per 40-digit bucket the point asks for
     assert sorted(seeds) == sorted(keys)
     assert {prec for _, prec in seeds} == {0, 40}
+    buckets = [top for top, prec in seeds if prec]
+    assert len(buckets) == len(set(buckets)) and set(buckets) <= {0, 1, 3, 7, 15, 31, 63}
+    assert len(buckets) < len({cs.l_need for cs, *_ in rescued}) < len(rescued)
+    # each row equals `bare_integral` at a cold memo
+    header, *rows = (tmp_path / "plain.csv").read_text(encoding="utf-8").splitlines()
+    assert header.split(",")[:8] == ["lambda1", "lambda2", "power", "k1", "k2", "alpha", "value", "method"]
+    for row in rows:
+        l1, l2, n, k1, k2, alpha, value, method = row.split(",")[:8]
+        if method == "NA":
+            continue
+        specfun._CHAINS.clear()
+        expected = closedform.bare_integral(int(n), int(l1), int(l2), float(k1), float(k2), float(alpha))
+        assert (float(value).hex(), method) == (expected.value.hex(), expected.method.value), row
 
 
 @pytest.mark.parametrize("sweeps", [
@@ -88,12 +100,15 @@ def test_order_sweep_at_several_points(monkeypatch, tmp_path, cold_q_memo, sweep
                         lambda lmax, M, y, prec: keys.add(_chain(lmax, y, prec)) or chain_values(lmax, M, y, prec))
     argv = ["table", "--lambda1", "4", "--k1", "1", "--k2", "1.3", "--quiet", "--out", str(tmp_path / "t.csv")]
     assert cli.main(argv + [arg for sweep in sweeps for arg in ("--sweep", sweep)]) == 0
-    # the Q seed runs once per (lmax, precision, points) the sweep asks for, at both precisions
+    # the Q seed runs once per (top, precision, points) the sweep asks for, at both precisions
     assert sorted(seeds) == sorted(keys)
     assert {prec for _, prec, _, _ in seeds} == {0, 40}
     assert len([key for key in keys if key[1]]) < len(rescued)
 
 
 def _chain(lmax, y, prec):
-    """The (lmax, precision, points' shape and bytes) of a chain of the memo."""
-    return lmax, prec, np.shape(y), np.array(y, dtype=float).tobytes()
+    """The (top, precision, points' shape and bytes) of the memo's chain that serves lmax.
+
+    The top is lmax in floats and its bucket's top at 40 digits.
+    """
+    return specfun._chain_top(lmax, prec), prec, np.shape(y), np.array(y, dtype=float).tobytes()

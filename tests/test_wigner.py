@@ -8,7 +8,7 @@ import pytest
 import sympy.physics.wigner as spw
 from hypothesis import assume, example, given, strategies as st
 
-from besselrad import closedform
+from besselrad import closedform, wigner
 from besselrad.wigner import (
     _FACT,
     _J_MAX,
@@ -306,12 +306,44 @@ class TestIntegerRacahSums:
         mine = wigner_6j(*js)
         assert (mine.sign, mine.radicand) == _sympy_exact(spw.wigner_6j(*js))
 
+    @given(_six_j_args(), st.integers(0, _J_MAX))
+    @example((60, 60, 60, 30, 30, 60), 0)
+    @example((40, 20, 60, 25, 35, 30), 0)
+    def test_stretched_6j_product(self, js, j4):
+        # {j1 j2 j3; j4 j3-j4 j6}: the one product of factorials, also where a triad
+        # is open or the Racah range is empty
+        j1, j2, j3, _, _, j6 = js
+        assume(j4 <= j3)
+        stretched = (j1, j2, j3, j4, j3 - j4, j6)
+        assert wigner._value(wigner._stretched_six_j_parts(*stretched)) == reference_6j(*stretched)
+        assert wigner_6j(*stretched) == reference_6j(*stretched)
+
+    @pytest.mark.parametrize("l1", range(11))
+    def test_coupling_terms_equal_the_symbols(self, l1):
+        # every term of every set with l1, l2 <= 10 and l3 <= 20: the integer parts are
+        # the product of the three symbols of the Fraction-per-term Racah sums, sign included
+        for l2 in range(11):
+            for l3 in range(abs(l1 - l2), l1 + l2 + 1, 2):
+                terms = list(closedform._coupling_terms(l1, l2, l3))
+                for scr, l, sign, (num, den) in terms:
+                    symbols = (reference_3j(l1, l3 - scr, l, 0, 0, 0), reference_3j(l2, scr, l, 0, 0, 0),
+                               reference_6j(l1, l2, l3, scr, l3 - scr, l))
+                    assert sign == math.prod(w.sign for w in symbols) != 0
+                    assert Fraction(num, den) == math.prod(w.radicand for w in symbols)
+                # and no nonzero term is left out
+                nonzero = [
+                    (scr, l) for scr in range(l3 + 1) for l in range(41)
+                    if reference_3j(l1, l3 - scr, l, 0, 0, 0).sign and reference_3j(l2, scr, l, 0, 0, 0).sign
+                    and reference_6j(l1, l2, l3, scr, l3 - scr, l).sign
+                ]
+                assert [(scr, l) for scr, l, _, _ in terms] == nonzero
+
     def test_coupling_set_6j_are_stretched(self, monkeypatch):
         # {l1 l2 l3; scr l3-scr l} has j4 + j5 = j3, so the triad sum j1 + j2 + j3 equals the
         # pair sum j1 + j2 + j4 + j5: once its triads close (else the symbol is 0 before any
         # sum), kmin == kmax, and the Racah sum is one product
         calls = []
-        monkeypatch.setattr(closedform, "wigner_6j", lambda *js: calls.append(js) or WignerValue.zero())
+        monkeypatch.setattr(closedform, "_six_j_parts", lambda *js: calls.append(js) or (0, 0, 1))
         for l1, l2, l3 in itertools.product(range(21), repeat=3):
             for _ in closedform._coupling_terms(l1, l2, l3):
                 pass

@@ -192,6 +192,14 @@ def _parse_sweep(text: str) -> tuple[str, list[float]]:
     return name, values
 
 
+def _orders(points: list[tuple]) -> dict[tuple, tuple]:
+    """The rows of each order (l1, l2, n): (row indices, k1s, k2s, alphas), in row order."""
+    orders: dict[tuple, list[tuple]] = {}
+    for i, (l1, l2, n, k1, k2, alpha) in enumerate(points):
+        orders.setdefault((l1, l2, n), []).append((i, k1, k2, alpha))
+    return {order: tuple(zip(*rows)) for order, rows in orders.items()}
+
+
 def _closed_forms(points: list[tuple]) -> tuple[list[Optional[closedform.EvalResult]], set[tuple]]:
     """The closed-form result of every row, from one `bare_integral_batch` per order.
 
@@ -201,13 +209,9 @@ def _closed_forms(points: list[tuple]) -> tuple[list[Optional[closedform.EvalRes
     ValueError: `cmd_table` evaluates those with `bare_integral`, which
     raises the row's error.
     """
-    orders: dict[tuple, list[tuple]] = {}
-    for i, (l1, l2, n, k1, k2, alpha) in enumerate(points):
-        orders.setdefault((l1, l2, n), []).append((i, k1, k2, alpha))
     out: list[Optional[closedform.EvalResult]] = [None] * len(points)
     refused = set()
-    for (l1, l2, n), rows in orders.items():
-        index, k1, k2, alpha = zip(*rows)
+    for (l1, l2, n), (index, k1, k2, alpha) in _orders(points).items():
         try:
             results = closedform.bare_integral_batch(n, l1, l2, k1, k2, alpha)
         except closedform.FormulaInapplicable:
@@ -218,6 +222,26 @@ def _closed_forms(points: list[tuple]) -> tuple[list[Optional[closedform.EvalRes
         for i, result in zip(index, results):
             out[i] = result
     return out, refused
+
+
+def _oracles(points: list[tuple], wanted: set[tuple], rel_tol: float) -> dict[int, oracle.Outcome]:
+    """The oracle outcome of every row of the wanted orders, from one `integrate_two_bessel_batch` per order.
+
+    A row's outcome is what `integrate_two_bessel` returns there, or the
+    error it raises, which `cmd_table` raises at that row.
+    """
+    out: dict[int, oracle.Outcome] = {}
+    if not wanted:
+        return out
+    for (l1, l2, n), (index, k1, k2, alpha) in _orders(points).items():
+        if (l1, l2, n) not in wanted:
+            continue
+        try:
+            outcomes = oracle.integrate_two_bessel_batch(n, l1, l2, k1, k2, alpha, rel_tol)
+        except ValueError as exc:
+            outcomes = [exc] * len(index)
+        out.update(zip(index, outcomes))
+    return out
 
 
 def cmd_table(args: argparse.Namespace) -> int:
@@ -255,7 +279,13 @@ def cmd_table(args: argparse.Namespace) -> int:
 
     rows: list[list] = []
     results, refused = _closed_forms(points)
-    for (l1, l2, n, k1, k2, alpha), res in zip(points, results):
+    # the oracle runs on every row with --oracle, and with --fallback-oracle
+    # alone on every row of an order with no closed form
+    wanted = refused if args.fallback_oracle else set()
+    if args.oracle:
+        wanted = {point[:3] for point in points}
+    oracles = _oracles(points, wanted, args.rel_tol)
+    for i, ((l1, l2, n, k1, k2, alpha), res) in enumerate(zip(points, results)):
         if res is None:
             # the condition column, and the row's point error before the order's
             condition = closedform.condition_number(k1, k2, alpha)
@@ -268,7 +298,7 @@ def cmd_table(args: argparse.Namespace) -> int:
         oracle_value: Optional[float] = None
         rel_disc: Optional[float] = None
         if args.oracle or (value is None and args.fallback_oracle):
-            oracle_value = oracle.integrate_two_bessel(n, l1, l2, k1, k2, alpha, args.rel_tol).value
+            oracle_value = oracle._raised(oracles[i]).value
         if value is None and args.fallback_oracle and oracle_value is not None:
             value = oracle_value
         if args.oracle and value is not None and oracle_value is not None:
@@ -339,23 +369,27 @@ _K_GRID = (0.5, 1.0, 2.0)
 _ALPHA_GRID = (0.5, 1.0, 2.0)
 
 
+def _grid_oracle(n: int, l1: int, l2: int, rel_tol: float):
+    """(k1, k2, alpha) of every point of the suites' grid with its oracle outcome, from one batch."""
+    grid = list(itertools.product(_K_GRID, _K_GRID, _ALPHA_GRID))
+    return zip(grid, oracle.integrate_two_bessel_batch(n, l1, l2, *zip(*grid), rel_tol))
+
+
 def _suite_eq29(max_l: int, tol: float):
     inner = tol * 1e-2
     for L in range(max_l + 1):
-        for k1 in _K_GRID:
-            for k2 in _K_GRID:
-                for alpha in _ALPHA_GRID:
-                    cf = closedform.two_bessel_equal_order(L, k1, k2, alpha).value
-                    q = oracle.integrate_two_bessel(1, L, L, k1, k2, alpha, inner)
-                    rel = _rel_discrepancy(cf, q.value)
-                    label = f"eq29 L={L} k1={k1:g} k2={k2:g} alpha={alpha:g}"
-                    yield label, rel <= tol, f"rel={rel:.3e}"
-                    if L == 0:
-                        elem = 0.25 * math.log(
-                            ((k1 + k2) ** 2 + alpha**2) / ((k1 - k2) ** 2 + alpha**2)
-                        ) / (k1 * k2)
-                        rel0 = _rel_discrepancy(cf, elem)
-                        yield label + " elementary", rel0 <= 1e-12, f"rel={rel0:.3e}"
+        for (k1, k2, alpha), outcome in _grid_oracle(1, L, L, inner):
+            cf = closedform.two_bessel_equal_order(L, k1, k2, alpha).value
+            q = oracle._raised(outcome)
+            rel = _rel_discrepancy(cf, q.value)
+            label = f"eq29 L={L} k1={k1:g} k2={k2:g} alpha={alpha:g}"
+            yield label, rel <= tol, f"rel={rel:.3e}"
+            if L == 0:
+                elem = 0.25 * math.log(
+                    ((k1 + k2) ** 2 + alpha**2) / ((k1 - k2) ** 2 + alpha**2)
+                ) / (k1 * k2)
+                rel0 = _rel_discrepancy(cf, elem)
+                yield label + " elementary", rel0 <= 1e-12, f"rel={rel0:.3e}"
 
 
 def _two_bessel_cases(max_l: int):
@@ -370,19 +404,16 @@ def _suite_two_bessel(max_l: int, tol: float, offset: int, name: str):
     inner = tol * 1e-2
     for l1, l2, l3 in _two_bessel_cases(max_l):
         w3 = float(wigner.wigner_3j(wigner.AngularMomenta3j(l1, l2, l3, 0, 0, 0)))
-        n = l3 + offset
-        for k1 in _K_GRID:
-            for k2 in _K_GRID:
-                for alpha in _ALPHA_GRID:
-                    cf = closedform.two_bessel_product(l1, l2, l3, k1, k2, alpha, offset).value
-                    q = oracle.integrate_two_bessel(n, l1, l2, k1, k2, alpha, inner)
-                    lhs = w3 * q.value
-                    # at isolated zero crossings the relative measure is
-                    # ill-posed; the oracle's own uncertainty decides instead
-                    limit = tol * max(abs(cf), abs(lhs)) + 3.0 * abs(w3) * q.abs_error_estimate
-                    rel = _rel_discrepancy(cf, lhs)
-                    label = f"{name} l=({l1},{l2},{l3}) k1={k1:g} k2={k2:g} alpha={alpha:g}"
-                    yield label, abs(cf - lhs) <= limit, f"rel={rel:.3e}"
+        for (k1, k2, alpha), outcome in _grid_oracle(l3 + offset, l1, l2, inner):
+            cf = closedform.two_bessel_product(l1, l2, l3, k1, k2, alpha, offset).value
+            q = oracle._raised(outcome)
+            lhs = w3 * q.value
+            # at isolated zero crossings the relative measure is
+            # ill-posed; the oracle's own uncertainty decides instead
+            limit = tol * max(abs(cf), abs(lhs)) + 3.0 * abs(w3) * q.abs_error_estimate
+            rel = _rel_discrepancy(cf, lhs)
+            label = f"{name} l=({l1},{l2},{l3}) k1={k1:g} k2={k2:g} alpha={alpha:g}"
+            yield label, abs(cf - lhs) <= limit, f"rel={rel:.3e}"
 
 
 def _suite_eq26(max_l: int, tol: float):

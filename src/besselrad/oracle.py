@@ -15,31 +15,44 @@ the scale of the tail bound, panels are appended only where the truncation
 radius moves outward, and the same panels are then refined to the
 requested tolerance.
 
+One panel engine, `_Panels`, holds the panels of many integrals at once
+and refines them in lockstep: each pass evaluates the new panels of every
+unfinished integral in one integrand call per chunk of at most `_CHUNK`
+nodes, and each integral stops against its own tolerance.  A batch of
+points of one order (`integrate_two_bessel_batch`) is one such set of
+integrals; a single integral is a batch of one.  A point gives the same
+bits alone or in any batch: a panel's Kronrod and Gauss sums run over its
+nodes in ascending order, an integral's convergence tests sum its own
+panels in the order they were made, and its value is their pairwise sum
+in that order, each apart from every other integral's.
+
 The conditionally convergent triple-Bessel integral has no damping of its
 own; it is regularized with an exponential factor e^(-eps r) and the
 results are Richardson-extrapolated to eps = 0 over a decreasing eps
-sequence.  The extrapolation increments must decrease, otherwise
-NonConvergence is raised.  This check is intentionally looser (1e-3
-scale) than the damped integrals.
+sequence, all four dampings in one batch.  The extrapolation increments
+must decrease, otherwise NonConvergence is raised.  This check is
+intentionally looser (1e-3 scale) than the damped integrals.
 
 Everything is deterministic: no randomized quadrature anywhere, identical
 inputs produce identical outputs.  Each integral has a budget of 10^6
 integrand evaluations over all of its passes, and never spends more:
 panels that would exceed it are refused before they are evaluated, and a
-grid that could never fit before it is built.
+grid that could never fit before it is built.  An integral that runs out
+of budget, or whose integrand leaves the float range, stops with its
+NonConvergence and leaves the other integrals of its batch unchanged.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
 from . import specfun
 from .closedform import _LAMBDA_MAX, _three_bessel_orders
-from .specfun import _L_MAX_BESSEL, _order, _positive_finite, _reachable_tolerance
+from .specfun import _L_MAX_BESSEL, _above_one, _order, _positive_finite, _reachable_tolerance
 
 # QUADPACK qk15 (Piessens et al. 1983): Kronrod nodes x >= 0 and their
 # weights, and the weights of the 7-point Gauss rule on the nodes xgk[1::2]
@@ -78,7 +91,9 @@ _GK15_W[1::2, 1] = _WG + _WG[-2::-1]
 
 _ENVELOPE = 1.16          # sup of x|j_l(x)| over x >= 2(l+1), all l <= 50
 _BUDGET = 1_000_000       # integrand evaluations per integral, over all of its passes
+_CHUNK = 1 << 13          # integrand nodes per call at most, which bounds the engine's scratch arrays
 _LOG_BOUND_MAX = 709.0    # below log of the largest float, so exp() stays finite
+_EPS = float(np.finfo(float).eps)
 _REGULARIZING_EPS = (0.1, 0.05, 0.025, 0.0125)  # dampings of the triple-Bessel integral
 
 
@@ -105,67 +120,183 @@ class QuadratureResult:
     tail_bound: float = 0.0
 
 
-class _Panels:
-    """Adaptive Gauss–Kronrod state of one integral, refined in passes.
+# a batch's answer for one point: its result, or the error a single call raises there
+Outcome = Union[QuadratureResult, ValueError, NonConvergence]
 
-    The panels start on `edges`; `add` evaluates more panels, and
-    `refine` splits panels until the summed error estimate meets a
-    tolerance.  The evaluation budget covers every pass over the integral;
-    `_extend` refuses panels that would pass it before evaluating any.
+
+def _panel_count(a, b, width, min_panels: int):
+    """Panels of an equal grid from a to b, at least min_panels and none wider than width; inf past the float range."""
+    n = np.asarray((b - a) / width, dtype=float)
+    return np.where(np.isfinite(n), np.maximum(min_panels, np.ceil(n)), np.inf)
+
+
+class _Panels:
+    """Adaptive Gauss–Kronrod state of many integrals, refined in lockstep.
+
+    Panel i belongs to integral `owner[i]`; `f(x, owner)` gives, for each
+    panel j, the integrand of integral owner[j] at its nodes x[:, j].
+    `grid` and `add` evaluate new panels, and `refine` splits the panels
+    of every unfinished integral until its summed error estimate meets the
+    tolerance.  The evaluation budget covers every pass over an integral;
+    `_extend` refuses an integral's panels that would pass it before
+    evaluating any.  An integral that runs out of budget or meets a
+    non-finite panel stops: its NonConvergence goes to `failed`, and its
+    panels leave the arrays.
     """
 
-    def __init__(self, f: Callable[[np.ndarray], np.ndarray], edges: np.ndarray, context: str) -> None:
-        self.f, self.context = f, context
+    def __init__(self, f: Callable[[np.ndarray, np.ndarray], np.ndarray], contexts: Sequence[str]) -> None:
+        self.f, self.contexts = f, list(contexts)
+        self.live = np.ones(len(self.contexts), dtype=bool)
+        self.evaluations = np.zeros(len(self.contexts), dtype=np.int64)
+        self.failed: dict[int, NonConvergence] = {}
+        self.owner = np.empty(0, dtype=np.intp)
         self.lo = self.hi = self.val = self.err = np.empty(0)
-        self.evaluations = 0
-        self.add(edges)
 
-    def add(self, edges: np.ndarray) -> None:
-        self._extend(np.ones(self.lo.size, dtype=bool), edges[:-1], edges[1:])
+    def _fail(self, i: int, reason: str) -> None:
+        self.failed[int(i)] = NonConvergence(f"{self.contexts[i]}: {reason}")
+        self.live[i] = False
 
-    def _extend(self, keep: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> None:
-        """Keep the current panels where `keep` is set and evaluate the panels [lo, hi]."""
-        if self.evaluations + _GK15_X.size * lo.size > _BUDGET:
-            raise NonConvergence(f"{self.context}: budget of {_BUDGET} evaluations exhausted")
-        half = 0.5 * (hi - lo)
-        x = (0.5 * (lo + hi))[:, None] + half[:, None] * _GK15_X
-        # a non-finite value is refused below, so its overflow warning is not shown
-        with np.errstate(all="ignore"):
-            fx = np.asarray(self.f(x.ravel()), dtype=float).reshape(x.shape)
-            kronrod, gauss = ((fx @ _GK15_W) * half[:, None]).T
-        self.evaluations += x.size
-        bad = ~(np.isfinite(kronrod) & np.isfinite(gauss))
-        if bad.any():
-            i = int(np.argmax(bad))
-            raise NonConvergence(
-                f"{self.context}: integrand not finite on the panel [{lo[i]:.6g}, {hi[i]:.6g}]"
-            )
-        self.lo = np.concatenate([self.lo[keep], lo])
-        self.hi = np.concatenate([self.hi[keep], hi])
-        self.val = np.concatenate([self.val[keep], kronrod])
-        self.err = np.concatenate([self.err[keep], np.abs(kronrod - gauss)])
+    def counts(self) -> np.ndarray:
+        """The number of panels of every integral."""
+        return np.bincount(self.owner, minlength=self.live.size)
 
-    def refine(self, rel_tol: float) -> tuple[float, float]:
-        """(value, error estimate) once the estimate meets rel_tol.
+    def values(self) -> np.ndarray:
+        """The value of every integral: the pairwise sum of its panels' values in the order they were made."""
+        counts = self.counts()
+        total = np.zeros(counts.size)
+        made = counts > 0
+        if made.any():
+            starts = (np.cumsum(counts) - counts)[made]
+            total[made] = np.add.reduceat(self.val[np.argsort(self.owner, kind="stable")], starts)
+        return total
 
-        Raises NonConvergence when the evaluation budget runs out first.
+    def grid(self, which: np.ndarray, a: np.ndarray, b: np.ndarray, width: np.ndarray, min_panels: int = 8) -> None:
+        """Evaluate equal panels from a[i] to b[i] on integral which[i], as `_panel_count` sets them.
+
+        An integral whose grid alone would exceed the budget fails before
+        the grid is built.
         """
+        if not which.size:
+            return
+        n = _panel_count(a, b, width, min_panels)
+        over = _GK15_X.size * n > _BUDGET
+        if over.any():
+            for i, count in zip(which[over], n[over]):
+                self._fail(i, f"a grid of {count:.3g} panels would exceed the budget of {_BUDGET} evaluations")
+            which, a, b, n = which[~over], a[~over], b[~over], n[~over]
+        n = n.astype(np.intp)
+        # panel j of n from a to b: [a + j step, a + (j + 1) step], ending on b, as np.linspace
+        index = np.repeat(np.arange(which.size), n)
+        j = np.arange(index.size) - (np.cumsum(n) - n)[index]
+        a, b, step = a[index], b[index], ((b - a) / n)[index]
+        self.add(which[index], j * step + a, np.where(j + 1 == n[index], b, (j + 1) * step + a))
+
+    def add(self, owner: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> None:
+        """Evaluate the panels [lo[i], hi[i]] of integral owner[i]."""
+        self._extend(None, owner, lo, hi)
+
+    def _extend(self, keep: Optional[np.ndarray], owner: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> None:
+        """Keep the current panels where `keep` is set (all of them if None) and evaluate the panels [lo, hi]."""
+        need = _GK15_X.size * np.bincount(owner, minlength=self.live.size)
+        for i in np.flatnonzero(self.live & (self.evaluations + need > _BUDGET)):
+            self._fail(i, f"budget of {_BUDGET} evaluations exhausted")
+        self.evaluations += need * self.live
+        if not self.live.all():
+            go = self.live[owner]
+            owner, lo, hi = owner[go], lo[go], hi[go]
+        kronrod, err = self._evaluate(owner, lo, hi)
+        bad = ~np.isfinite(err)
+        if bad.any():
+            for i in np.flatnonzero(bad):
+                if self.live[owner[i]]:
+                    self._fail(owner[i], f"integrand not finite on the panel [{lo[i]:.6g}, {hi[i]:.6g}]")
+        old = [self.owner, self.lo, self.hi, self.val, self.err]
+        new = [owner, lo, hi, kronrod, err]
+        if not self.live.all():
+            # drop the panels of the integrals that failed
+            alive = self.live[self.owner]
+            keep = alive if keep is None else keep & alive
+            new = [v[self.live[owner]] for v in new]
+        if keep is not None:
+            old = [v[keep] for v in old]
+        self.owner, self.lo, self.hi, self.val, self.err = map(np.concatenate, zip(old, new))
+
+    def _evaluate(self, owner: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The Kronrod sums of the panels [lo, hi] and their distances from the Gauss sums.
+
+        The integrand is called on chunks of at most `_CHUNK` nodes; a
+        non-finite value leaves a non-finite distance.
+        """
+        kronrod, err = np.empty(lo.size), np.empty(lo.size)
+        per_call = _CHUNK // _GK15_X.size
+        for start in range(0, lo.size, per_call):
+            part = slice(start, start + per_call)
+            half = 0.5 * (hi[part] - lo[part])
+            # one row per node, one column per panel
+            x = 0.5 * (lo[part] + hi[part]) + half * _GK15_X[:, None]
+            # a non-finite value is refused by the caller, so its overflow warning is not shown
+            with np.errstate(all="ignore"):
+                fx = np.asarray(self.f(x, owner[part]), dtype=float)
+                # node j's Kronrod and Gauss terms, summed over the nodes in ascending order
+                terms = fx[:, None, :] * _GK15_W[:, :, None]
+                sums = terms[0]
+                for term in terms[1:]:
+                    sums += term
+                kronrod[part], gauss = sums * half
+                err[part] = np.abs(kronrod[part] - gauss)
+        return kronrod, err
+
+    def refine(self, rel_tol: float) -> tuple[np.ndarray, np.ndarray]:
+        """(`values`, error estimate) of every integral once each live estimate meets rel_tol.
+
+        The tests sum an integral's panels in the order they were made.  An
+        integral whose budget runs out first fails with NonConvergence; its
+        entries are then meaningless.
+        """
+        size = self.live.size
         while True:
-            total = float(self.val.sum())
-            toterr = float(self.err.sum())
-            target = rel_tol * max(abs(total), 1e-300)
+            total = np.bincount(self.owner, self.val, size)
+            toterr = np.bincount(self.owner, self.err, size)
+            target = rel_tol * np.maximum(np.abs(total), 1e-300)
             # roundoff floor: once panel values cancel down to machine noise,
             # further splitting cannot reduce the estimate (zero crossings of
             # oscillatory integrals); return the honest absolute error instead
-            noise = 32.0 * np.finfo(float).eps * float(np.abs(self.val).sum())
-            if toterr <= max(target, noise):
-                return total, toterr
-            split = self.err > target / self.err.size
-            if not split.any():
-                split = self.err == self.err.max()
-            ls, hs = self.lo[split], self.hi[split]
+            noise = 32.0 * _EPS * np.bincount(self.owner, np.abs(self.val), size)
+            todo = self.live & ~(toterr <= np.maximum(target, noise))
+            if not todo.any():
+                return self.values(), toterr
+            split = todo[self.owner] & (self.err > (target / np.maximum(self.counts(), 1))[self.owner])
+            # an integral with no panel above its share splits its worst ones
+            rest = todo.copy()
+            rest[self.owner[split]] = False
+            if rest.any():
+                worst = np.zeros(size)
+                np.maximum.at(worst, self.owner, self.err)
+                split |= rest[self.owner] & (self.err == worst[self.owner])
+            owner, ls, hs = self.owner[split], self.lo[split], self.hi[split]
             mids = 0.5 * (ls + hs)
-            self._extend(~split, np.concatenate([ls, mids]), np.concatenate([mids, hs]))
+            self._extend(
+                ~split, np.concatenate([owner, owner]), np.concatenate([ls, mids]), np.concatenate([mids, hs])
+            )
+
+
+def _single(panels: _Panels, rel_tol: float) -> tuple[float, float, int, int]:
+    """(value, error estimate, panels, evaluations) of the one integral of `panels`, refined to rel_tol.
+
+    Raises its NonConvergence.
+    """
+    value, err = panels.refine(rel_tol)
+    if panels.failed:
+        raise panels.failed[0]
+    return float(value[0]), float(err[0]), panels.lo.size, int(panels.evaluations[0])
+
+
+def _one_grid(f: Callable[[np.ndarray, np.ndarray], np.ndarray], context: str,
+              a: float, b: float, width: float, min_panels: int = 8) -> _Panels:
+    """A panel engine of one integral, holding its first grid."""
+    panels = _Panels(f, [context])
+    panels.grid(np.zeros(1, dtype=np.intp), np.array([a]), np.array([b]), np.array([width]), min_panels)
+    return panels
 
 
 def _result(
@@ -178,94 +309,158 @@ def _result(
     )
 
 
-def _initial_edges(
-    a: float, b: float, max_width: float, context: str, min_panels: int = 8
-) -> np.ndarray:
-    """Edges of equal panels from a to b, at least min_panels, none wider than max_width.
-
-    Raises NonConvergence, before building them, when their evaluations
-    alone would exceed the budget.
-    """
-    n = (b - a) / max_width
-    n = max(min_panels, math.ceil(n)) if math.isfinite(n) else math.inf
-    if _GK15_X.size * n > _BUDGET:
-        raise NonConvergence(
-            f"{context}: a grid of {n:.3g} panels would exceed the budget of {_BUDGET} evaluations"
-        )
-    return np.linspace(a, b, n + 1)
+def _raised(outcome: Outcome) -> QuadratureResult:
+    """A batch outcome's result, or its error raised."""
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
 
 
-def _log_exp_poly_tail(m: int, alpha: float, r: float) -> float:
-    """log of the exact integral_r^inf t^m e^(-alpha t) dt for integer m >= 0.
+def _log_exp_poly_tail(m: int, alpha, r):
+    """log of the exact integral_r^inf t^m e^(-alpha t) dt for integer m >= 0, elementwise.
 
     The integral is m!/alpha^(m+1) e^(-z) sum_{k<=m} z^k/k! with z = alpha r;
-    its logarithm stays in range where the integral itself does not.
+    its logarithm stays in range where the integral itself does not.  Each
+    sum runs over k in ascending order.
     """
     z = alpha * r
-    log_terms = np.concatenate(([0.0], np.cumsum(np.log(z / np.arange(1.0, m + 1)))))
-    top = float(log_terms.max())
-    return (
-        math.lgamma(m + 1) - (m + 1) * math.log(alpha) - z
-        + top + math.log(float(np.exp(log_terms - top).sum()))
-    )
+    log_terms = np.zeros(np.shape(z) + (m + 1,))
+    log_terms[..., 1:] = np.cumsum(np.log(z[..., None] / np.arange(1.0, m + 1)), axis=-1)
+    top = log_terms.max(axis=-1)
+    terms = np.cumsum(np.exp(log_terms - top[..., None]), axis=-1)[..., -1]
+    return math.lgamma(m + 1) - (m + 1) * np.log(alpha) - z + top + np.log(terms)
 
 
-def _radial_tail_bound(n: int, alpha: float, ks: Sequence[float], r: float) -> float:
-    """Bound on the neglected tail of r^n e^(-ar) prod j_l(k_i r) beyond r; inf past the float range."""
-    log_bound = sum(math.log(_ENVELOPE / k) for k in ks)
+def _radial_tail_bound(n: int, alpha, ks: Sequence, r):
+    """Bound on the neglected tail of r^n e^(-ar) prod j_l(k_i r) beyond r; inf past the float range.
+
+    alpha, r and each k are floats or arrays of one entry per integral.
+    """
+    alpha, r = np.asarray(alpha, dtype=float), np.asarray(r, dtype=float)
+    log_bound = sum(np.log(_ENVELOPE / np.asarray(k, dtype=float)) for k in ks)
     m = n - len(ks)
     if m >= 0:
-        log_bound += _log_exp_poly_tail(m, alpha, r)
+        log_bound = log_bound + _log_exp_poly_tail(m, alpha, r)
     else:
-        log_bound += m * math.log(r) - alpha * r - math.log(alpha)
-    return math.exp(log_bound) if log_bound < _LOG_BOUND_MAX else math.inf
+        log_bound = log_bound + (m * np.log(r) - alpha * r - np.log(alpha))
+    return np.where(log_bound < _LOG_BOUND_MAX, np.exp(np.minimum(log_bound, _LOG_BOUND_MAX)), np.inf)[()]
 
 
 def _radial_quadrature(
     n: int,
-    alpha: float,
-    ks: Sequence[float],
+    alpha: np.ndarray,
+    ks: Sequence[np.ndarray],
     ls: Sequence[int],
     rel_tol: float,
-    context: str,
-) -> QuadratureResult:
-    """Quadrature of integral_0^inf r^n e^(-alpha r) prod_i j_ls[i](ks[i] r) dr.
+    contexts: Sequence[str],
+) -> list[Union[QuadratureResult, NonConvergence]]:
+    """Quadrature of integral_0^inf r^n e^(-alpha[i] r) prod_j j_ls[j](ks[j][i] r) dr for every i, in lockstep.
 
-    Picks a truncation radius from the analytic tail bound (scaled by a
-    coarse pass), appends panels up to it, then refines the same panels,
-    none wider than half the shortest oscillation period.
+    Each integral picks a truncation radius from the analytic tail bound
+    (scaled by a coarse pass), appends panels up to it, then refines the
+    same panels, none wider than half its shortest oscillation period.
+    Returns each integral's result, or the NonConvergence it stopped with.
     """
-    _reachable_tolerance(rel_tol)
-
+    size = alpha.size
     # past this radius r^n may overflow (r ~ 369 at n = 120) where r^n e^(-alpha r) does not
     r_overflow = math.exp(_LOG_BOUND_MAX / n) if n else math.inf
 
-    def f(r: np.ndarray) -> np.ndarray:
-        out = r**n * np.exp(-alpha * r)
+    def f(r: np.ndarray, owner: np.ndarray) -> np.ndarray:
+        a = alpha[owner]
+        out = r**n * np.exp(-a * r)
         if r.max() > r_overflow:
             big = ~np.isfinite(out)
-            out[big] = np.exp(n * np.log(r[big]) - alpha * r[big])
+            out[big] = np.exp(n * np.log(r[big]) - (a * r)[big])
         for l, k in zip(ls, ks):
-            out = out * specfun.spherical_bessel_j_array(l, k * r)
+            out = out * specfun.spherical_bessel_j_array(l, k[owner] * r)
         return out
 
-    max_width = math.pi / max(ks)
+    max_width = math.pi / np.maximum.reduce(ks)
     # the coarse pass reaches past the peak of r^n e^(-alpha r) at n/alpha
-    r_end = max(40.0 / alpha, 2.0 * n / alpha, 6.0 * max_width,
-                *[2.0 * (l + 1) / k for l, k in zip(ls, ks)])
-    panels = _Panels(f, _initial_edges(0.0, r_end, max_width, context), context)
+    with np.errstate(over="ignore"):
+        r_end = np.maximum.reduce([40.0 / alpha, 2.0 * n / alpha, 6.0 * max_width,
+                                   *[2.0 * (l + 1) / k for l, k in zip(ls, ks)]])
+    panels = _Panels(f, contexts)
+    panels.grid(np.arange(size), np.zeros(size), r_end, max_width)
     coarse, _ = panels.refine(1e-4)
-    scale = max(abs(coarse), 1e-300)
-    r_coarse = r_end
-    while _radial_tail_bound(n, alpha, ks, r_end) > 0.3 * rel_tol * scale:
-        if r_end > 1e9:
-            raise NonConvergence(f"{context}: truncation radius grew without bound")
-        r_end *= 1.5
-    if r_end > r_coarse:
-        panels.add(_initial_edges(r_coarse, r_end, max_width, context, min_panels=1))
+    scale = np.maximum(np.abs(coarse), 1e-300)
+    r_coarse = r_end.copy()
+    # the radius of each integral grows until its tail bound, kept in `tail`, is small enough
+    tail = np.zeros(size)
+    grow = panels.live.copy()
+    while grow.any():
+        i = np.flatnonzero(grow)
+        tail[i] = _radial_tail_bound(n, alpha[i], [k[i] for k in ks], r_end[i])
+        short = tail[i] > 0.3 * rel_tol * scale[i]
+        for j in i[short & (r_end[i] > 1e9)]:
+            panels._fail(j, "truncation radius grew without bound")
+        grow[i] = short & panels.live[i]
+        r_end[grow] *= 1.5
+    more = np.flatnonzero(panels.live & (r_end > r_coarse))
+    panels.grid(more, r_coarse[more], r_end[more], max_width[more], min_panels=1)
     value, err = panels.refine(rel_tol)
-    tail = _radial_tail_bound(n, alpha, ks, r_end)
-    return _result(value, err + tail, rel_tol, panels.lo.size, panels.evaluations, r_end, tail)
+    counts = panels.counts()
+    return [
+        panels.failed[i] if i in panels.failed else _result(
+            float(value[i]), float(err[i] + tail[i]), rel_tol, int(counts[i]),
+            int(panels.evaluations[i]), float(r_end[i]), float(tail[i]),
+        )
+        for i in range(size)
+    ]
+
+
+def _point_error(rel_tol: float, **values: float) -> Optional[ValueError]:
+    """The ValueError a point raises: a value not positive and finite, else an unreachable rel_tol; or None."""
+    try:
+        _positive_finite(**values)
+        _reachable_tolerance(rel_tol)
+    except ValueError as exc:
+        return exc
+    return None
+
+
+def _radial_batch(
+    n: int, ls: Sequence[int], alpha: Sequence[float], ks: Sequence[Sequence[float]],
+    errors: list[Optional[ValueError]], rel_tol: float, context: str,
+) -> list[Outcome]:
+    """`_radial_quadrature` at the points without an error, in one batch; the others keep their error."""
+    outcomes: list[Outcome] = list(errors)
+    ok = [i for i, e in enumerate(errors) if e is None]
+    if ok:
+        def pick(column):
+            return np.array([column[i] for i in ok], dtype=float)
+
+        found = _radial_quadrature(n, pick(alpha), [pick(k) for k in ks], ls, rel_tol, [context] * len(ok))
+        for i, outcome in zip(ok, found):
+            outcomes[i] = outcome
+    return outcomes
+
+
+def integrate_two_bessel_batch(
+    n: int,
+    lambda1: int,
+    lambda2: int,
+    k1: Sequence[float],
+    k2: Sequence[float],
+    alpha: Sequence[float],
+    rel_tol: float = 1e-10,
+) -> list[Outcome]:
+    """`integrate_two_bessel` at the points (k1[i], k2[i], alpha[i]) of one order, in lockstep.
+
+    Returns for each point exactly the QuadratureResult of
+    `integrate_two_bessel(n, lambda1, lambda2, k1[i], k2[i], alpha[i], rel_tol)`,
+    or the ValueError or NonConvergence it raises.  Raises only the errors
+    of the order, as `integrate_two_bessel` does before it looks at a point.
+    """
+    lambda1 = _order("lambda1", lambda1, _L_MAX_BESSEL)
+    lambda2 = _order("lambda2", lambda2, _L_MAX_BESSEL)
+    n = _order("n", n, maximum=None)
+    k1, k2, alpha = list(k1), list(k2), list(alpha)
+    errors = [_point_error(rel_tol, k1=a, k2=b, alpha=c) for a, b, c in zip(k1, k2, alpha, strict=True)]
+    return _radial_batch(
+        n, (lambda1, lambda2), alpha, (k1, k2), errors, rel_tol,
+        f"two-Bessel integral n={n} l=({lambda1},{lambda2})",
+    )
 
 
 def integrate_two_bessel(
@@ -278,14 +473,7 @@ def integrate_two_bessel(
     rel_tol: float = 1e-10,
 ) -> QuadratureResult:
     """Adaptive quadrature of integral_0^inf r^n e^(-ar) j_l1(k1 r) j_l2(k2 r) dr."""
-    lambda1 = _order("lambda1", lambda1, _L_MAX_BESSEL)
-    lambda2 = _order("lambda2", lambda2, _L_MAX_BESSEL)
-    n = _order("n", n, maximum=None)
-    _positive_finite(k1=k1, k2=k2, alpha=alpha)
-    return _radial_quadrature(
-        n, alpha, (k1, k2), (lambda1, lambda2), rel_tol,
-        f"two-Bessel integral n={n} l=({lambda1},{lambda2})",
-    )
+    return _raised(*integrate_two_bessel_batch(n, lambda1, lambda2, [k1], [k2], [alpha], rel_tol))
 
 
 def integrate_single_bessel(
@@ -299,10 +487,10 @@ def integrate_single_bessel(
     if offset not in (1, 2):
         raise ValueError(f"offset must be 1 or 2, got {offset!r}")
     lambda3 = _order("lambda3", lambda3, _L_MAX_BESSEL)
-    _positive_finite(alpha=alpha, k3=k3)
-    return _radial_quadrature(
-        lambda3 + offset, alpha, (k3,), (lambda3,), rel_tol, f"single-Bessel transform l3={lambda3}"
-    )
+    return _raised(*_radial_batch(
+        lambda3 + offset, (lambda3,), [alpha], [[k3]], [_point_error(rel_tol, alpha=alpha, k3=k3)],
+        rel_tol, f"single-Bessel transform l3={lambda3}",
+    ))
 
 
 def integrate_q_definition(L: int, M: int, y: float, rel_tol: float = 1e-10) -> QuadratureResult:
@@ -322,28 +510,26 @@ def integrate_q_definition(L: int, M: int, y: float, rel_tol: float = 1e-10) -> 
     of the recurrence machinery behind paper_q_combination enters.
     """
     L, M = _order("L", L, maximum=20), _order("M", M, maximum=8)
-    y = float(y)
-    if not (y > 1.0):
-        raise ValueError(f"argument must satisfy y > 1, got {y!r}")
+    y = _above_one(y)
     _reachable_tolerance(rel_tol)
-    u_top = math.log((y + 1.0) / (y - 1.0))
     ym1 = y - 1.0
+    # u at x = -1: log((y + 1)/(y - 1)), whose quotient would round at large y
+    u_top = math.log1p(2.0 / ym1)
     power = M + L
 
-    def f(u: np.ndarray) -> np.ndarray:
+    def f(u: np.ndarray, owner: np.ndarray) -> np.ndarray:
         t = ym1 * np.expm1(u)          # 1 - x, exact where the peak sits
         one_minus_x2 = t * (2.0 - t)   # (1-x)(1+x) without cancellation at x=1
         np.clip(one_minus_x2, 0.0, None, out=one_minus_x2)
         return one_minus_x2**L * np.exp(-power * u)
 
-    context = "Q-definition integral"
-    panels = _Panels(f, _initial_edges(0.0, u_top, u_top / max(8, L + 2), context), context)
-    value, err = panels.refine(rel_tol)
+    panels = _one_grid(f, "Q-definition integral", 0.0, u_top, u_top / max(8, L + 2))
+    value, err, used, evaluations = _single(panels, rel_tol)
     scale = (
         math.factorial(M + L) / (math.factorial(M) * 2**L * math.factorial(L))
         * ym1 ** (-power)
     )
-    return _result(scale * value, scale * err, rel_tol, panels.lo.size, panels.evaluations)
+    return _result(scale * value, scale * err, rel_tol, used, evaluations)
 
 
 def integrate_three_bessel_regularized(
@@ -352,17 +538,18 @@ def integrate_three_bessel_regularized(
     """Triple-Bessel integral by damped quadrature extrapolated to zero damping.
 
     Computes integral r^2 e^(-eps r) j_l1(k1 r) j_l2(k2 r) j_l3(k3 r) dr
-    for each eps of `_REGULARIZING_EPS` and Richardson-extrapolates to
-    eps = 0; the extrapolation increments must decrease or NonConvergence
-    is raised.  The result counts as converged within a relative 1e-3.
+    for each eps of `_REGULARIZING_EPS`, in one batch, and
+    Richardson-extrapolates to eps = 0; the extrapolation increments must
+    decrease or NonConvergence is raised.  The result counts as converged
+    within a relative 1e-3.
     """
     ls = _three_bessel_orders(lambda1, lambda2, lambda3, k1, k2, k3)
     eps, rel_tol = _REGULARIZING_EPS, 1e-3
     inner_tol = 1e-9
-    parts = [
-        _radial_quadrature(2, e, (k1, k2, k3), ls, inner_tol, f"regularized triple-Bessel eps={e}")
-        for e in eps
-    ]
+    parts = [_raised(q) for q in _radial_quadrature(
+        2, np.array(eps), [np.full(len(eps), float(k)) for k in (k1, k2, k3)], ls, inner_tol,
+        [f"regularized triple-Bessel eps={e}" for e in eps],
+    )]
     vals = [q.value for q in parts]
     quad_err = sum(abs(q.abs_error_estimate) for q in parts)
     # Neville extrapolation of the polynomial through (eps_i, J_i) to eps = 0
@@ -411,15 +598,14 @@ def check_eq_2_6(
     hi = k1 + k2
     two_k1k2 = 2.0 * k1 * k2
 
-    def f(k3: np.ndarray) -> np.ndarray:
+    def f(k3: np.ndarray, owner: np.ndarray) -> np.ndarray:
         delta = (k1 * k1 + k2 * k2 - k3 * k3) / two_k1k2
         np.clip(delta, -1.0, 1.0, out=delta)
         return k3 / (k3 * k3 + alpha * alpha) ** (lambda3 + 1) * specfun.legendre_p_array(l, delta)
 
-    context = "wavenumber-kernel integral"
-    panels = _Panels(f, _initial_edges(lo, hi, (hi - lo) / max(8, l + 2), context), context)
-    value, err = panels.refine(rel_tol)
-    return _result(value, err, rel_tol, panels.lo.size, panels.evaluations)
+    panels = _one_grid(f, "wavenumber-kernel integral", lo, hi, (hi - lo) / max(8, l + 2))
+    value, err, used, evaluations = _single(panels, rel_tol)
+    return _result(value, err, rel_tol, used, evaluations)
 
 
 def check_eq_2_12(l: int, L: int, y0: float, rel_tol: float = 1e-8) -> QuadratureResult:
@@ -428,20 +614,18 @@ def check_eq_2_12(l: int, L: int, y0: float, rel_tol: float = 1e-8) -> Quadratur
     The result should reproduce R(l, L, y0).  The range splits at
     B = max(2 y0, y0 + 3); the far part is compactified with
     y = 1 + (B-1)/t, whose integrand ~ t^(l+L) is smooth on (0, 1], so no
-    explicit tail bound is needed.
+    explicit tail bound is needed.  The two parts are batches of one.
     """
     l, L = _order("l", l, _LAMBDA_MAX), _order("L", L, maximum=12)
-    y0 = float(y0)
-    if not (y0 > 1.0):
-        raise ValueError(f"lower limit must satisfy y0 > 1, got {y0!r}")
+    y0 = _above_one(y0)
     _reachable_tolerance(rel_tol)
     m = L + 1
     b_split = max(2.0 * y0, y0 + 3.0)
 
-    def f_near(y: np.ndarray) -> np.ndarray:
-        return specfun.paper_q_combination_all(l, m, y)[l]
+    def f_near(y: np.ndarray, owner: np.ndarray) -> np.ndarray:
+        return specfun.paper_q_combination_all(l, m, y.ravel())[l].reshape(y.shape)
 
-    def f_far(t: np.ndarray) -> np.ndarray:
+    def f_far(t: np.ndarray, owner: np.ndarray) -> np.ndarray:
         out = np.zeros_like(t)
         yv = 1.0 + (b_split - 1.0) / t
         near = yv < 1e12  # farther out the integrand is underflow-level
@@ -454,11 +638,9 @@ def check_eq_2_12(l: int, L: int, y0: float, rel_tol: float = 1e-8) -> Quadratur
     ratio = ((b_split - 1.0) / (y0 - 1.0)) ** (1.0 / n_panels)
     edges = 1.0 + (y0 - 1.0) * ratio ** np.arange(n_panels + 1)
     edges[0], edges[-1] = y0, b_split
-    near = _Panels(f_near, edges, "derivative-order identity")
-    v_near, e_near = near.refine(rel_tol / 2)
-    far = _Panels(f_far, np.linspace(0.0, 1.0, 17), "derivative-order identity tail")
-    v_far, e_far = far.refine(rel_tol / 2)
-    return _result(
-        v_near + v_far, e_near + e_far, rel_tol,
-        near.lo.size + far.lo.size, near.evaluations + far.evaluations,
-    )
+    near = _Panels(f_near, ["derivative-order identity"])
+    near.add(np.zeros(n_panels, dtype=np.intp), edges[:-1], edges[1:])
+    v_near, e_near, p_near, n_near = _single(near, rel_tol / 2)
+    far = _one_grid(f_far, "derivative-order identity tail", 0.0, 1.0, 1.0 / 16)
+    v_far, e_far, p_far, n_far = _single(far, rel_tol / 2)
+    return _result(v_near + v_far, e_near + e_far, rel_tol, p_near + p_far, n_near + n_far)

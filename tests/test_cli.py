@@ -368,6 +368,30 @@ class TestTableBatches:
         assert batched == (2, "", f"error: {row_by_row.value}\n")
         assert not (tmp_path / "a.csv").exists()
 
+    def test_oracle_column_equals_row_by_row(self, capsys, tmp_path):
+        # six orders of four rows each, every order one oracle batch
+        sweeps, fixed = self.CASES[-1]
+        out_path = tmp_path / "t.csv"
+        argv = table_argv(sweeps, fixed, out_path) + ["--oracle", "--rel-tol", "1e-8"]
+        assert run_cli(capsys, argv) == (0, "", "")
+        header, *rows = out_path.read_text(encoding="utf-8").splitlines()
+        assert header.split(",")[-2:] == ["oracle_value", "rel_discrepancy"]
+        for row in rows:
+            l1, l2, n, k1, k2, alpha = row.split(",")[:6]
+            q = oracle.integrate_two_bessel(int(n), int(l1), int(l2), float(k1), float(k2), float(alpha), 1e-8)
+            assert row.split(",")[-2] == format(q.value, ".17g")
+
+    def test_failing_oracle_row_matches_row_by_row(self, capsys, tmp_path):
+        # the first grid of the middle row, l1 = 1, would pass the budget, as would the
+        # last row's with another message; the first row's fits
+        fixed = {"lambda2": 0, "power": 2, "k1": 1.5e-5, "k2": 1.0, "alpha": 1.0}
+        assert oracle.integrate_two_bessel(2, 0, 0, 1.5e-5, 1.0, 1.0, 1e-8).converged
+        with pytest.raises(oracle.NonConvergence) as row_by_row:
+            oracle.integrate_two_bessel(2, 1, 0, 1.5e-5, 1.0, 1.0, 1e-8)
+        argv = table_argv([("lambda1", 0, 2, 3)], fixed, tmp_path / "a.csv") + ["--oracle", "--rel-tol", "1e-8"]
+        assert run_cli(capsys, argv) == (4, "", f"error: {row_by_row.value}\n")
+        assert not (tmp_path / "a.csv").exists()
+
 
 class TestParserReuse:
     """`main` reuses one parser; no call may leave state for the next."""

@@ -1,10 +1,13 @@
+import dataclasses
 import math
 import time
 import warnings
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from besselrad import closedform, oracle, specfun
 from besselrad.oracle import (
@@ -186,7 +189,7 @@ class TestKronrodRule:
         # r_end = 40/alpha already meets the tail bound: the panels are the
         # initial grid, each refinement step replacing one panel by two
         q, points = self._counted(monkeypatch, 1, 0, 0, 1.0, 1.0, 1.0, 1e-12)
-        initial = len(oracle._initial_edges(0.0, 40.0, math.pi, "grid")) - 1
+        initial = int(oracle._panel_count(0.0, 40.0, math.pi, 8))
         splits = q.panels_used - initial
         assert (initial, splits) == (13, 4)
         assert q.evaluations == points / 2 == 15 * (initial + 2 * splits)
@@ -198,8 +201,8 @@ class TestKronrodRule:
         # r^8 needs the radius pushed from 40 to 60: panels on [40, 60] are appended
         q, points = self._counted(monkeypatch, 8, 0, 0, 1.0, 1.0, 1.0, 1e-10)
         assert q.truncation_radius == 60.0
-        initial = len(oracle._initial_edges(0.0, 40.0, math.pi, "grid")) - 1
-        appended = len(oracle._initial_edges(40.0, 60.0, math.pi, "grid", min_panels=1)) - 1
+        initial = int(oracle._panel_count(0.0, 40.0, math.pi, 8))
+        appended = int(oracle._panel_count(40.0, 60.0, math.pi, 1))
         assert (initial, appended) == (13, 7)
         assert q.evaluations == points / 2 == 15 * (2 * q.panels_used - initial - appended)
 
@@ -214,6 +217,100 @@ class TestKronrodRule:
         q = integrate_two_bessel(*args, rel_tol=1e-8)
         assert q.converged
         assert abs(q.value - reference) <= 1e-8 * abs(reference)
+
+
+def _outcome_bits(outcome):
+    """Every field of a result as exact text, or an error's type and message."""
+    if isinstance(outcome, Exception):
+        return type(outcome), str(outcome)
+    return tuple(repr(v) for v in dataclasses.astuple(outcome))
+
+
+def _alone(n, l1, l2, points, rel_tol):
+    out = []
+    for k1, k2, alpha in points:
+        try:
+            out.append(_outcome_bits(integrate_two_bessel(n, l1, l2, k1, k2, alpha, rel_tol)))
+        except (ValueError, NonConvergence) as exc:
+            out.append(_outcome_bits(exc))
+    return out
+
+
+class TestBatch:
+    """`integrate_two_bessel_batch` gives each point the bits `integrate_two_bessel` gives it alone."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        order=st.sampled_from([(1, 0, 0), (2, 1, 1), (3, 2, 1), (2, 0, 1), (4, 3, 1)]),
+        points=st.lists(
+            st.tuples(st.floats(0.5, 2.0), st.floats(0.5, 2.0), st.floats(0.1, 2.0)), min_size=1, max_size=30
+        ),
+        rel_tol=st.sampled_from([1e-6, 1e-8, 1e-10]),
+        # chunks of 16 panels: a batch spans many of them
+        chunk=st.sampled_from([oracle._CHUNK, 16 * 15]),
+    )
+    def test_point_alone_equals_point_in_batch(self, order, points, rel_tol, chunk):
+        n, l1, l2 = order
+        with mock.patch.object(oracle, "_CHUNK", chunk):
+            batch = oracle.integrate_two_bessel_batch(n, l1, l2, *zip(*points), rel_tol)
+        assert [_outcome_bits(q) for q in batch] == _alone(n, l1, l2, points, rel_tol)
+
+    @pytest.mark.parametrize("chunk", [oracle._CHUNK, 7 * 15])
+    def test_panel_sums_do_not_depend_on_the_other_panels(self, chunk):
+        # a panel's Kronrod value and error estimate, alone and among 300 panels of 5 integrals
+        rng = np.random.default_rng(5)
+        lo = rng.uniform(0.0, 50.0, 300)
+        hi = lo + rng.uniform(0.01, 3.0, 300)
+        owner = rng.integers(0, 5, 300)
+        k, a = rng.uniform(0.5, 2.0, 5), rng.uniform(0.05, 2.0, 5)
+        panels = oracle._Panels(lambda x, o: np.sin(k[o] * x) * np.exp(-a[o] * x) / (1.0 + x), ["sums"] * 5)
+        with mock.patch.object(oracle, "_CHUNK", chunk):
+            together = panels._evaluate(owner, lo, hi)
+        alone = [panels._evaluate(owner[i:i + 1], lo[i:i + 1], hi[i:i + 1]) for i in range(300)]
+        assert together[0].tolist() == [value[0] for value, _ in alone]
+        assert together[1].tolist() == [err[0] for _, err in alone]
+
+    def test_batch_spans_chunks(self):
+        # at alpha near 0.05 the first grids alone hold several chunks of nodes
+        points = [(2.0, 1.9 - 0.01 * i, 0.05 + 0.01 * i) for i in range(30)]
+        batch = oracle.integrate_two_bessel_batch(2, 1, 1, *zip(*points), 1e-8)
+        assert sum(15 * int(oracle._panel_count(0.0, 40.0 / a, math.pi / 2.0, 8)) for *_, a in points) > 4 * oracle._CHUNK
+        assert [_outcome_bits(q) for q in batch] == _alone(2, 1, 1, points, 1e-8)
+        assert [_outcome_bits(q) for q in batch[::-1]] == _alone(2, 1, 1, points[::-1], 1e-8)
+
+    @pytest.mark.parametrize("n,points,budget,message", [
+        # r^200 e^(-r/2) overflows, as in TestFloatRange; at alpha 3 and 4 it does not
+        (200, [(1.0, 1.0, 3.0), (1.0, 1.0, 0.5), (1.5, 1.0, 4.0)], None, "integrand not finite"),
+        # the first grid of alpha = 1e-4 would pass the budget
+        (1, [(1.0, 1.0, 1.0), (1.0, 2.0, 1e-4), (0.5, 1.5, 0.3)], None, "grid of 2.55e\\+05 panels"),
+        # 600 evaluations are too few at alpha = 1 only
+        (8, [(1.0, 0.5, 8.0), (1.0, 1.0, 1.0), (0.5, 0.5, 20.0), (1.0, 1.0, 10.0)], 600, "budget of 600"),
+        # a point the quadrature refuses before it starts
+        (1, [(1.0, 1.0, 1.0), (1.0, -1.0, 1.0), (0.5, 1.5, 0.3)], None, "k2 must be positive"),
+    ])
+    def test_failing_point_leaves_the_others(self, monkeypatch, n, points, budget, message):
+        if budget is not None:
+            monkeypatch.setattr(oracle, "_BUDGET", budget)
+        rel_tol = 1e-12 if budget else 1e-10
+        batch = oracle.integrate_two_bessel_batch(n, 0, 0, *zip(*points), rel_tol)
+        assert [_outcome_bits(q) for q in batch] == _alone(n, 0, 0, points, rel_tol)
+        failed = [q for q in batch if isinstance(q, Exception)]
+        assert len(failed) == 1
+        with pytest.raises(type(failed[0]), match=message):
+            raise failed[0]
+
+    def test_order_errors_raise(self):
+        with pytest.raises(ValueError, match="lambda1=51 exceeds"):
+            oracle.integrate_two_bessel_batch(2, 51, 0, [1.0], [1.0], [1.0])
+        with pytest.raises(ValueError):
+            oracle.integrate_two_bessel_batch(2, 1, 0, [1.0, 2.0], [1.0], [1.0])
+        assert oracle.integrate_two_bessel_batch(2, 1, 0, [], [], []) == []
+
+    def test_unreachable_rel_tol_is_each_points_error(self):
+        # as alone: a point's own error comes before the tolerance's
+        batch = oracle.integrate_two_bessel_batch(1, 0, 0, [1.0, 0.0], [1.0, 1.0], [1.0, 1.0], 1e-13)
+        assert [_outcome_bits(q) for q in batch] == _alone(1, 0, 0, [(1.0, 1.0, 1.0), (0.0, 1.0, 1.0)], 1e-13)
+        assert "rel_tol" in str(batch[0]) and "k1" in str(batch[1])
 
 
 class TestSingleBessel:
@@ -248,9 +345,25 @@ class TestQDefinition:
         target = 2.0 / math.factorial(6) * specfun.paper_q_combination(10, 6, 100.0)
         assert q.value == pytest.approx(target, rel=1e-9)
 
+    @pytest.mark.parametrize("L,M,y", [
+        (0, 0, 1e8), (0, 0, 1e12), (0, 0, 1e15), (2, 1, 1e15), (0, 0, 1e16), (2, 1, 1e20),
+    ])
+    def test_large_argument(self, L, M, y):
+        # the value sits (L + M + 1) log10(y) digits below the integrand, L log10(y)
+        # of them by cancellation: the reference keeps 30 digits past both
+        import mpmath
+
+        with mpmath.workdps(30 + int((L + M + 2) * math.log10(y))):
+            ref = float(mpmath.quad(lambda x: mpmath.legendre(L, x) / (mpmath.mpf(y) - x) ** (M + 1), [-1, 1]))
+        q = integrate_q_definition(L, M, y, 1e-10)
+        assert q.converged
+        assert abs(q.value - ref) <= 1e-10 * abs(ref)
+
     def test_domain_errors(self):
         with pytest.raises(ValueError):
             integrate_q_definition(0, 0, 1.0)
+        with pytest.raises(ValueError, match="finite"):
+            integrate_q_definition(0, 0, math.inf)
         with pytest.raises(ValueError):
             integrate_q_definition(25, 0, 2.0)
 
@@ -307,14 +420,14 @@ class TestDerivativeOrderIdentity:
         integrands = []
         panels = oracle._Panels
         monkeypatch.setattr(
-            oracle, "_Panels", lambda f, edges, context: integrands.append(f) or panels(f, edges, context)
+            oracle, "_Panels", lambda f, contexts: integrands.append(f) or panels(f, contexts)
         )
         l, L, y0 = 3, 2, 1.5
         oracle.check_eq_2_12(l, L, y0)
         f_near, f_far = integrands
         b_split = 4.5
         y = np.linspace(y0, b_split, 41)
-        assert f_near(y).tolist() == [specfun.paper_q_combination(l, L + 1, v) for v in y.tolist()]
+        assert f_near(y, 0).tolist() == [specfun.paper_q_combination(l, L + 1, v) for v in y.tolist()]
         # t below 3.5e-12 puts y past 1e12, where the integrand is taken as 0
         t = np.concatenate([np.geomspace(1e-14, 1.0, 40), [4e-12]])
         loop = []
@@ -323,7 +436,7 @@ class TestDerivativeOrderIdentity:
             loop.append(
                 specfun.paper_q_combination(l, L + 1, yv) * (b_split - 1.0) / (ti * ti) if yv < 1e12 else 0.0
             )
-        assert f_far(t).tolist() == loop
+        assert f_far(t, 0).tolist() == loop
         assert loop[0] == 0.0 and loop[-1] != 0.0
 
 
@@ -350,6 +463,8 @@ class TestOrderValidation:
         lambda: oracle.check_eq_2_6(0, 0, 1.0, -1.0, 1.0),
         lambda: oracle.check_eq_2_12(0, 13, 2.0),
         lambda: oracle.check_eq_2_12(1.0, 0, 2.0),
+        lambda: integrate_q_definition(0, 0, math.inf),
+        lambda: oracle.check_eq_2_12(1, 0, math.inf),
     ])
     def test_rejected(self, call):
         with pytest.raises(ValueError):

@@ -200,8 +200,8 @@ def _orders(points: list[tuple]) -> dict[tuple, tuple]:
     return {order: tuple(zip(*rows)) for order, rows in orders.items()}
 
 
-def _closed_forms(points: list[tuple]) -> tuple[list[Optional[closedform.EvalResult]], set[tuple]]:
-    """The closed-form result of every row, from one `bare_integral_batch` per order.
+def _closed_forms(orders: dict, rows: int) -> tuple[list[Optional[closedform.EvalResult]], set[tuple]]:
+    """The closed-form result of each of the rows, from one `bare_integral_batch` per order of `_orders`.
 
     Also returns the orders (l1, l2, n) with no closed form, whose batch
     raised `FormulaInapplicable`.  Their rows are None, as is every row the
@@ -209,9 +209,9 @@ def _closed_forms(points: list[tuple]) -> tuple[list[Optional[closedform.EvalRes
     ValueError: `cmd_table` evaluates those with `bare_integral`, which
     raises the row's error.
     """
-    out: list[Optional[closedform.EvalResult]] = [None] * len(points)
+    out: list[Optional[closedform.EvalResult]] = [None] * rows
     refused = set()
-    for (l1, l2, n), (index, k1, k2, alpha) in _orders(points).items():
+    for (l1, l2, n), (index, k1, k2, alpha) in orders.items():
         try:
             results = closedform.bare_integral_batch(n, l1, l2, k1, k2, alpha)
         except closedform.FormulaInapplicable:
@@ -224,16 +224,14 @@ def _closed_forms(points: list[tuple]) -> tuple[list[Optional[closedform.EvalRes
     return out, refused
 
 
-def _oracles(points: list[tuple], wanted: set[tuple], rel_tol: float) -> dict[int, oracle.Outcome]:
-    """The oracle outcome of every row of the wanted orders, from one `integrate_two_bessel_batch` per order.
+def _oracles(orders: dict, wanted: set[tuple], rel_tol: float) -> dict[int, oracle.Outcome]:
+    """The oracle outcome of every row of the wanted orders, one `integrate_two_bessel_batch` per order.
 
     A row's outcome is what `integrate_two_bessel` returns there, or the
     error it raises, which `cmd_table` raises at that row.
     """
     out: dict[int, oracle.Outcome] = {}
-    if not wanted:
-        return out
-    for (l1, l2, n), (index, k1, k2, alpha) in _orders(points).items():
+    for (l1, l2, n), (index, k1, k2, alpha) in orders.items():
         if (l1, l2, n) not in wanted:
             continue
         try:
@@ -278,13 +276,14 @@ def cmd_table(args: argparse.Namespace) -> int:
         ))
 
     rows: list[list] = []
-    results, refused = _closed_forms(points)
+    orders = _orders(points)
+    results, refused = _closed_forms(orders, len(points))
     # the oracle runs on every row with --oracle, and with --fallback-oracle
     # alone on every row of an order with no closed form
     wanted = refused if args.fallback_oracle else set()
     if args.oracle:
-        wanted = {point[:3] for point in points}
-    oracles = _oracles(points, wanted, args.rel_tol)
+        wanted = set(orders)
+    oracles = _oracles(orders, wanted, args.rel_tol)
     for i, ((l1, l2, n, k1, k2, alpha), res) in enumerate(zip(points, results)):
         if res is None:
             # the condition column, and the row's point error before the order's

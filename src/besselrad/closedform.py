@@ -33,8 +33,8 @@ r^2 j_l1(k1 r) j_l2(k2 r) j_l3(k3 r)) has an analogous finite sum against
 Legendre polynomials of a wavenumber triangle parameter; it vanishes
 outside the wavenumber triangle via the step factor beta.
 
-`bare_integral` recovers the plain integral from the product by dividing
-out the exact 3j symbol; when the parity-selected l3 violates the triangle
+`bare_integral` gives the plain integral (its coefficients divide out the
+exact 3j symbol); when the parity-selected l3 violates the triangle
 rule there is no closed form and `FormulaInapplicable` is raised; that is
 a genuine coverage boundary, not a failure.  `bare_integral_batch` gives
 the same results for many points of one order at once, and None exactly
@@ -46,8 +46,10 @@ Hankel route and 40-digit rescue are `_products`.
 
 The coupling coefficients depend on the orders only.  Each (l1, l2, l3)
 set is compiled once per process (`_coupling_set`), in one pass over the
-integer parts of its Wigner symbols, into float factors and, for the
-rescue, one 40-digit Decimal coefficient per term.  R(l, M, y) comes from
+integer parts of its Wigner symbols, into one coefficient per term that
+folds in every factor of the orders alone, rounded once to 40 digits for
+the rescue and taken from those as a float; a point's own work is the
+powers of k1, k2 and alpha and its R or P table.  R(l, M, y) comes from
 `specfun`'s memo of derivative chains, which builds each Q table once for
 all the orders at its points: per lmax in floats, per bucket of lmax in
 40 digits.
@@ -230,11 +232,6 @@ def summation_bounds(lambda1: int, lambda2: int, lambda3: int, script_l: int) ->
     return l_min, l_max
 
 
-def _phase(l1: int, l2: int, l3: int) -> float:
-    """Real evaluation of i^(l1+l2-l3); callers guarantee an even exponent."""
-    return -1.0 if ((l1 + l2 - l3) // 2) % 2 else 1.0
-
-
 @lru_cache(maxsize=None)
 def _w3j(a: int, b: int, c: int) -> WignerValue:
     """The exact symbol (a b c; 0 0 0)."""
@@ -273,23 +270,21 @@ def _coupling_terms(l1: int, l2: int, l3: int):
 
 
 class _CouplingSet(NamedTuple):
-    """The nonzero terms of one (l1, l2, l3) coupling set, at both precisions.
+    """The nonzero terms of one (l1, l2, l3) coupling set, one coefficient per term.
 
-    Term i of the paper's double sum is
-        binom[i] * (k2/k1)^scr[i] * two_l1[i] * weight[i] * R(l[i], M, y),
-    multiplied in that order in floats, with binom = sqrt(C(2 l3, 2 scr)),
-    two_l1 = 2 l + 1 and weight = sign * sqrt(radicand).  The sign is
-    exact, so folding it into the weight leaves every product unchanged.
-    `factors` holds these floats.  The 40-digit rescue forms
-        exact[i] * (k2/k1)^scr[i] * R(l[i], M, y),
-    where exact[i] = binom[i] * two_l1[i] * weight[i] is one
-    `_RESCUE_DIGITS`-digit Decimal, the square root of the exact rational
-    C(2 l3, 2 scr) (2 l + 1)^2 radicand rounded once (`_signed_root`).
+    Term i of the bare integral's double sum is
+        coef[i] * (k2/k1)^scr[i] * R(l[i], M, y)
+    in floats, multiplied in that order, and the same with exact[i] in the
+    40-digit rescue.  exact[i] is
+        phase * sqrt(2 l3 + 1) * sqrt(C(2 l3, 2 scr)) * (2 l + 1) * weight / (l1 l2 l3; 0 0 0),
+    with phase = (-1)^((l1 + l2 - l3)/2) and weight the term's 3j*3j*6j
+    product: a sign times the root of one exact rational, rounded once to
+    `_RESCUE_DIGITS` digits (`_signed_root`).  coef[i] = float(exact[i]).
     """
 
     index: np.ndarray          # (2, terms) ints: scr, l
-    factors: np.ndarray        # (3, terms) floats: binom, two_l1, weight
-    exact: tuple[Decimal, ...]  # (terms,) Decimals: binom * two_l1 * weight
+    coef: np.ndarray           # (terms,) floats
+    exact: tuple[Decimal, ...]  # (terms,) Decimals
     l_need: int                # largest l of the set
 
 
@@ -298,23 +293,22 @@ def _coupling_set(l1: int, l2: int, l3: int) -> Optional[_CouplingSet]:
     """The coupling set of (l1, l2, l3), compiled once per process; None when empty.
 
     One pass over `_coupling_terms` gives both precisions, so each Wigner
-    symbol of the set is evaluated once per process.  Int / int true
-    division is correctly rounded, so a float weight taken from the
-    unreduced num / den equals the one of the reduced fraction.
+    symbol of the set is evaluated once per process.  Dividing by
+    (l1 l2 l3; 0 0 0) = s3 sqrt(n3 / d3) multiplies the sign by s3 and the
+    radicand by d3 / n3; the set is empty unless that symbol is nonzero.
     """
     terms = list(_coupling_terms(l1, l2, l3))
     if not terms:
         return None
-    index = np.array([(scr, l) for scr, l, _, _ in terms]).T
-    factors = np.array([
-        (math.sqrt(math.comb(2 * l3, 2 * scr)), 2 * l + 1, sign * math.sqrt(num / den))
-        for scr, l, sign, (num, den) in terms
-    ]).T
+    w3 = _w3j(l1, l2, l3)
+    sign3 = -w3.sign if (l1 + l2 - l3) // 2 % 2 else w3.sign  # the 3j symbol's sign times the phase
+    num3, den3 = (2 * l3 + 1) * w3.radicand_den, w3.radicand_num
     exact = tuple(
-        _signed_root(sign, math.comb(2 * l3, 2 * scr) * (2 * l + 1) ** 2 * num, den)
+        _signed_root(sign3 * sign, num3 * math.comb(2 * l3, 2 * scr) * (2 * l + 1) ** 2 * num, den3 * den)
         for scr, l, sign, (num, den) in terms
     )
-    return _CouplingSet(index, factors, exact, int(index[1].max()))
+    index = np.array([(scr, l) for scr, l, _, _ in terms]).T
+    return _CouplingSet(index, np.array([float(c) for c in exact]), exact, int(index[1].max()))
 
 
 def _signed_root(sign: int, num: int, den: int) -> Decimal:
@@ -358,8 +352,7 @@ def _contributions(cs: _CouplingSet, lambda3: int, ratio, rvals: np.ndarray) -> 
     powers = np.array([[_power(r, scr) for r in _flat(ratio)] for scr in range(lambda3 + 1)])
     powers = powers.reshape((lambda3 + 1,) + shape)
     scr, l = cs.index
-    binom, two_l1, weight = cs.factors.reshape(cs.factors.shape + (1,) * len(shape))
-    return binom * powers[scr] * two_l1 * weight * rvals[l]
+    return cs.coef.reshape(cs.coef.shape + (1,) * len(shape)) * powers[scr] * rvals[l]
 
 
 def _float_range_error(k1: float, k2: float, alpha: float) -> ValueError:
@@ -369,15 +362,12 @@ def _float_range_error(k1: float, k2: float, alpha: float) -> ValueError:
     )
 
 
-def _prefactor(
-    lambda1: int, lambda2: int, lambda3: int, k1: float, k2: float, alpha: float, offset: int
-) -> float:
+def _prefactor(lambda3: int, k1: float, k2: float, alpha: float, offset: int) -> float:
     """The factor before the double sum; NaN when a power of k2 leaves the float range."""
-    phase = _phase(lambda1, lambda2, lambda3)
     try:
         if offset == 1:
-            return phase * math.sqrt(2 * lambda3 + 1) / (2.0 * k1 * k2 ** (lambda3 + 1))
-        return phase * alpha * math.sqrt(2 * lambda3 + 1) / (2.0 * k1 * k1 * k2 ** (lambda3 + 2))
+            return 1.0 / (2.0 * k1 * k2 ** (lambda3 + 1))
+        return alpha / (2.0 * k1 * k1 * k2 ** (lambda3 + 2))
     except (OverflowError, ZeroDivisionError):
         return math.nan
 
@@ -516,7 +506,7 @@ def _double_sums(cs: _CouplingSet, lambda3: int, m_order: int, k1, k2, y) -> lis
 def _products(
     cs: _CouplingSet, lambda1: int, lambda2: int, lambda3: int, offset: int, k1, k2, alpha, y
 ) -> tuple[list[float], list[bool]]:
-    """The 3j-weighted product at each point, and whether the Hankel route gave it.
+    """The bare integral at each point, and whether the Hankel route gave it.
 
     k1, k2, alpha and y are as for `_evaluate`, which runs this with float
     warnings off.  The value is prefactor times double sum, NaN at a point
@@ -530,7 +520,7 @@ def _products(
     points = zip(*(_flat(v) for v in (k1, k2, alpha, y)))
     values, rescues = [], []
     for i, ((a, b, c, yi), (total, peak)) in enumerate(zip(points, sums)):
-        pref = _prefactor(lambda1, lambda2, lambda3, a, b, c, offset)
+        pref = _prefactor(lambda3, a, b, c, offset)
         if not (math.isfinite(total) and math.isfinite(pref)):
             values.append(math.nan)
             continue
@@ -543,7 +533,7 @@ def _products(
         index, a, b, c = zip(*near)
         for i, (value, _) in zip(index, _hankel_values(lambda1, lambda2, lambda3 + offset, a, b, c)):
             if value is not None:
-                values[i], hankel[i] = value * _w3j000(lambda1, lambda2, lambda3), True
+                values[i], hankel[i] = value, True
     for i, pref, a, b, _, yi in rescues:
         if not hankel[i]:
             values[i] = pref * _decimal_weighted_sum(cs, lambda3, m_order, a, b, yi)[0]
@@ -595,8 +585,8 @@ def _evaluate(
             else:
                 values, hankel = _products(cs, l1, l2, l3, offset, k1, k2, alpha, y)
                 values = np.array(values)
-            if not weighted:
-                values = values / _w3j000(l1, l2, l3)
+            if weighted:
+                values = values * _w3j000(l1, l2, l3)
     return [
         EvalResult(v, Method.HANKEL if h else method, c) if math.isfinite(v) else None
         for v, h, c in zip(_flat(values), hankel, conditions)
@@ -625,7 +615,7 @@ def _both_closed_forms(
     if not kept:
         total, peak = _decimal_weighted_sum(cs, l3, m_order, k1, k2, y)
         kept = peak <= abs(total) * 10.0 ** (_RESCUE_DIGITS - 14)
-    double = _prefactor(l1, l2, l3, k1, k2, alpha, offset) * total / _w3j000(l1, l2, l3)
+    double = _prefactor(l3, k1, k2, alpha, offset) * total
     return (double if kept and math.isfinite(double) else None), hankel
 
 
@@ -700,19 +690,13 @@ def three_bessel_product(
     if beta == 0.0:
         return 0.0
     cs = _coupling_set(l1, l2, l3)
-    total = 0.0
+    if cs is None:
+        return 0.0
     try:
-        if cs is not None:
-            pvals = np.array([specfun.legendre_p(l, delta) for l in range(cs.l_need + 1)])
-            with np.errstate(over="raise", invalid="raise"):
-                total = math.fsum(_contributions(cs, l3, k2 / k1, pvals).tolist())
-        pref = (
-            math.pi * beta / (4.0 * k1 * k2 * k3)
-            * _phase(l1, l2, l3)
-            * math.sqrt(2 * l3 + 1)
-            * (k1 / k3) ** l3
-        )
-        value = pref * total
+        pvals = specfun.legendre_p_all(cs.l_need, delta)
+        with np.errstate(over="raise", invalid="raise"):
+            total = math.fsum(_contributions(cs, l3, k2 / k1, pvals).tolist())
+        value = math.pi * beta / (4.0 * k1 * k2 * k3) * (k1 / k3) ** l3 * total * _w3j000(l1, l2, l3)
     except (ArithmeticError, ValueError):
         # ** overflow, division by 0, numpy's FloatingPointError, or inf - inf in fsum
         value = math.nan
@@ -761,8 +745,8 @@ def _route(n: int, lambda1: int, lambda2: int) -> tuple[int, int, int, int]:
 def bare_integral(n: int, lambda1: int, lambda2: int, k1: float, k2: float, alpha: float) -> EvalResult:
     """integral_0^inf r^n e^(-alpha r) j_l1(k1 r) j_l2(k2 r) dr, n >= 1.
 
-    The closed form follows `coupling_route`; the product is divided by
-    the exact 3j symbol (l1 l2 l3; 0 0 0).
+    The closed form follows `coupling_route`; its coupling coefficients
+    hold the division by the exact 3j symbol (l1 l2 l3; 0 0 0).
     """
     return _point(_route(n, lambda1, lambda2), k1, k2, alpha)
 

@@ -601,7 +601,7 @@ def check_eq_2_6(
     def f(k3: np.ndarray, owner: np.ndarray) -> np.ndarray:
         delta = (k1 * k1 + k2 * k2 - k3 * k3) / two_k1k2
         np.clip(delta, -1.0, 1.0, out=delta)
-        return k3 / (k3 * k3 + alpha * alpha) ** (lambda3 + 1) * specfun.legendre_p_array(l, delta)
+        return k3 / (k3 * k3 + alpha * alpha) ** (lambda3 + 1) * specfun.legendre_p_all(l, delta)[l]
 
     panels = _one_grid(f, "wavenumber-kernel integral", lo, hi, (hi - lo) / max(8, l + 2))
     value, err, used, evaluations = _single(panels, rel_tol)
@@ -621,6 +621,9 @@ def check_eq_2_12(l: int, L: int, y0: float, rel_tol: float = 1e-8) -> Quadratur
     _reachable_tolerance(rel_tol)
     m = L + 1
     b_split = max(2.0 * y0, y0 + 3.0)
+    # a panel's midpoint sums its ends, up to 2 B
+    if not math.isfinite(2.0 * b_split):
+        raise ValueError(f"y0 must be below 2^1022 (4.49e307) for the panels' float range, got {y0!r}")
 
     def f_near(y: np.ndarray, owner: np.ndarray) -> np.ndarray:
         return specfun.paper_q_combination_all(l, m, y.ravel())[l].reshape(y.shape)

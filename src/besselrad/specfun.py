@@ -221,25 +221,26 @@ def spherical_bessel_j(l: int, x: float) -> float:
 # Legendre P_l
 
 
-def legendre_p_array(l: int, x: np.ndarray) -> np.ndarray:
-    """Vectorized P_l on [-1, 1] via the stable upward recurrence."""
+def legendre_p_all(lmax: int, x) -> np.ndarray:
+    """P_0(x) .. P_lmax(x) along the first axis, x a float or an array in [-1, 1] (not checked).
+
+    The stable upward recurrence, with the same operations at every point.
+    """
     x = np.asarray(x, dtype=float)
-    if l == 0:
-        return np.ones_like(x)
-    pm = np.ones_like(x)
-    pc = x.copy()
-    for m in range(1, l):
-        pm, pc = pc, ((2 * m + 1) * x * pc - m * pm) / (m + 1)
-    return pc
+    out = np.empty((lmax + 1,) + x.shape)
+    out[0], out[1:2] = 1.0, x  # no row 1 for lmax 0
+    for m in range(1, lmax):
+        out[m + 1] = ((2 * m + 1) * x * out[m] - m * out[m - 1]) / (m + 1)
+    return out
 
 
 def legendre_p(l: int, x: float) -> float:
-    """Legendre polynomial P_l(x) for |x| <= 1."""
+    """Legendre polynomial P_l(x) for |x| <= 1: row l of `legendre_p_all`."""
     l = _order("l", l, _L_MAX_P)
     x = float(x)
     if not (-1.0 <= x <= 1.0):
         raise ValueError(f"argument must lie in [-1, 1], got {x!r}")
-    return float(legendre_p_array(l, np.array([x]))[0])
+    return float(legendre_p_all(l, x)[l])
 
 
 # ----------------------------------------------------------------------

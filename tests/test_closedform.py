@@ -1,7 +1,8 @@
 import itertools
 import math
+import random
 import re
-from decimal import Context, Decimal, localcontext
+from decimal import Context, Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -22,6 +23,7 @@ from besselrad.closedform import (
     two_bessel_product,
     y_param,
 )
+from besselrad.wigner import AngularMomenta3j, wigner_3j
 
 QUARTER_LOG5 = 0.25 * math.log(5.0)
 
@@ -465,6 +467,19 @@ class TestHankelRoute:
             if value is not None:
                 assert abs(value - reference) <= 4e-15 * 10 ** max(lost, 0.0) * abs(reference)
 
+    def test_row_is_the_hankel_sum(self):
+        # a HANKEL result is the Hankel sum itself, bit for bit: no round trip through the 3j symbol
+        rng = random.Random(5)
+        rows = 0
+        for n, l1, l2 in self.REFERENCE:
+            for _ in range(20):
+                k2, alpha = 1.0 + rng.uniform(-0.05, 0.05), 10.0 ** rng.uniform(-3.0, -1.0)
+                result = bare_integral(n, l1, l2, 1.0, k2, alpha)
+                if result.method is Method.HANKEL:
+                    rows += 1
+                    assert result.value == closedform._hankel_values(l1, l2, n, [1.0], [k2], [alpha])[0][0]
+        assert rows >= 300
+
     @given(
         st.sampled_from([(13, 6, 6), (9, 4, 4), (21, 10, 10), (12, 8, 5), (16, 7, 9), (7, 3, 3)]),
         st.floats(0.5, 2.0), st.floats(-1e-3, 1e-3), st.floats(-6.0, -1.5), st.integers(-20, 20),
@@ -550,26 +565,9 @@ class TestCouplingSet:
                     assert cs is None
                     continue
                 assert cs.index.tolist() == [[t[0] for t in terms], [t[1] for t in terms]]
-                binom, two_l1, weight = cs.factors.tolist()
-                assert binom == [math.sqrt(math.comb(2 * l3, 2 * t[0])) for t in terms]
-                assert two_l1 == [float(2 * t[1] + 1) for t in terms]
-                # the radicand comes unreduced as (num, den); the factors are those of the reduced fraction
-                radicands = [Fraction(num, den) for _, _, _, (num, den) in terms]
-                signs = [t[2] for t in terms]
-                assert weight == [s * math.sqrt(float(r)) for s, r in zip(signs, radicands)]
                 assert cs.l_need == max(t[1] for t in terms)
-                # the folded coefficient binom * two_l1 * weight: its three factors, each taken
-                # at 80 digits from the reduced fraction, multiplied and rounded to 40 digits
-                with localcontext() as ctx:
-                    ctx.prec = 80
-                    factors = [
-                        Decimal(math.comb(2 * l3, 2 * scr)).sqrt() * (2 * l + 1)
-                        * s * (Decimal(r.numerator) / Decimal(r.denominator)).sqrt()
-                        for (scr, l, _, _), s, r in zip(terms, signs, radicands)
-                    ]
-                    ctx.prec = closedform._RESCUE_DIGITS
-                    exact = [+f for f in factors]
-                assert all(type(c) is Decimal for c in cs.exact) and list(cs.exact) == exact
+                assert all(type(c) is Decimal for c in cs.exact)
+                assert (list(cs.exact), cs.coef.tolist()) == _coefficients_at_80_digits(l1, l2, l3, terms)
 
     @pytest.mark.parametrize("last", [7, 8])
     def test_folded_root_is_rounded_once(self, last):
@@ -587,11 +585,9 @@ class TestCouplingSet:
         for l2 in range(l1, 21):
             for l3 in range(l2 - l1, min(l1 + l2, 20) + 1, 2):
                 cs = closedform._coupling_set(l1, l2, l3)
-                expected = [
-                    _rounded_root(sign, math.comb(2 * l3, 2 * scr) * (2 * l + 1) ** 2 * num, den)
-                    for scr, l, sign, (num, den) in closedform._coupling_terms(l1, l2, l3)
-                ]
-                assert list(cs.exact if cs else []) == expected
+                terms = list(closedform._coupling_terms(l1, l2, l3))
+                expected = _coefficients_at_80_digits(l1, l2, l3, terms)
+                assert ((list(cs.exact), cs.coef.tolist()) if cs else ([], [])) == expected
 
     def test_rescue_reuses_compiled_set(self, monkeypatch):
         # both calls take the 40-digit rescue; the set's symbols are evaluated once, by its compile
@@ -607,6 +603,25 @@ class TestCouplingSet:
         bare_integral(3, 4, 2, 1.0, 3.0, 0.5)
         assert len(rescues) == 2
         assert len(sixj) == closedform._coupling_set(4, 2, 2).index.shape[1]
+
+
+def _coefficients_at_80_digits(l1, l2, l3, terms):
+    """Each term's coefficient, rounded once to the rescue's digits and to a double.
+
+    The coefficient is phase * sqrt(2 l3 + 1) * sqrt(C(2 l3, 2 scr)) * (2 l + 1) * weight
+    / (l1 l2 l3; 0 0 0): one sign times the root of one reduced fraction, taken at 80 digits.
+    """
+    w3 = wigner_3j(AngularMomenta3j(l1, l2, l3, 0, 0, 0))
+    phase = (-1) ** ((l1 + l2 - l3) // 2)
+    exact, coef, ctx = [], [], Context(prec=80)
+    for scr, l, sign, (num, den) in terms:
+        radicand = (2 * l3 + 1) * math.comb(2 * l3, 2 * scr) * (2 * l + 1) ** 2 * Fraction(num, den) / w3.radicand
+        root = ctx.sqrt(ctx.divide(Decimal(radicand.numerator), Decimal(radicand.denominator)))
+        if phase * sign * w3.sign < 0:
+            root = root.copy_negate()
+        exact.append(Context(prec=closedform._RESCUE_DIGITS).plus(root))
+        coef.append(float(root))
+    return exact, coef
 
 
 def _rounded_root(sign, num, den):

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import sys
 import time
 import warnings
 from fractions import Fraction
@@ -438,6 +439,13 @@ class TestDerivativeOrderIdentity:
             )
         assert f_far(t, 0).tolist() == loop
         assert loop[0] == 0.0 and loop[-1] != 0.0
+
+    def test_largest_lower_ends(self):
+        # 4 y0 must stay finite: the far part splits at 2 y0 and a panel's midpoint sums its ends
+        assert oracle.check_eq_2_12(1, 0, math.ldexp(1.0 - 2.0**-53, 1022)).value == 0.0
+        for y0 in (math.ldexp(1.0, 1022), 1e308, sys.float_info.max):
+            with pytest.raises(ValueError, match="^y0 must be below"):
+                oracle.check_eq_2_12(1, 0, y0)
 
 
 class TestOrderValidation:

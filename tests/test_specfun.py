@@ -142,6 +142,13 @@ class TestLegendreP:
         with pytest.raises(ValueError):
             legendre_p(2, 1.5)
 
+    @given(st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=5))
+    def test_table_rows_equal_scalar(self, xs):
+        # every row of one table, at one point or at an array of points, is legendre_p bit for bit
+        expected = [[legendre_p(l, x) for x in xs] for l in range(101)]
+        assert specfun.legendre_p_all(100, xs[0])[:, None].tolist() == [row[:1] for row in expected]
+        assert specfun.legendre_p_all(100, np.array(xs)).tolist() == expected
+
 
 class TestLegendreQ:
     def test_q0_log_form(self):

@@ -49,10 +49,11 @@ set is compiled once per process (`_coupling_set`), in one pass over the
 integer parts of its Wigner symbols, into one coefficient per term that
 folds in every factor of the orders alone, rounded once to 40 digits for
 the rescue and taken from those as a float; a point's own work is the
-powers of k1, k2 and alpha and its R or P table.  R(l, M, y) comes from
-`specfun`'s memo of derivative chains, which builds each Q table once for
-all the orders at its points: per lmax in floats, per bucket of lmax in
-40 digits.
+powers of k1, k2 and alpha, its R or P table and one product per term:
+Python floats at one point (`_terms`), numpy over an array of points, and
+in the rescue Horner's rule in k2/k1.  R(l, M, y) comes from `specfun`'s
+memo of derivative chains, which builds each Q table once for all the
+orders at its points, per bucket of lmax at both precisions.
 
 Everything here is a pure function apart from those caches, which hand
 out no value a caller can change; parameter sweeps may call these
@@ -63,6 +64,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from array import array
 from dataclasses import dataclass
 from decimal import Context, Decimal, localcontext
 from enum import Enum
@@ -274,18 +276,24 @@ class _CouplingSet(NamedTuple):
 
     Term i of the bare integral's double sum is
         coef[i] * (k2/k1)^scr[i] * R(l[i], M, y)
-    in floats, multiplied in that order, and the same with exact[i] in the
-    40-digit rescue.  exact[i] is
+    in floats, multiplied in that order (`_terms` at one point, numpy over
+    an array of points in `_double_sums`), and exact[i] times the
+    same in the 40-digit rescue, which sums it by Horner's rule in k2/k1
+    over scr (`_decimal_weighted_sum`).  The terms run in order of scr.
+    exact[i] is
         phase * sqrt(2 l3 + 1) * sqrt(C(2 l3, 2 scr)) * (2 l + 1) * weight / (l1 l2 l3; 0 0 0),
     with phase = (-1)^((l1 + l2 - l3)/2) and weight the term's 3j*3j*6j
     product: a sign times the root of one exact rational, rounded once to
     `_RESCUE_DIGITS` digits (`_signed_root`).  coef[i] = float(exact[i]).
+    Each column is stored once; all but exact are packed, and numpy reads
+    them in place.
     """
 
-    index: np.ndarray          # (2, terms) ints: scr, l
-    coef: np.ndarray           # (terms,) floats
-    exact: tuple[Decimal, ...]  # (terms,) Decimals
-    l_need: int                # largest l of the set
+    scr: bytes                  # one byte per term: scr and l are at most 2 `_LAMBDA_MAX`
+    l: bytes
+    coef: array                 # doubles
+    exact: tuple[Decimal, ...]
+    l_need: int                 # largest l of the set
 
 
 @lru_cache(maxsize=None)
@@ -307,8 +315,8 @@ def _coupling_set(l1: int, l2: int, l3: int) -> Optional[_CouplingSet]:
         _signed_root(sign3 * sign, num3 * math.comb(2 * l3, 2 * scr) * (2 * l + 1) ** 2 * num, den3 * den)
         for scr, l, sign, (num, den) in terms
     )
-    index = np.array([(scr, l) for scr, l, _, _ in terms]).T
-    return _CouplingSet(index, np.array([float(c) for c in exact]), exact, int(index[1].max()))
+    scr, l = (bytes(column) for column in zip(*((scr, l) for scr, l, _, _ in terms)))
+    return _CouplingSet(scr, l, array("d", map(float, exact)), exact, max(l))
 
 
 def _signed_root(sign: int, num: int, den: int) -> Decimal:
@@ -341,18 +349,15 @@ def _flat(v) -> list[float]:
     return [v] if type(v) is float else np.ravel(v).tolist()
 
 
-def _contributions(cs: _CouplingSet, lambda3: int, ratio, rvals: np.ndarray) -> np.ndarray:
-    """The float terms of the double sum, shape (terms,) + shape of ratio.
+def _terms(cs: _CouplingSet, lambda3: int, ratio: float, table: list[float]) -> list[float]:
+    """The float terms coef * ratio^scr * table[l] of the set at one point, multiplied in that order.
 
-    ratio = k2/k1 is a float or an array of points and rvals the matching
-    R(l, M, y) of `specfun.paper_q_combination_all`.  The powers of the
-    ratio are taken with ** int, as a scalar evaluation would.
+    table is R(., M, y) for the double sum or P(delta) for the three-Bessel
+    product.  The powers of ratio = k2/k1 are taken with ** int, inf where
+    they overflow; a term that leaves the float range is inf or NaN.
     """
-    shape = np.shape(ratio)
-    powers = np.array([[_power(r, scr) for r in _flat(ratio)] for scr in range(lambda3 + 1)])
-    powers = powers.reshape((lambda3 + 1,) + shape)
-    scr, l = cs.index
-    return cs.coef.reshape(cs.coef.shape + (1,) * len(shape)) * powers[scr] * rvals[l]
+    powers = [_power(ratio, s) for s in range(lambda3 + 1)]
+    return [c * powers[s] * table[i] for c, s, i in zip(cs.coef, cs.scr, cs.l)]
 
 
 def _float_range_error(k1: float, k2: float, alpha: float) -> ValueError:
@@ -491,14 +496,27 @@ def _fsum(terms: list[float]) -> float:
 
 
 def _double_sums(cs: _CouplingSet, lambda3: int, m_order: int, k1, k2, y) -> list[tuple[float, float]]:
-    """The double sum and its largest |term| at each point, R and the terms for all points at once.
+    """The double sum and its largest |term| at each point, R for all points at once.
 
-    The sum is NaN at a point where R, a power of k2/k1 or a term is not finite.
+    At one point the terms are Python floats (`_terms`), for which numpy's
+    per-call cost would exceed the arithmetic; an array of points forms them
+    with numpy over the points, the same products in the same order, so a
+    point gets the same bits alone or in a batch.  The sum is NaN at a point
+    where R, a power of k2/k1 or a term is not finite, and its peak is then
+    not used.
     """
     rvals = specfun.paper_q_combination_all(cs.l_need, m_order, y)
-    terms = _contributions(cs, lambda3, k2 / k1, rvals)
-    rvals, terms = (v.reshape(len(v), -1).T for v in (rvals, terms))  # one row per point
-    finite = (np.isfinite(rvals).all(axis=1) & np.isfinite(terms).all(axis=1)).tolist()
+    ratios, rows = _flat(k2 / k1), rvals.reshape(len(rvals), -1)  # one column per point
+    if len(ratios) == 1:
+        r = rows[:, 0].tolist()
+        terms = _terms(cs, lambda3, ratios[0], r)
+        total = _fsum(terms)  # finite only where every term is
+        finite = math.isfinite(total) and all(map(math.isfinite, r))
+        return [(total if finite else math.nan, max(map(abs, terms)))]
+    powers = np.array([[_power(ratio, s) for ratio in ratios] for s in range(lambda3 + 1)])
+    scr, l = (np.frombuffer(column, np.uint8) for column in (cs.scr, cs.l))
+    terms = (np.frombuffer(cs.coef)[:, None] * powers[scr] * rows[l]).T  # one row per point
+    finite = (np.isfinite(rows).all(axis=0) & np.isfinite(terms).all(axis=1)).tolist()
     peaks = np.abs(terms).max(axis=1).tolist()
     return [(_fsum(t) if ok else math.nan, peak) for t, ok, peak in zip(terms.tolist(), finite, peaks)]
 
@@ -536,26 +554,30 @@ def _products(
                 values[i], hankel[i] = value, True
     for i, pref, a, b, _, yi in rescues:
         if not hankel[i]:
-            values[i] = pref * _decimal_weighted_sum(cs, lambda3, m_order, a, b, yi)[0]
+            values[i] = pref * float(_decimal_weighted_sum(cs, lambda3, m_order, a, b, yi))
     return values, hankel
 
 
 def _decimal_weighted_sum(
     cs: _CouplingSet, lambda3: int, m_order: int, k1: float, k2: float, y: float
-) -> tuple[float, float]:
-    """The double sum and its largest |term|, as `_double_sums` gives them, in `_RESCUE_DIGITS` digits.
+) -> Decimal:
+    """The double sum of `_double_sums` at one point, in `_RESCUE_DIGITS` digits.
 
-    Term i is the set's exact[i] * (k2/k1)^scr[i] * R(l[i], M, y), formed
-    over plain Decimals.
+    Term i is the set's exact[i] * (k2/k1)^scr[i] * R(l[i], M, y).  The sum
+    is taken by Horner's rule in k2/k1: S_scr, the sum of exact * R over
+    the terms of one scr, then ((S_l3 k2/k1 + S_(l3-1)) k2/k1 + ..) + S_0,
+    which takes one product per term and one per scr.
     """
-    with localcontext() as ctx:
-        ctx.prec = _RESCUE_DIGITS
+    with localcontext(_RESCUE_CONTEXT):
         rd = specfun.paper_q_combination_all_dec(cs.l_need, m_order, y, prec=_RESCUE_DIGITS)
         ratio = Decimal(k2) / Decimal(k1)
-        powers = [ratio**scr for scr in range(lambda3 + 1)]
-        scr, l = cs.index.tolist()
-        terms = [c * powers[s] * rd[i] for c, s, i in zip(cs.exact, scr, l)]
-        return float(sum(terms, Decimal(0))), float(max(map(abs, terms)))
+        level = [Decimal(0)] * (lambda3 + 1)
+        for c, s, i in zip(cs.exact, cs.scr, cs.l):
+            level[s] += c * rd[i]
+        total = level[lambda3]
+        for s in range(lambda3 - 1, -1, -1):
+            total = total * ratio + level[s]
+        return total
 
 
 def _evaluate(
@@ -602,8 +624,9 @@ def _both_closed_forms(
     the float sum cancels, as `bare_integral` takes it without the Hankel
     route.  Each value is None where its sum keeps fewer than 14 digits
     (loses more than 2 of a float's 16, or more than `_RESCUE_DIGITS` - 14
-    in decimals) or is not finite.  Raises the errors of the order and of
-    `y_param`.  `besselrad check --suite hankel` compares the two.
+    in decimals, measured against the largest |float term|) or is not
+    finite.  Raises the errors of the order and of `y_param`.
+    `besselrad check --suite hankel` compares the two.
     """
     l1, l2, l3, offset = _route(n, lambda1, lambda2)
     cs, m_order = _coupling_set(l1, l2, l3), l3 + offset - 1
@@ -613,7 +636,7 @@ def _both_closed_forms(
         ((hankel, _),) = _hankel_values(l1, l2, n, [k1], [k2], [alpha])
     kept = not _needs_rescue(peak, total)
     if not kept:
-        total, peak = _decimal_weighted_sum(cs, l3, m_order, k1, k2, y)
+        total = float(_decimal_weighted_sum(cs, l3, m_order, k1, k2, y))
         kept = peak <= abs(total) * 10.0 ** (_RESCUE_DIGITS - 14)
     double = _prefactor(l3, k1, k2, alpha, offset) * total
     return (double if kept and math.isfinite(double) else None), hankel
@@ -692,13 +715,12 @@ def three_bessel_product(
     cs = _coupling_set(l1, l2, l3)
     if cs is None:
         return 0.0
+    # a power, P or term out of the float range makes the sum inf or NaN
+    (ratio,) = _flat(k2 / k1)
+    total = _fsum(_terms(cs, l3, ratio, specfun.legendre_p_all(cs.l_need, delta).tolist()))
     try:
-        pvals = specfun.legendre_p_all(cs.l_need, delta)
-        with np.errstate(over="raise", invalid="raise"):
-            total = math.fsum(_contributions(cs, l3, k2 / k1, pvals).tolist())
         value = math.pi * beta / (4.0 * k1 * k2 * k3) * (k1 / k3) ** l3 * total * _w3j000(l1, l2, l3)
-    except (ArithmeticError, ValueError):
-        # ** overflow, division by 0, numpy's FloatingPointError, or inf - inf in fsum
+    except ArithmeticError:  # ** overflow or division by 0
         value = math.nan
     if not math.isfinite(value):
         raise ValueError(

@@ -55,13 +55,12 @@ the same points.  So every Q and R table (a float y, an array of points,
 the rescue) is read from the only module state, a small memo of
 derivative chains at the points of the last float chain seeded, keyed by
 (top, points, precision): the Q seed of orders 0..top and the derivative
-orders built so far, extended on demand and never handed out.  A float
-chain's top is the lmax asked for; an extended-precision chain's is the
-smallest 2^k - 1 at least lmax (0, 1, 3, 7, 15, 31 or 63), and a read
-takes its first lmax + 1 rows, so the rescued rows of a sweep at one point
-share one chain per bucket.  No value depends on how far a chain had been extended, or
-on call history.  A lock guards the memo, and everything is safe for
-concurrent use.
+orders built so far, extended on demand and never handed out.  At both
+precisions a chain's top is the smallest 2^k - 1 at least lmax (0, 1, 3,
+7, 15, 31 or 63), and a read takes its first lmax + 1 rows, so the orders
+of a sweep at one point share one chain per bucket and precision.  No
+value depends on how far a chain had been extended, or on call history.
+A lock guards the memo, and everything is safe for concurrent use.
 """
 
 from __future__ import annotations
@@ -312,10 +311,11 @@ def _q_ratio(top: int, y, digits: int):
 def legendre_q_all(lmax: int, y) -> np.ndarray:
     """Q_0(y) .. Q_lmax(y) along the first axis, y > 1.
 
-    y is a float or a float64 array of points.  The values are the seed
-    (`_q_seed`) of y's chain in the memo (`_chain_values`), as a new array;
-    every point takes the same operations, so a value does not depend on
-    the shape of y or on the other points.
+    y is a float or a float64 array of points.  The values are the first
+    lmax + 1 rows of the seed (`_q_seed`) of the chain of y's bucket
+    (`_chain_top`) in the memo (`_chain_values`), as a new array; every
+    point takes the same operations, so a value does not depend on the
+    shape of y, on the other points or on the lmax of its bucket read first.
     """
     return _chain_values(lmax, 0, y, 0)
 
@@ -362,7 +362,8 @@ def paper_q_combination_all(lmax: int, M: int, y) -> np.ndarray:
     Each derivative order is a few array operations over l (and the
     points); they are the per-l products of the recurrence in the same
     order, so the values do not depend on the shape of y.  They are read
-    from y's chain in the memo (`_chain_values`), as a new array.
+    from the chain of y's bucket in the memo (`_chain_values`), as a new
+    array.
     """
     return _chain_values(lmax, M, y, 0)
 
@@ -505,14 +506,12 @@ def paper_q_combination_all_dec(lmax: int, M: int, y: float, prec: int = 40) -> 
 # precision, so a float y and an array are held alike.  Each key's chain
 # is seeded once, at its top, and extended to the highest M asked for.
 # The seed rule, the guard digits and the top ratio depend on the top, so
-# row l of a chain depends on its top as well as on l.  A float chain's
-# top is the lmax asked for: its seed is cheap, and a higher top would
-# seed and extend rows that no read needs.  An extended chain's
-# top is its bucket's (`_chain_top`), so one 40-digit seed at a point
-# serves every lmax of its bucket (4 to 7, 8 to 15, ...), and a row's
-# value is the same whichever lmax of the bucket was asked for first; a
-# bucket at most doubles lmax, so a small lmax read at a fresh point seeds
-# few rows it does not read.  The memo keeps the
+# row l of a chain depends on its top as well as on l.  A chain's top is
+# its bucket's (`_chain_top`), so one seed at a point serves every lmax of
+# its bucket (4 to 7, 8 to 15, ...) at each precision, and a row's value
+# is the same whichever lmax of the bucket was asked for first; a bucket
+# at most doubles lmax, so a small lmax read at a fresh point seeds few
+# rows it does not read.  The memo keeps the
 # chains at the points of the last float chain it seeded (`_HELD`), at
 # both precisions: a new 40-digit chain at one of those points drops
 # nothing, and a new chain at other points drops every chain at a point
@@ -525,13 +524,9 @@ _HELD: frozenset = frozenset()  # every chain's points lie in it
 _CHAINS_LOCK = threading.Lock()
 
 
-def _chain_top(lmax: int, prec: int) -> int:
-    """The top order of the chain that serves lmax.
-
-    lmax itself in floats (prec 0), else the smallest 2^k - 1 at least
-    lmax: 0, 1, 3, 7, 15, 31 or 63.
-    """
-    return (1 << lmax.bit_length()) - 1 if prec else lmax
+def _chain_top(lmax: int) -> int:
+    """The top order of the chain that serves lmax: the smallest 2^k - 1 at least lmax (0, 1, 3, .., 63)."""
+    return (1 << lmax.bit_length()) - 1
 
 
 def _chain_values(lmax: int, M: int, y, prec: int) -> np.ndarray:
@@ -540,7 +535,7 @@ def _chain_values(lmax: int, M: int, y, prec: int) -> np.ndarray:
     copy = np.array(y, dtype=float)  # the caller cannot change a chain's points
     points = (copy.shape, copy.tobytes())
     y = copy if copy.ndim else float(copy)
-    top = _chain_top(lmax, prec)
+    top = _chain_top(lmax)
     key = (top, points, prec)
     # a fresh context: a chain's values must not depend on its first caller's
     with _CHAINS_LOCK, localcontext(Context(prec=prec)) if prec else nullcontext():

@@ -2,7 +2,7 @@ import itertools
 import math
 import random
 import re
-from decimal import Context, Decimal
+from decimal import Context, Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -564,10 +564,10 @@ class TestCouplingSet:
                 if not terms:
                     assert cs is None
                     continue
-                assert cs.index.tolist() == [[t[0] for t in terms], [t[1] for t in terms]]
+                assert (list(cs.scr), list(cs.l)) == ([t[0] for t in terms], [t[1] for t in terms])
                 assert cs.l_need == max(t[1] for t in terms)
-                assert all(type(c) is Decimal for c in cs.exact)
-                assert (list(cs.exact), cs.coef.tolist()) == _coefficients_at_80_digits(l1, l2, l3, terms)
+                assert all(type(c) is Decimal for c in cs.exact) and all(type(c) is float for c in cs.coef)
+                assert (list(cs.exact), list(cs.coef)) == _coefficients_at_80_digits(l1, l2, l3, terms)
 
     @pytest.mark.parametrize("last", [7, 8])
     def test_folded_root_is_rounded_once(self, last):
@@ -587,7 +587,7 @@ class TestCouplingSet:
                 cs = closedform._coupling_set(l1, l2, l3)
                 terms = list(closedform._coupling_terms(l1, l2, l3))
                 expected = _coefficients_at_80_digits(l1, l2, l3, terms)
-                assert ((list(cs.exact), cs.coef.tolist()) if cs else ([], [])) == expected
+                assert ((list(cs.exact), list(cs.coef)) if cs else ([], [])) == expected
 
     def test_rescue_reuses_compiled_set(self, monkeypatch):
         # both calls take the 40-digit rescue; the set's symbols are evaluated once, by its compile
@@ -602,7 +602,26 @@ class TestCouplingSet:
         bare_integral(3, 4, 2, 1.0, 2.6, 0.5)
         bare_integral(3, 4, 2, 1.0, 3.0, 0.5)
         assert len(rescues) == 2
-        assert len(sixj) == closedform._coupling_set(4, 2, 2).index.shape[1]
+        assert len(sixj) == len(closedform._coupling_set(4, 2, 2).exact)
+
+    @pytest.mark.parametrize("y", [1.0 + 1e-4, 1.3, 2.0])
+    def test_horner_rescue_sum(self, y):
+        # every set with l1, l2 <= 10 and l3 <= 20: the rescue's Horner sum over scr against
+        # its terms summed one by one, both in 40 digits
+        for l1, l2 in itertools.product(range(11), repeat=2):
+            for l3 in range(abs(l1 - l2), min(l1 + l2, 20) + 1, 2):
+                cs = closedform._coupling_set(l1, l2, l3)
+                if cs is None:
+                    continue
+                for k2, m_order in itertools.product((0.25, 1.3, 4.0), (l3, l3 + 1)):
+                    horner = closedform._decimal_weighted_sum(cs, l3, m_order, 1.0, k2, y)
+                    with localcontext(Context(prec=40)):
+                        rd = specfun.paper_q_combination_all_dec(cs.l_need, m_order, y)
+                        ratio = Decimal(k2) / Decimal(1.0)
+                        terms = [c * ratio**s * rd[i] for c, s, i in zip(cs.exact, cs.scr, cs.l)]
+                        total = sum(terms, Decimal(0))
+                    bound = Decimal("1e-38") * max(map(abs, terms))
+                    assert abs(horner - total) <= bound, (l1, l2, l3, k2, m_order)
 
 
 def _coefficients_at_80_digits(l1, l2, l3, terms):
@@ -650,6 +669,28 @@ def _assert_batch_matches_scalar(n, l1, l2, k1, k2, alpha):
     results = closedform.bare_integral_batch(n, l1, l2, k1, k2, alpha)
     assert results == expected
     assert _bits(results) == _bits(expected)
+
+
+class TestDoubleSums:
+    # R out of the float range (alpha 1e-7), R in it and a term out of it (alpha 1.8e-7),
+    # a power of k2/k1 out of it (k2 1e20), a sum that cancels near y = 1 and plain points
+    POINTS = [(1.0, 1.0, 1e-7), (1.0, 1.0, 1.8e-7), (1.0, 1e20, 1.0), (1.0, 1.0, 1e-3), (1.0, 1.3, 0.5),
+              (0.7, 2.6, 1.5)]
+
+    @pytest.mark.parametrize("l1, l2, l3, m_order", [(10, 10, 20, 21), (4, 2, 2, 2), (3, 4, 1, 2), (0, 0, 0, 0)])
+    def test_batch_equals_each_point(self, l1, l2, l3, m_order):
+        cs = closedform._coupling_set(l1, l2, l3)
+        ys = [closedform._y_and_condition(*p)[0] for p in self.POINTS]
+        k1, k2, _ = (np.array(v) for v in zip(*self.POINTS))
+        with np.errstate(all="ignore"):
+            batch = closedform._double_sums(cs, l3, m_order, k1, k2, np.array(ys))
+            alone = [closedform._double_sums(cs, l3, m_order, a, b, y)[0]
+                     for (a, b, _), y in zip(self.POINTS, ys)]
+        assert [t.hex() for t, _ in batch] == [t.hex() for t, _ in alone]
+        # the peak is not used where the sum is NaN
+        assert [p.hex() for t, p in batch if math.isfinite(t)] == [p.hex() for t, p in alone if math.isfinite(t)]
+        if l3 == 20:
+            assert [math.isfinite(t) for t, _ in batch] == [False, False, False, True, True, True]
 
 
 class TestBareIntegralBatch:

@@ -312,7 +312,8 @@ class TestPointArrays:
             arr = specfun.paper_q_combination_all(lmax, M, ys)
             for j, y in enumerate(ys.tolist()):
                 scalar = specfun.paper_q_combination_all(lmax, M, y)
-                reference = np.array(q_combination_loop(lmax, M, y))
+                # the memo seeds at the top of lmax's bucket and reads the first lmax + 1 rows
+                reference = np.array(q_combination_loop(specfun._chain_top(lmax), M, y)[:lmax + 1])
                 assert scalar.tobytes() == reference.tobytes()
                 assert arr[:, j].tobytes() == scalar.tobytes()
 
@@ -422,7 +423,7 @@ class TestDecimalSeed:
         ratio = specfun._q_ratio
         monkeypatch.setattr(specfun, "_q_ratio", lambda *a: calls.append(a) or ratio(*a))
         specfun.paper_q_combination_all_dec(lmax, 2, y)
-        chain_top = specfun._chain_top(lmax, 40)
+        chain_top = specfun._chain_top(lmax)
         assert chain_top == min(t for t in (0, 1, 3, 7, 15, 31, 63) if t >= lmax)
         guard = specfun._forward_guard_digits(chain_top, y)
         assert guard > 0
@@ -496,12 +497,14 @@ class TestFloatSeed:
     @pytest.mark.usefixtures("cold_q_memo")  # a warm chain runs no seed
     @pytest.mark.parametrize("lmax", [0, 1, 8, 20, 30, 40])
     def test_continued_fraction_only_past_the_budget(self, monkeypatch, lmax):
-        # the top ratio Q_{lmax+1}/Q_lmax, to 16 digits, seeds Q only past the budget
+        # the chain of lmax runs to its bucket's top; the ratio Q_{top+1}/Q_top, to 16
+        # digits, seeds Q only past the budget at that top
         calls = []
         ratio = specfun._q_ratio
         monkeypatch.setattr(specfun, "_q_ratio", lambda *a: calls.append(a) or ratio(*a))
         ys = SEED_GRID_Y + [1e300]
-        past = [specfun._forward_digits(lmax, y) > specfun._FLOAT_FORWARD_DIGITS and lmax > 0
+        chain_top = specfun._chain_top(lmax)
+        past = [specfun._forward_digits(chain_top, y) > specfun._FLOAT_FORWARD_DIGITS and chain_top > 0
                 for y in ys]
         with np.errstate(all="ignore"):
             for y, expected in zip(ys, past):
@@ -511,17 +514,17 @@ class TestFloatSeed:
             calls.clear()
             specfun.paper_q_combination_all(lmax, 2, np.array(ys))
         assert len(calls) == sum(past)
-        assert all(top == lmax + 1 and digits == 16 for top, _, digits in calls)
+        assert all(top == chain_top + 1 and digits == 16 for top, _, digits in calls)
 
 
 def memo_values(lmax, M, y, prec):
-    """R(l, M, y), l = 0..lmax, as bytes (floats, prec 0: y a float or an array) or digit strings."""
+    """R(l, M, y), l = 0..lmax, one item per l: bytes (floats, prec 0: y a float or an array) or digit strings."""
     if prec:
         return [str(v) for v in specfun.paper_q_combination_all_dec(lmax, M, y, prec)]
-    return specfun.paper_q_combination_all(lmax, M, y).tobytes()
+    return [row.tobytes() for row in specfun.paper_q_combination_all(lmax, M, y)]
 
 
-# at 40 digits the buckets 0, 1, 3, 3, 7, 7, 15, 15, 31, 31, 63 and 63
+# the buckets 0, 1, 3, 3, 7, 7, 15, 15, 31, 31, 63 and 63
 MEMO_ORDERS = [(0, 0), (1, 2), (2, 3), (3, 2), (5, 3), (7, 3), (8, 3), (15, 12), (20, 21), (31, 21), (40, 12), (40, 21)]
 
 
@@ -542,22 +545,23 @@ class TestChainMemo:
                     cold[lmax, M, i] = memo_values(lmax, M, points, prec)
                 if not prec:
                     column = specfun.paper_q_combination_all(lmax, M, reads[1])[:, 1]
-                    assert column.tobytes() == cold[lmax, M, 0]
+                    assert [v.tobytes() for v in column] == cold[lmax, M, 0]
             specfun._CHAINS.clear()
             # (40, 21) extends the chain of (40, 12); the reverse pass reads every
-            # order warm, the lower M of lmax = 40 after the higher one.  At 40
-            # digits the orders of one bucket share its chain, the lower lmax read
-            # first in one pass and last in the other
+            # order warm, the lower M of lmax = 40 after the higher one.  The
+            # orders of one bucket share its chain, the lower lmax read first in
+            # one pass and last in the other
             for lmax, M in MEMO_ORDERS + MEMO_ORDERS[::-1]:
                 for i, points in enumerate(reads):
                     assert memo_values(lmax, M, points, prec) == cold[lmax, M, i], (lmax, M, i)
-            if prec:
-                # a lower lmax reads the first rows of its bucket's chain (lmax <= 60 is public)
-                tops = {lmax: specfun._chain_top(lmax, prec) for lmax, _ in MEMO_ORDERS}
-                assert sorted(set(tops.values())) == [0, 1, 3, 7, 15, 31, 63]
-                for lmax, M in MEMO_ORDERS:
-                    assert cold[lmax, M, 0] == memo_values(min(tops[lmax], 60), M, y, prec)[:lmax + 1]
-                assert len({key[0] for key in specfun._CHAINS if key[2]}) == 7
+            # a lower lmax reads the first rows of its bucket's chain (lmax <= 60 is public),
+            # at a float y and inside an array
+            tops = {lmax: specfun._chain_top(lmax) for lmax, _ in MEMO_ORDERS}
+            assert sorted(set(tops.values())) == [0, 1, 3, 7, 15, 31, 63]
+            for lmax, M in MEMO_ORDERS:
+                for i, points in enumerate(reads):
+                    assert cold[lmax, M, i] == memo_values(min(tops[lmax], 60), M, points, prec)[:lmax + 1]
+            assert len({key[0] for key in specfun._CHAINS if key[2] == prec}) == 7
 
     def test_caller_context_changes_no_value(self):
         cold = memo_values(10, 5, 1.3, 40)
@@ -588,8 +592,8 @@ class TestChainMemo:
             specfun.paper_q_combination_all(5, 3, y)
             specfun.paper_q_combination_all_dec(2, 1, y)
             point = ((), np.float64(y).tobytes())
-            # a float chain is keyed by its lmax, a 40-digit one by its bucket's top
-            assert sorted(specfun._CHAINS) == [(2, point, 0), (3, point, 40), (5, point, 0)]
+            # a chain is keyed by its bucket's top and its precision
+            assert sorted(specfun._CHAINS) == [(3, point, 0), (3, point, 40), (7, point, 0)]
 
     def test_batch_then_rescue_of_one_of_its_points(self):
         ys = np.linspace(1.5, 3.0, 5)
@@ -597,14 +601,14 @@ class TestChainMemo:
         point = [((), v.tobytes()) for v in ys]
         specfun.paper_q_combination_all(2, 1, ys)
         specfun.legendre_q_all(5, ys)
-        assert sorted(specfun._CHAINS) == [(2, batch, 0), (5, batch, 0)]
+        assert sorted(specfun._CHAINS) == [(3, batch, 0), (7, batch, 0)]
         # 40-digit reads at the batch's points drop nothing
         specfun.paper_q_combination_all_dec(2, 1, float(ys[3]))
         specfun.paper_q_combination_all_dec(2, 1, float(ys[1]))
-        assert sorted(specfun._CHAINS) == sorted([(2, batch, 0), (5, batch, 0), (3, point[3], 40), (3, point[1], 40)])
+        assert sorted(specfun._CHAINS) == sorted([(3, batch, 0), (7, batch, 0), (3, point[3], 40), (3, point[1], 40)])
         # a float read at one of them drops the chains at the others
         one = specfun.paper_q_combination_all(2, 1, float(ys[3]))
-        assert sorted(specfun._CHAINS) == [(2, point[3], 0), (3, point[3], 40)]
+        assert sorted(specfun._CHAINS) == [(3, point[3], 0), (3, point[3], 40)]
         # a 40-digit read at another point drops every chain but its own
         specfun.paper_q_combination_all_dec(2, 1, 2.9)
         assert list(specfun._CHAINS) == [(3, ((), np.float64(2.9).tobytes()), 40)]

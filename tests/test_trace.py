@@ -51,14 +51,15 @@ def test_order_sweep_at_one_point(monkeypatch, tmp_path, cold_q_memo):
             "--k1", "1", "--k2", "1", "--alpha", "1.4", "--quiet"]
     assert cli.main(argv + ["--out", str(tmp_path / "plain.csv")]) == 0
     specfun._CHAINS.clear()
-    rescued, seeds, keys = [], [], set()
+    rescued, seeds, keys, asked = [], [], set(), set()
     weighted_sum, seed, chain_values = closedform._decimal_weighted_sum, specfun._q_seed, specfun._chain_values
     monkeypatch.setattr(closedform, "_decimal_weighted_sum",
                         lambda *a: rescued.append(a) or weighted_sum(*a))
     monkeypatch.setattr(specfun, "_q_seed",
                         lambda lmax, y, prec: seeds.append((lmax, prec)) or seed(lmax, y, prec))
     monkeypatch.setattr(specfun, "_chain_values",
-                        lambda lmax, M, y, prec: keys.add(_chain(lmax, y, prec)[:2]) or chain_values(lmax, M, y, prec))
+                        lambda lmax, M, y, prec: keys.add(_chain(lmax, y, prec)[:2]) or asked.add((lmax, prec))
+                        or chain_values(lmax, M, y, prec))
     spans = _load_spans()
     tracer = spans.Tracer()
     spans.install(tracer, closedform, specfun, oracle)
@@ -67,12 +68,13 @@ def test_order_sweep_at_one_point(monkeypatch, tmp_path, cold_q_memo):
     # one 40-digit span per rescued row, whether its chain was built or read
     metrics = spans.layer_metrics(tracer.spans)
     assert metrics["closedform.rescue_calls"] == len(rescued)
-    # the Q seed runs once per float lmax and once per 40-digit bucket the point asks for
+    # the Q seed runs once per bucket the point asks for, at each precision
     assert sorted(seeds) == sorted(keys)
-    assert {prec for _, prec in seeds} == {0, 40}
-    buckets = [top for top, prec in seeds if prec]
-    assert len(buckets) == len(set(buckets)) and set(buckets) <= {0, 1, 3, 7, 15, 31, 63}
-    assert len(buckets) < len({cs.l_need for cs, *_ in rescued}) < len(rescued)
+    for prec in (0, 40):
+        buckets = [top for top, p in seeds if p == prec]
+        assert len(buckets) == len(set(buckets)) and set(buckets) <= {0, 1, 3, 7, 15, 31, 63}
+        assert 0 < len(buckets) < len({lmax for lmax, p in asked if p == prec})
+    assert len({lmax for lmax, p in asked if p}) == len({cs.l_need for cs, *_ in rescued}) < len(rescued)
     # each row equals `bare_integral` at a cold memo
     header, *rows = (tmp_path / "plain.csv").read_text(encoding="utf-8").splitlines()
     assert header.split(",")[:8] == ["lambda1", "lambda2", "power", "k1", "k2", "alpha", "value", "method"]
@@ -112,6 +114,6 @@ def test_order_sweep_at_several_points(monkeypatch, tmp_path, cold_q_memo, sweep
 def _chain(lmax, y, prec):
     """The (top, precision, points' shape and bytes) of the memo's chain that serves lmax.
 
-    The top is lmax in floats and its bucket's top at 40 digits.
+    The top is lmax's bucket's top at both precisions.
     """
-    return specfun._chain_top(lmax, prec), prec, np.shape(y), np.array(y, dtype=float).tobytes()
+    return specfun._chain_top(lmax), prec, np.shape(y), np.array(y, dtype=float).tobytes()

@@ -200,44 +200,19 @@ def _orders(points: list[tuple]) -> dict[tuple, tuple]:
     return {order: tuple(zip(*rows)) for order, rows in orders.items()}
 
 
-def _closed_forms(orders: dict, rows: int) -> tuple[list[Optional[closedform.EvalResult]], set[tuple]]:
-    """The closed-form result of each of the rows, from one `bare_integral_batch` per order of `_orders`.
+def _batches(orders: dict, batch) -> dict[int, closedform.Outcome | oracle.Outcome]:
+    """The outcome of each row of the orders of `_orders`, one `batch(n, l1, l2, k1s, k2s, alphas)` per order.
 
-    Also returns the orders (l1, l2, n) with no closed form, whose batch
-    raised `FormulaInapplicable`.  Their rows are None, as is every row the
-    batch gives no result and every row of an order it refused with a
-    ValueError: `cmd_table` evaluates those with `bare_integral`, which
-    raises the row's error.
+    `batch` is `closedform.bare_integral_batch`, or `oracle.integrate_two_bessel_batch`
+    with its rel_tol bound; an order's error is the outcome of each of its rows.
     """
-    out: list[Optional[closedform.EvalResult]] = [None] * rows
-    refused = set()
+    out = {}
     for (l1, l2, n), (index, k1, k2, alpha) in orders.items():
         try:
-            results = closedform.bare_integral_batch(n, l1, l2, k1, k2, alpha)
-        except closedform.FormulaInapplicable:
-            refused.add((l1, l2, n))
-            continue
-        except ValueError:
-            continue
-        for i, result in zip(index, results):
-            out[i] = result
-    return out, refused
-
-
-def _oracles(orders: dict, wanted: set[tuple], rel_tol: float) -> dict[int, oracle.Outcome]:
-    """The oracle outcome of every row of the wanted orders, one `integrate_two_bessel_batch` per order.
-
-    A row's outcome is what `integrate_two_bessel` returns there, or the
-    error it raises, which `cmd_table` raises at that row.
-    """
-    out: dict[int, oracle.Outcome] = {}
-    for (l1, l2, n), (index, k1, k2, alpha) in orders.items():
-        if (l1, l2, n) not in wanted:
-            continue
-        try:
-            outcomes = oracle.integrate_two_bessel_batch(n, l1, l2, k1, k2, alpha, rel_tol)
-        except ValueError as exc:
-            outcomes = [exc] * len(index)
+            outcomes = batch(n, l1, l2, k1, k2, alpha)
+        except (closedform.FormulaInapplicable, ValueError) as exc:
+            # without its traceback, which holds this frame and so `out`: a cycle per order
+            outcomes = [exc.with_traceback(None)] * len(index)
         out.update(zip(index, outcomes))
     return out
 
@@ -277,27 +252,28 @@ def cmd_table(args: argparse.Namespace) -> int:
 
     rows: list[list] = []
     orders = _orders(points)
-    results, refused = _closed_forms(orders, len(points))
+    results = _batches(orders, closedform.bare_integral_batch)
     # the oracle runs on every row with --oracle, and with --fallback-oracle
     # alone on every row of an order with no closed form
-    wanted = refused if args.fallback_oracle else set()
-    if args.oracle:
-        wanted = set(orders)
-    oracles = _oracles(orders, wanted, args.rel_tol)
-    for i, ((l1, l2, n, k1, k2, alpha), res) in enumerate(zip(points, results)):
-        if res is None:
+    wanted = {
+        order: rows_of for order, rows_of in orders.items()
+        if args.oracle or (args.fallback_oracle and isinstance(results[rows_of[0][0]], closedform.FormulaInapplicable))
+    }
+    oracles = _batches(wanted, functools.partial(oracle.integrate_two_bessel_batch, rel_tol=args.rel_tol))
+    for i, (l1, l2, n, k1, k2, alpha) in enumerate(points):
+        res = results[i]
+        if isinstance(res, Exception):
             # the condition column, and the row's point error before the order's
             condition = closedform.condition_number(k1, k2, alpha)
-            if (l1, l2, n) not in refused:
-                res = closedform.bare_integral(n, l1, l2, k1, k2, alpha)
-        if res is None:
+            if not isinstance(res, closedform.FormulaInapplicable):
+                raise res
             value, method = None, "NA"
         else:
             value, method, condition = res.value, res.method.value, res.condition
         oracle_value: Optional[float] = None
         rel_disc: Optional[float] = None
         if args.oracle or (value is None and args.fallback_oracle):
-            oracle_value = oracle._raised(oracles[i]).value
+            oracle_value = closedform._raised(oracles[i]).value
         if value is None and args.fallback_oracle and oracle_value is not None:
             value = oracle_value
         if args.oracle and value is not None and oracle_value is not None:
@@ -379,7 +355,7 @@ def _suite_eq29(max_l: int, tol: float):
     for L in range(max_l + 1):
         for (k1, k2, alpha), outcome in _grid_oracle(1, L, L, inner):
             cf = closedform.two_bessel_equal_order(L, k1, k2, alpha).value
-            q = oracle._raised(outcome)
+            q = closedform._raised(outcome)
             rel = _rel_discrepancy(cf, q.value)
             label = f"eq29 L={L} k1={k1:g} k2={k2:g} alpha={alpha:g}"
             yield label, rel <= tol, f"rel={rel:.3e}"
@@ -405,7 +381,7 @@ def _suite_two_bessel(max_l: int, tol: float, offset: int, name: str):
         w3 = float(wigner.wigner_3j(wigner.AngularMomenta3j(l1, l2, l3, 0, 0, 0)))
         for (k1, k2, alpha), outcome in _grid_oracle(l3 + offset, l1, l2, inner):
             cf = closedform.two_bessel_product(l1, l2, l3, k1, k2, alpha, offset).value
-            q = oracle._raised(outcome)
+            q = closedform._raised(outcome)
             lhs = w3 * q.value
             # at isolated zero crossings the relative measure is
             # ill-posed; the oracle's own uncertainty decides instead

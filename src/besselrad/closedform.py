@@ -37,12 +37,13 @@ outside the wavenumber triangle via the step factor beta.
 exact 3j symbol); when the parity-selected l3 violates the triangle
 rule there is no closed form and `FormulaInapplicable` is raised; that is
 a genuine coverage boundary, not a failure.  `bare_integral_batch` gives
-the same results for many points of one order at once, and None exactly
-where `bare_integral` raises; `besselrad table` runs every order through
-it.  Both check a point by one float arithmetic (`_y_and_condition`, that
-of `y_param` and `condition_number`) and run one evaluator per route
-(`_evaluate`), which takes one point or arrays of points; its double sum,
-Hankel route and 40-digit rescue are `_products`.
+each of many points of one order its outcome: the result `bare_integral`
+returns there, or the ValueError it raises; `besselrad table` runs every
+order through it, and `bare_integral` is a batch of one.  The batch checks
+a point by one float arithmetic (`_y_and_condition`, that of `y_param` and
+`condition_number`) and runs one evaluator per route (`_evaluate`), which
+takes one point or arrays of points; its double sum, Hankel route and
+40-digit rescue are `_products`.
 
 The coupling coefficients depend on the orders only.  Each (l1, l2, l3)
 set is compiled once per process (`_coupling_set`), in one pass over the
@@ -69,7 +70,7 @@ from dataclasses import dataclass
 from decimal import Context, Decimal, localcontext
 from enum import Enum
 from functools import lru_cache
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -111,6 +112,17 @@ class EvalResult:
     value: float
     method: Method
     condition: float
+
+
+# a closed-form batch's answer for one point: its result, or the error a one-point call raises there
+Outcome = Union[EvalResult, ValueError]
+
+
+def _raised(outcome):
+    """A batch outcome's result, or its error raised; the batches of both engines give such outcomes."""
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
 
 
 def _y_and_condition(k1: float, k2: float, alpha: float) -> tuple[float, float]:
@@ -598,20 +610,20 @@ def _evaluate(
     with np.errstate(all="ignore"):  # R, a term or a value may leave the float range: None below
         if offset == 1 and l3 == 0 and not weighted:
             method = Method.EQ_2_9
-            values = specfun.legendre_q_all(l1, y)[l1] / (2.0 * k1 * k2)
+            values = _flat(specfun.legendre_q_all(l1, y)[l1] / (2.0 * k1 * k2))
         else:
             method = Method.EQ_2_8 if offset == 1 else Method.EQ_2_11
             cs = None if (l1 + l2 + l3) % 2 else _coupling_set(l1, l2, l3)
             if cs is None:
-                values = np.zeros(np.shape(y))
+                values = [0.0] * len(conditions)
             else:
                 values, hankel = _products(cs, l1, l2, l3, offset, k1, k2, alpha, y)
-                values = np.array(values)
             if weighted:
-                values = values * _w3j000(l1, l2, l3)
+                w3 = _w3j000(l1, l2, l3)
+                values = [v * w3 for v in values]
     return [
         EvalResult(v, Method.HANKEL if h else method, c) if math.isfinite(v) else None
-        for v, h, c in zip(_flat(values), hankel, conditions)
+        for v, h, c in zip(values, hankel, conditions)
     ]
 
 
@@ -642,19 +654,6 @@ def _both_closed_forms(
     return (double if kept and math.isfinite(double) else None), hankel
 
 
-def _point(route: tuple[int, int, int, int], k1: float, k2: float, alpha: float,
-           weighted: bool = False) -> EvalResult:
-    """`_evaluate` at one point that `y_param` and `condition_number` accept.
-
-    Raises their errors, and `_float_range_error` where the result is None.
-    """
-    y = y_param(k1, k2, alpha)
-    (result,) = _evaluate(route, k1, k2, alpha, y, [condition_number(k1, k2, alpha)], weighted)
-    if result is None:
-        raise _float_range_error(k1, k2, alpha)
-    return result
-
-
 def two_bessel_product(
     lambda1: int,
     lambda2: int,
@@ -674,7 +673,7 @@ def two_bessel_product(
     lambda3 = _order("lambda3", lambda3, _LAMBDA_MAX)
     if offset not in (1, 2):
         raise ValueError(f"offset must be 1 or 2, got {offset!r}")
-    return _point((lambda1, lambda2, lambda3, offset), k1, k2, alpha, weighted=True)
+    return _raised(*_outcomes((lambda1, lambda2, lambda3, offset), (k1,), (k2,), (alpha,), weighted=True))
 
 
 def two_bessel_equal_order(L: int, k1: float, k2: float, alpha: float) -> EvalResult:
@@ -768,9 +767,47 @@ def bare_integral(n: int, lambda1: int, lambda2: int, k1: float, k2: float, alph
     """integral_0^inf r^n e^(-alpha r) j_l1(k1 r) j_l2(k2 r) dr, n >= 1.
 
     The closed form follows `coupling_route`; its coupling coefficients
-    hold the division by the exact 3j symbol (l1 l2 l3; 0 0 0).
+    hold the division by the exact 3j symbol (l1 l2 l3; 0 0 0).  This is
+    `bare_integral_batch` at one point, with the point's error raised.
     """
-    return _point(_route(n, lambda1, lambda2), k1, k2, alpha)
+    return _raised(*_outcomes(_route(n, lambda1, lambda2), (k1,), (k2,), (alpha,)))
+
+
+def _refusal(k1: float, k2: float, alpha: float) -> ValueError:
+    """The error of a point with no value: `y_param`'s, else `condition_number`'s, else `_float_range_error`."""
+    try:
+        y_param(k1, k2, alpha)
+        condition_number(k1, k2, alpha)
+    except ValueError as exc:
+        return exc
+    return _float_range_error(k1, k2, alpha)
+
+
+def _outcomes(
+    route: tuple[int, int, int, int], k1: Sequence[float], k2: Sequence[float], alpha: Sequence[float],
+    weighted: bool = False,
+) -> list[Outcome]:
+    """`_evaluate` of a checked route at the points (k1[i], k2[i], alpha[i]), or each point's `_refusal`.
+
+    The points that `y_param` and `condition_number` accept, found by their
+    float arithmetic (`_y_and_condition`), run through `_evaluate`
+    together; the raising checks run only at a point that gets no value.
+    """
+    points = [
+        (a, b, c, *_y_and_condition(a, b, c))
+        for a, b, c in zip(map(float, k1), map(float, k2), map(float, alpha), strict=True)
+    ]
+    clear = [
+        i for i, (a, b, c, y, condition) in enumerate(points)
+        if a > 0.0 and b > 0.0 and c > 0.0 and y > 1.0 and math.isfinite(y) and math.isfinite(condition)
+    ]
+    found: dict[int, Optional[EvalResult]] = {}
+    if clear:
+        # one point runs on floats, which numpy serves faster than arrays of one
+        *columns, conditions = zip(*(points[i] for i in clear))
+        columns = [c[0] if len(c) == 1 else np.array(c) for c in columns]
+        found = dict(zip(clear, _evaluate(route, *columns, conditions, weighted)))
+    return [found.get(i) or _refusal(a, b, c) for i, (a, b, c, _, _) in enumerate(points)]
 
 
 def bare_integral_batch(
@@ -780,32 +817,16 @@ def bare_integral_batch(
     k1: Sequence[float],
     k2: Sequence[float],
     alpha: Sequence[float],
-) -> list[Optional[EvalResult]]:
+) -> list[Outcome]:
     """`bare_integral` at the points (k1[i], k2[i], alpha[i]) of one order.
 
-    Returns each point's result, equal to
-    `bare_integral(n, lambda1, lambda2, k1[i], k2[i], alpha[i])`, and None
-    exactly where `bare_integral` raises: at a point that `y_param` or
-    `condition_number` refuses, found by their float arithmetic
-    (`_y_and_condition`), or whose value leaves the float range.  The other
-    points run through `_evaluate` together, so a sum that cancels takes
-    the same Hankel route or 40-digit rescue.  Raises only the errors of
-    the order, as `bare_integral` does before it looks at a point.
+    Returns for each point exactly the EvalResult of
+    `bare_integral(n, lambda1, lambda2, k1[i], k2[i], alpha[i])`, or the
+    ValueError it raises: that of `y_param`, then of `condition_number`,
+    then `_float_range_error` where the value leaves the float range.  The
+    points with a value run through `_evaluate` together, so a sum that
+    cancels takes the same Hankel route or 40-digit rescue.  Raises only
+    the errors of the order, as `bare_integral` does before it looks at a
+    point.
     """
-    route = _route(n, lambda1, lambda2)
-    points = [
-        (a, b, c, *_y_and_condition(a, b, c))
-        for a, b, c in zip(map(float, k1), map(float, k2), map(float, alpha), strict=True)
-    ]
-    clear = [
-        i for i, (a, b, c, y, condition) in enumerate(points)
-        if a > 0.0 and b > 0.0 and c > 0.0 and y > 1.0 and math.isfinite(y) and math.isfinite(condition)
-    ]
-    results: list[Optional[EvalResult]] = [None] * len(points)
-    if clear:
-        # one point runs on floats, which numpy serves faster than arrays of one
-        *columns, conditions = zip(*(points[i] for i in clear))
-        found = _evaluate(route, *(c[0] if len(c) == 1 else np.array(c) for c in columns), conditions)
-        for i, result in zip(clear, found):
-            results[i] = result
-    return results
+    return _outcomes(_route(n, lambda1, lambda2), k1, k2, alpha)

@@ -51,7 +51,7 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 from . import specfun
-from .closedform import _LAMBDA_MAX, _three_bessel_orders
+from .closedform import _LAMBDA_MAX, _raised, _three_bessel_orders
 from .specfun import _L_MAX_BESSEL, _above_one, _order, _positive_finite, _reachable_tolerance
 
 # QUADPACK qk15 (Piessens et al. 1983): Kronrod nodes x >= 0 and their
@@ -120,7 +120,8 @@ class QuadratureResult:
     tail_bound: float = 0.0
 
 
-# a batch's answer for one point: its result, or the error a single call raises there
+# an oracle batch's answer for one point: its result, or the error a one-point call
+# raises there, as `closedform.Outcome` is for the closed form (`_raised` takes both)
 Outcome = Union[QuadratureResult, ValueError, NonConvergence]
 
 
@@ -307,13 +308,6 @@ def _result(
         value, err, panels, err <= rel_tol * max(1.0, abs(value)), evaluations,
         truncation_radius, tail_bound,
     )
-
-
-def _raised(outcome: Outcome) -> QuadratureResult:
-    """A batch outcome's result, or its error raised."""
-    if isinstance(outcome, Exception):
-        raise outcome
-    return outcome
 
 
 def _log_exp_poly_tail(m: int, alpha, r):

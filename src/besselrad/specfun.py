@@ -350,9 +350,8 @@ def _q_downward(out: np.ndarray, r, y) -> np.ndarray:
 
 
 def legendre_q(L: int, y: float) -> float:
-    """Legendre function of the second kind Q_L(y) on the real branch y > 1."""
-    L = _order("L", L, _L_MAX_Q)
-    return float(legendre_q_all(L, _above_one(y))[L])
+    """Legendre function of the second kind Q_L(y) on the real branch y > 1: `paper_q_combination` at M = 0."""
+    return paper_q_combination(L, 0, y)
 
 
 def paper_q_combination_all(lmax: int, M: int, y) -> np.ndarray:
@@ -419,10 +418,15 @@ def paper_q_combination(L: int, M: int, y: float) -> float:
     """The positive real combination (-1)^M d^M Q_L/dy^M.
 
     Equals (M!/2) * integral_{-1}^{1} P_L(x)/(y - x)^(M+1) dx; for M = 0 it
-    reduces to Q_L(y).
+    reduces to Q_L(y).  Raises ValueError, with no float warning, where a
+    recurrence step leaves the float range (near y = 1 R grows like (y - 1)^-M).
     """
-    L, M = _order("L", L, _L_MAX_Q), _order("M", M, _M_MAX_Q)
-    return float(paper_q_combination_all(L, M, _above_one(y))[L])
+    L, M, y = _order("L", L, _L_MAX_Q), _order("M", M, _M_MAX_Q), _above_one(y)
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = float(paper_q_combination_all(L, M, y)[L])
+    if not math.isfinite(value):
+        raise ValueError(f"(-1)^M d^M Q_L/dy^M leaves the float range (L={L}, M={M}, y={y!r})")
+    return value
 
 
 # ----------------------------------------------------------------------

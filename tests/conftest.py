@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 from hypothesis import HealthCheck, settings
 
@@ -16,3 +18,10 @@ def cold_q_memo():
     """An empty memo of Legendre-Q derivative chains, for tests that count what a call computes."""
     with specfun._CHAINS_LOCK:
         specfun._CHAINS.clear()
+
+
+def _outcome_bits(outcome):
+    """A batch outcome as exact text: every field of a result, or an error's type and message."""
+    if isinstance(outcome, Exception):
+        return type(outcome), str(outcome)
+    return tuple(repr(v) for v in dataclasses.astuple(outcome))

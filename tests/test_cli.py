@@ -312,7 +312,8 @@ class TestTableBatches:
     def test_orders_are_batched(self, capsys, tmp_path, monkeypatch):
         # one batch per order, whatever its row count and the row order; the rows
         # of power 1, which has no closed form here, are written NA from the
-        # batch's refusal, each with its point's condition: none reaches bare_integral
+        # batch's refusal, each with its point's condition, and a failing row
+        # raises its batch outcome: none reaches bare_integral
         batches, rows, conditions = [], [], []
         batch, scalar, condition = closedform.bare_integral_batch, closedform.bare_integral, closedform.condition_number
         monkeypatch.setattr(closedform, "bare_integral_batch", lambda *a: batches.append(a) or batch(*a))
@@ -330,6 +331,19 @@ class TestTableBatches:
             assert len(conditions) == count
             na = [row for row in out_path.read_text(encoding="utf-8").splitlines() if ",NA," in row]
             assert len(na) == count and all(row.startswith("2,3,1,") for row in na)
+        # y rounds to 1 at alpha 1e-9: the row's error comes from its order's batch
+        sweeps = [("power", 1, 6, 6), ("alpha", 1.0, 1e-9, 2)]
+        fixed = {"lambda1": 2, "lambda2": 3, "k1": 1.0, "k2": 1.0}
+        with pytest.raises(ValueError) as row_by_row:
+            reference_table(sweeps, fixed)
+        batches.clear()
+        rows.clear()
+        out_path = tmp_path / "failed.csv"
+        assert run_cli(capsys, table_argv(sweeps, fixed, out_path)) == (2, "", f"error: {row_by_row.value}\n")
+        assert "y = (k1^2 + k2^2 + alpha^2) / (2 k1 k2) is 1.0" in str(row_by_row.value)
+        assert sorted(a[0] for a in batches) == [1, 2, 3, 4, 5, 6]
+        assert rows == []
+        assert not out_path.exists()
 
     def test_point_major_equals_order_major(self, capsys, tmp_path):
         # one sweep with its points outside and inside its orders, with NA rows and rescued rows

@@ -24,6 +24,7 @@ from besselrad.closedform import (
     y_param,
 )
 from besselrad.wigner import AngularMomenta3j, wigner_3j
+from conftest import _outcome_bits
 
 QUARTER_LOG5 = 0.25 * math.log(5.0)
 
@@ -314,7 +315,7 @@ class TestOrderValidation:
 class TestFloatRange:
     """y, 1/(y - 1) or the closed form's powers outside float range give ValueError, never another error.
 
-    The batch gives None at such a point and `bare_integral`'s result elsewhere.
+    The batch gives that error at such a point and `bare_integral`'s result elsewhere.
     """
 
     @pytest.mark.parametrize("k1,k2,alpha", [
@@ -338,20 +339,20 @@ class TestFloatRange:
     ])
     def test_powers_out_of_float_range(self, k1, k2, alpha):
         message = re.escape(f"leave the float range (k1={k1!r}, k2={k2!r}, alpha={alpha!r})")
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(ValueError, match=message) as raised:
             bare_integral(21, 10, 10, k1, k2, alpha)
         results = closedform.bare_integral_batch(21, 10, 10, [1.0, k1], [1.0, k2], [1.0, alpha])
-        assert results == [bare_integral(21, 10, 10, 1.0, 1.0, 1.0), None]
+        assert _bits(results) == _bits([bare_integral(21, 10, 10, 1.0, 1.0, 1.0), raised.value])
 
     @pytest.mark.filterwarnings("error")
     def test_r_out_of_float_range(self):
         # R(l, 21, y) overflows in floats at y - 1 ~ 5e-16
         message = re.escape("leave the float range (k1=1.0, k2=1.0, alpha=3e-08)")
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(ValueError, match=message) as raised:
             bare_integral(21, 10, 10, 1.0, 1.0, 3e-8)
         alpha = [1.0, 0.5, 3e-8, 0.1]
         results = closedform.bare_integral_batch(21, 10, 10, [1.0] * 4, [1.0] * 4, alpha)
-        assert results[2] is None
+        assert _bits(results[2:3]) == _bits([raised.value])
         assert results[:2] + results[3:] == [bare_integral(21, 10, 10, 1.0, 1.0, a) for a in (1.0, 0.5, 0.1)]
 
     @pytest.mark.filterwarnings("error")
@@ -361,10 +362,12 @@ class TestFloatRange:
         message = re.escape("leave the float range (k1=1e-160, k2=1.5e-160, alpha=1e-160)")
         with pytest.raises(ValueError, match=message):
             two_bessel_equal_order(0, *point)
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(ValueError, match=message) as raised:
             bare_integral(1, 0, 0, *point)
+        with pytest.raises(ValueError, match="alpha must be positive and finite, got -1.0") as invalid:
+            bare_integral(1, 0, 0, 1.0, 1.0, -1.0)
         results = closedform.bare_integral_batch(1, 0, 0, [1.0, 1e-160, 1.0], [1.0, 1.5e-160, 1.0], [1.0, 1e-160, -1.0])
-        assert results == [bare_integral(1, 0, 0, 1.0, 1.0, 1.0), None, None]
+        assert _bits(results) == _bits([bare_integral(1, 0, 0, 1.0, 1.0, 1.0), raised.value, invalid.value])
 
     def test_condition_number(self):
         with pytest.raises(ValueError, match="not finite"):
@@ -653,22 +656,20 @@ def _scalar_results(n, l1, l2, k1, k2, alpha):
     return [bare_integral(n, l1, l2, a, b, c) for a, b, c in zip(k1, k2, alpha)]
 
 
-def _bits(results):
-    """Each result's value and condition as hex and its method, None for None."""
-    return [None if r is None else (r.value.hex(), r.method, r.condition.hex()) for r in results]
+def _bits(outcomes):
+    """`_outcome_bits` of each outcome: a result's fields as exact text, an error's type and message."""
+    return [_outcome_bits(outcome) for outcome in outcomes]
 
 
 def _assert_batch_matches_scalar(n, l1, l2, k1, k2, alpha):
-    """The batch gives None wherever `bare_integral` raises a ValueError, its result bit for bit elsewhere."""
+    """The batch gives `bare_integral`'s result bit for bit, or the ValueError it raises, at each point."""
     expected = []
     for point in zip(k1, k2, alpha):
         try:
             expected.append(bare_integral(n, l1, l2, *point))
-        except ValueError:
-            expected.append(None)
-    results = closedform.bare_integral_batch(n, l1, l2, k1, k2, alpha)
-    assert results == expected
-    assert _bits(results) == _bits(expected)
+        except ValueError as exc:
+            expected.append(exc)
+    assert _bits(closedform.bare_integral_batch(n, l1, l2, k1, k2, alpha)) == _bits(expected)
 
 
 class TestDoubleSums:
@@ -738,7 +739,7 @@ class TestBareIntegralBatch:
         assert rescues
 
     def test_errors_match_scalar(self):
-        # the order's errors are raised; a point's error leaves None there
+        # the order's errors are raised; a point's error is its outcome
         with pytest.raises(FormulaInapplicable):
             closedform.bare_integral_batch(1, 2, 0, [1.0], [1.0], [1.0])
         with pytest.raises(ValueError, match="lambda1"):
@@ -747,7 +748,7 @@ class TestBareIntegralBatch:
         with pytest.raises(ValueError, match=re.escape("alpha must be positive and finite, got -1.0")):
             bare_integral(2, 0, 1, k1[1], k2[1], alpha[1])
         results = closedform.bare_integral_batch(2, 0, 1, k1, k2, alpha)
-        assert results[1] is None and results[2] is None
+        assert isinstance(results[1], ValueError) and isinstance(results[2], ValueError)
         _assert_batch_matches_scalar(2, 0, 1, k1, k2, alpha)
 
     @pytest.mark.filterwarnings("error")
@@ -805,7 +806,7 @@ class TestBareIntegralBatch:
     def test_prefactor_out_of_float_range(self):
         # sqrt(3) / (2 k1 k2^2) overflows to inf (the closed form returned inf)
         message = re.escape("leave the float range (k1=1e-103, k2=1e-103, alpha=1e-103)")
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(ValueError, match=message) as raised:
             bare_integral(2, 0, 1, 1e-103, 1e-103, 1e-103)
         results = closedform.bare_integral_batch(2, 0, 1, [1.0, 1e-103], [1.0, 1e-103], [1.0, 1e-103])
-        assert results == [bare_integral(2, 0, 1, 1.0, 1.0, 1.0), None]
+        assert _bits(results) == _bits([bare_integral(2, 0, 1, 1.0, 1.0, 1.0), raised.value])

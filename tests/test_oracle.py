@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import sys
 import time
@@ -11,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from besselrad import closedform, oracle, specfun
+from conftest import _outcome_bits
 from besselrad.oracle import (
     NonConvergence,
     integrate_q_definition,
@@ -218,13 +218,6 @@ class TestKronrodRule:
         q = integrate_two_bessel(*args, rel_tol=1e-8)
         assert q.converged
         assert abs(q.value - reference) <= 1e-8 * abs(reference)
-
-
-def _outcome_bits(outcome):
-    """Every field of a result as exact text, or an error's type and message."""
-    if isinstance(outcome, Exception):
-        return type(outcome), str(outcome)
-    return tuple(repr(v) for v in dataclasses.astuple(outcome))
 
 
 def _alone(n, l1, l2, points, rel_tol):

@@ -265,6 +265,34 @@ class TestPaperQCombination:
                 specfun.paper_q_combination_all_dec(3, M, 2.0)
 
 
+class TestFloatRange:
+    """The one-point Q views raise ValueError, with no float warning, where the value leaves the float range."""
+
+    LS, MS = (0, 1, 5, 20, 60), (0, 1, 5, 20, 40)
+    YS = (1.0 + 1e-15, 1.0 + 1e-12, 1.0 + 1e-8, 1.0 + 1e-4, 2.0, 1e10, 1e150, 1e300)
+
+    @pytest.mark.filterwarnings("error")
+    def test_refused_where_the_value_exceeds_the_largest_float(self):
+        refused = []
+        for L in self.LS:
+            for M in self.MS:
+                for y in self.YS:
+                    try:
+                        value = paper_q_combination(L, M, y)
+                    except ValueError as exc:
+                        assert str(exc) == f"(-1)^M d^M Q_L/dy^M leaves the float range (L={L}, M={M}, y={y!r})"
+                        refused.append((L, M, y))
+                        continue
+                    assert value == float(specfun.paper_q_combination_all(L, M, y)[L])
+                    if M == 0:
+                        assert legendre_q(L, y) == value
+        # the 20 grid inputs that gave NaN or inf with overflow warnings
+        assert len(refused) == 20
+        assert all(y < 1.0 + 1e-7 and M >= 20 for _, M, y in refused)
+        for L, M, y in refused:
+            assert abs(q_combination_closed_form(L, M, y)[L]) > sys.float_info.max
+
+
 def q_combination_loop(lmax, M, y):
     """Reference: the Q seed rule and recurrences one l at a time, in floats."""
     q = [0.5 * math.log1p(2.0 / (y - 1.0))]

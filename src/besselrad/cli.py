@@ -88,13 +88,13 @@ def _rel_discrepancy(a: float, b: float) -> float:
 
 def cmd_eval(args: argparse.Namespace) -> int:
     n = args.power
+    # the point's condition error first, as `table` reports a failing row
+    condition = closedform.condition_number(args.k1, args.k2, args.alpha)
     try:
         result = closedform.bare_integral(n, args.lambda1, args.lambda2, args.k1, args.k2, args.alpha)
         method = result.method.value
         value: Optional[float] = result.value
-        condition = result.condition
     except closedform.FormulaInapplicable:
-        condition = closedform.condition_number(args.k1, args.k2, args.alpha)
         if not args.fallback_oracle:
             raise
         method = "NA"
@@ -500,7 +500,7 @@ _HANKEL_POINTS = ((1.0, 1.0, 0.2), (1.0, 1.1, 0.3), (1.0, 0.9, 0.1))
 
 def _suite_hankel(max_l: int, tol: float):
     """The double sum against the Hankel route, with no oracle, at every order with
-    l1, l2 <= max_l and l3 <= 20 where neither keeps fewer than 14 digits."""
+    l1, l2 <= max_l and l3 <= 20 where each keeps its digits by `_both_closed_forms`' rule."""
     for l1 in range(max_l + 1):
         for l2 in range(max_l + 1):
             for n in range(1, min(l1 + l2, closedform._LAMBDA_MAX) + 3):

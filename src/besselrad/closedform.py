@@ -41,9 +41,9 @@ each of many points of one order its outcome: the result `bare_integral`
 returns there, or the ValueError it raises; `besselrad table` runs every
 order through it, and `bare_integral` is a batch of one.  The batch checks
 a point by one float arithmetic (`_y_and_condition`, that of `y_param` and
-`condition_number`) and runs one evaluator per route (`_evaluate`), which
-takes one point or arrays of points; its double sum, Hankel route and
-40-digit rescue are `_products`.
+`condition_number`) and passes the points it accepts, as lists of floats,
+to `_evaluate`, the one function that decides each point's route:
+`EQ_2_9`, the double sum, its Hankel route or its 40-digit rescue.
 
 The coupling coefficients depend on the orders only.  Each (l1, l2, l3)
 set is compiled once per process (`_coupling_set`), in one pass over the
@@ -51,8 +51,8 @@ integer parts of its Wigner symbols, into one coefficient per term that
 folds in every factor of the orders alone, rounded once to 40 digits for
 the rescue and taken from those as a float; a point's own work is the
 powers of k1, k2 and alpha, its R or P table and one product per term:
-Python floats at one point (`_terms`), numpy over an array of points, and
-in the rescue Horner's rule in k2/k1.  R(l, M, y) comes from `specfun`'s
+Python floats at one point (`_terms`), numpy over more points, and in the
+rescue Horner's rule in k2/k1.  R(l, M, y) comes from `specfun`'s
 memo of derivative chains, which builds each Q table once for all the
 orders at its points, per bucket of lmax at both precisions.
 
@@ -75,7 +75,7 @@ from typing import NamedTuple, Optional, Sequence, Union
 import numpy as np
 
 from . import specfun
-from .specfun import _order, _positive_finite
+from .specfun import _float, _order, _positive_finite
 from .wigner import AngularMomenta3j, WignerValue, _six_j_parts, wigner_3j
 # the compile takes the 6j symbols as `_six_j_parts`; wigner_6j stays a name of this
 # module, which perfbench/spans.py wraps beside wigner_3j
@@ -143,7 +143,7 @@ def y_param(k1: float, k2: float, alpha: float) -> float:
     Raises ValueError when the float arithmetic cannot hold that: the
     squares overflow (y is NaN), underflow (0/0), or y rounds to 1.
     """
-    _positive_finite(k1=k1, k2=k2, alpha=alpha)
+    k1, k2, alpha = _positive_finite(k1=k1, k2=k2, alpha=alpha)
     y = _y_and_condition(k1, k2, alpha)[0]
     if not (y > 1.0 and math.isfinite(y)):
         raise ValueError(
@@ -158,7 +158,7 @@ def condition_number(k1: float, k2: float, alpha: float) -> float:
 
     Raises ValueError when the float arithmetic gives no finite value.
     """
-    _positive_finite(k1=k1, k2=k2, alpha=alpha)
+    k1, k2, alpha = _positive_finite(k1=k1, k2=k2, alpha=alpha)
     condition = _y_and_condition(k1, k2, alpha)[1]
     if not math.isfinite(condition):
         raise ValueError(
@@ -174,7 +174,7 @@ def delta_param(k1: float, k2: float, k3: float) -> float:
     Raises ValueError when the float arithmetic gives no finite value: the
     squares overflow (NaN) or 2 k1 k2 underflows to 0.
     """
-    _positive_finite(k1=k1, k2=k2, k3=k3)
+    k1, k2, k3 = _positive_finite(k1=k1, k2=k2, k3=k3)
     den = 2.0 * k1 * k2
     delta = (k1 * k1 + k2 * k2 - k3 * k3) / den if den > 0.0 else math.nan
     if not math.isfinite(delta):
@@ -191,7 +191,7 @@ def beta_step(delta: float) -> float:
     The edge value 1/2 is fixed by the damped sine-product integral, whose
     regularized limit on the triangle boundary is half the interior value.
     """
-    if not math.isfinite(delta):
+    if not math.isfinite(_float("delta", delta)):
         raise ValueError(f"delta must be finite, got {delta!r}")
     ad = abs(delta)
     if ad < 1.0:
@@ -214,7 +214,7 @@ def laplace_single_bessel(lambda3: int, alpha: float, k3: float, offset: int) ->
     raises ValueError.
     """
     lambda3 = _order("lambda3", lambda3, maximum=50)
-    _positive_finite(alpha=alpha, k3=k3)
+    alpha, k3 = _positive_finite(alpha=alpha, k3=k3)
     if offset not in (1, 2):
         raise ValueError(f"offset must be 1 or 2, got {offset!r}")
     n = lambda3 + offset + 1
@@ -289,7 +289,7 @@ class _CouplingSet(NamedTuple):
     Term i of the bare integral's double sum is
         coef[i] * (k2/k1)^scr[i] * R(l[i], M, y)
     in floats, multiplied in that order (`_terms` at one point, numpy over
-    an array of points in `_double_sums`), and exact[i] times the
+    more points in `_double_sums`), and exact[i] times the
     same in the 40-digit rescue, which sums it by Horner's rule in k2/k1
     over scr (`_decimal_weighted_sum`).  The terms run in order of scr.
     exact[i] is
@@ -356,9 +356,9 @@ def _power(base, exponent: int):
         return math.inf
 
 
-def _flat(v) -> list[float]:
-    """The values of a float or of an array of points, as a list of floats."""
-    return [v] if type(v) is float else np.ravel(v).tolist()
+def _points(y: Sequence[float]):
+    """The points y as `specfun` reads them: a float for one point, which it serves faster, else an array."""
+    return y[0] if len(y) == 1 else np.array(y)
 
 
 def _terms(cs: _CouplingSet, lambda3: int, ratio: float, table: list[float]) -> list[float]:
@@ -507,18 +507,20 @@ def _fsum(terms: list[float]) -> float:
         return math.nan
 
 
-def _double_sums(cs: _CouplingSet, lambda3: int, m_order: int, k1, k2, y) -> list[tuple[float, float]]:
-    """The double sum and its largest |term| at each point, R for all points at once.
+def _double_sums(
+    cs: _CouplingSet, lambda3: int, m_order: int, k1: Sequence[float], k2: Sequence[float], y: Sequence[float]
+) -> list[tuple[float, float]]:
+    """The double sum and its largest |term| at each point (k1[i], k2[i], y[i]), R for all points at once.
 
     At one point the terms are Python floats (`_terms`), for which numpy's
-    per-call cost would exceed the arithmetic; an array of points forms them
-    with numpy over the points, the same products in the same order, so a
-    point gets the same bits alone or in a batch.  The sum is NaN at a point
+    per-call cost would exceed the arithmetic; more points form them with
+    numpy over the points, the same products in the same order, so a point
+    gets the same bits alone or in a batch.  The sum is NaN at a point
     where R, a power of k2/k1 or a term is not finite, and its peak is then
     not used.
     """
-    rvals = specfun.paper_q_combination_all(cs.l_need, m_order, y)
-    ratios, rows = _flat(k2 / k1), rvals.reshape(len(rvals), -1)  # one column per point
+    rvals = specfun.paper_q_combination_all(cs.l_need, m_order, _points(y))
+    ratios, rows = [b / a for a, b in zip(k1, k2)], rvals.reshape(len(rvals), -1)  # one column per point
     if len(ratios) == 1:
         r = rows[:, 0].tolist()
         terms = _terms(cs, lambda3, ratios[0], r)
@@ -531,43 +533,6 @@ def _double_sums(cs: _CouplingSet, lambda3: int, m_order: int, k1, k2, y) -> lis
     finite = (np.isfinite(rows).all(axis=0) & np.isfinite(terms).all(axis=1)).tolist()
     peaks = np.abs(terms).max(axis=1).tolist()
     return [(_fsum(t) if ok else math.nan, peak) for t, ok, peak in zip(terms.tolist(), finite, peaks)]
-
-
-def _products(
-    cs: _CouplingSet, lambda1: int, lambda2: int, lambda3: int, offset: int, k1, k2, alpha, y
-) -> tuple[list[float], list[bool]]:
-    """The bare integral at each point, and whether the Hankel route gave it.
-
-    k1, k2, alpha and y are as for `_evaluate`, which runs this with float
-    warnings off.  The value is prefactor times double sum, NaN at a point
-    where the sum or the prefactor is not finite.  A point whose sum
-    cancels takes the Hankel route, as a batch, where y - 1 is below
-    `_HANKEL_MAX_Y_MINUS_1` and that route keeps its digits, and the
-    40-digit rescue otherwise.
-    """
-    m_order = lambda3 + offset - 1
-    sums = _double_sums(cs, lambda3, m_order, k1, k2, y)
-    points = zip(*(_flat(v) for v in (k1, k2, alpha, y)))
-    values, rescues = [], []
-    for i, ((a, b, c, yi), (total, peak)) in enumerate(zip(points, sums)):
-        pref = _prefactor(lambda3, a, b, c, offset)
-        if not (math.isfinite(total) and math.isfinite(pref)):
-            values.append(math.nan)
-            continue
-        if _needs_rescue(peak, total):
-            rescues.append((i, pref, a, b, c, yi))
-        values.append(pref * total)
-    hankel = [False] * len(values)
-    near = [(i, a, b, c) for i, _, a, b, c, yi in rescues if yi - 1.0 < _HANKEL_MAX_Y_MINUS_1]
-    if near:
-        index, a, b, c = zip(*near)
-        for i, (value, _) in zip(index, _hankel_values(lambda1, lambda2, lambda3 + offset, a, b, c)):
-            if value is not None:
-                values[i], hankel[i] = value, True
-    for i, pref, a, b, _, yi in rescues:
-        if not hankel[i]:
-            values[i] = pref * float(_decimal_weighted_sum(cs, lambda3, m_order, a, b, yi))
-    return values, hankel
 
 
 def _decimal_weighted_sum(
@@ -593,37 +558,56 @@ def _decimal_weighted_sum(
 
 
 def _evaluate(
-    route: tuple[int, int, int, int], k1, k2, alpha, y, conditions: Sequence[float], weighted: bool = False
+    route: tuple[int, int, int, int], k1: Sequence[float], k2: Sequence[float], alpha: Sequence[float],
+    y: Sequence[float], conditions: Sequence[float], weighted: bool = False,
 ) -> list[Optional[EvalResult]]:
-    """The closed form of route = (l1, l2, l3, offset) at each point.
+    """The closed form of route = (l1, l2, l3, offset) at each point (k1[i], k2[i], alpha[i]).
 
     The bare integral of r^(l3 + offset) e^(-alpha r) j_l1(k1 r) j_l2(k2 r),
-    or with `weighted` the 3j-weighted product of `two_bessel_product`:
-    the double sum, or the Hankel route where it cancels, at every l3, and
-    exact 0 where the parity kills the 3j weight.  k1, k2, alpha and their
-    y are floats (one point) or float64 arrays of points that `y_param` and
-    `condition_number` accept, and `conditions` their 1/(y - 1), one per
-    point.  A result is None where its value is not finite.
+    or with `weighted` the 3j-weighted product of `two_bessel_product`.
+    Each point takes one route: `EQ_2_9`'s Q_L(y)/(2 k1 k2); else exact 0
+    where the parity kills the 3j weight; else the prefactor times the
+    double sum, NaN where either is not finite.  Where that sum cancels
+    (`_needs_rescue`) the point takes the Hankel route, as one batch, if
+    y - 1 is below `_HANKEL_MAX_Y_MINUS_1` and that route keeps its digits,
+    and the 40-digit rescue otherwise.  The points are floats that `y_param`
+    and `condition_number` accept, y[i] and conditions[i] their y and
+    1/(y - 1).  A result is None where its value is not finite.
     """
     l1, l2, l3, offset = route
-    hankel = [False] * len(conditions)
+    equal_order = offset == 1 and l3 == 0 and not weighted
+    method = Method.EQ_2_9 if equal_order else Method.EQ_2_8 if offset == 1 else Method.EQ_2_11
+    methods = [method] * len(conditions)
+    cs = None if equal_order or (l1 + l2 + l3) % 2 else _coupling_set(l1, l2, l3)
     with np.errstate(all="ignore"):  # R, a term or a value may leave the float range: None below
-        if offset == 1 and l3 == 0 and not weighted:
-            method = Method.EQ_2_9
-            values = _flat(specfun.legendre_q_all(l1, y)[l1] / (2.0 * k1 * k2))
+        if equal_order:
+            q = np.ravel(specfun.legendre_q_all(l1, _points(y))[l1]).tolist()
+            values = [v / (2.0 * a * b) for v, a, b in zip(q, k1, k2)]
+        elif cs is None:
+            values = [0.0] * len(conditions)
         else:
-            method = Method.EQ_2_8 if offset == 1 else Method.EQ_2_11
-            cs = None if (l1 + l2 + l3) % 2 else _coupling_set(l1, l2, l3)
-            if cs is None:
-                values = [0.0] * len(conditions)
-            else:
-                values, hankel = _products(cs, l1, l2, l3, offset, k1, k2, alpha, y)
-            if weighted:
-                w3 = _w3j000(l1, l2, l3)
-                values = [v * w3 for v in values]
+            m_order = l3 + offset - 1
+            prefactors = [_prefactor(l3, a, b, c, offset) for a, b, c in zip(k1, k2, alpha)]
+            values, rescues = [], []
+            for i, (pref, (total, peak)) in enumerate(zip(prefactors, _double_sums(cs, l3, m_order, k1, k2, y))):
+                finite = math.isfinite(total) and math.isfinite(pref)
+                values.append(pref * total if finite else math.nan)
+                if finite and _needs_rescue(peak, total):
+                    rescues.append(i)
+            near = [i for i in rescues if y[i] - 1.0 < _HANKEL_MAX_Y_MINUS_1]
+            if near:
+                columns = ([column[i] for i in near] for column in (k1, k2, alpha))
+                for i, (value, _) in zip(near, _hankel_values(l1, l2, l3 + offset, *columns)):
+                    if value is not None:
+                        values[i], methods[i] = value, Method.HANKEL
+            for i in rescues:
+                if methods[i] is not Method.HANKEL:
+                    values[i] = prefactors[i] * float(_decimal_weighted_sum(cs, l3, m_order, k1[i], k2[i], y[i]))
+        if weighted:
+            w3 = _w3j000(l1, l2, l3)
+            values = [v * w3 for v in values]
     return [
-        EvalResult(v, Method.HANKEL if h else method, c) if math.isfinite(v) else None
-        for v, h, c in zip(values, hankel, conditions)
+        EvalResult(v, m, c) if math.isfinite(v) else None for v, m, c in zip(values, methods, conditions)
     ]
 
 
@@ -634,17 +618,18 @@ def _both_closed_forms(
 
     The double sum is taken in floats, or in `_RESCUE_DIGITS` digits where
     the float sum cancels, as `bare_integral` takes it without the Hankel
-    route.  Each value is None where its sum keeps fewer than 14 digits
-    (loses more than 2 of a float's 16, or more than `_RESCUE_DIGITS` - 14
-    in decimals, measured against the largest |float term|) or is not
-    finite.  Raises the errors of the order and of `y_param`.
+    route.  Each value is None where it is not finite or its sum loses too
+    many digits against its largest |float term|: more than 2 in floats,
+    more than `_RESCUE_DIGITS` - 14 = 26 in decimals, or, for the Hankel
+    sum, more than 2 against its largest |term|.  Raises the errors of the
+    order and of `y_param`.
     `besselrad check --suite hankel` compares the two.
     """
     l1, l2, l3, offset = _route(n, lambda1, lambda2)
     cs, m_order = _coupling_set(l1, l2, l3), l3 + offset - 1
     y = y_param(k1, k2, alpha)
     with np.errstate(all="ignore"):
-        ((total, peak),) = _double_sums(cs, l3, m_order, k1, k2, y)
+        ((total, peak),) = _double_sums(cs, l3, m_order, [k1], [k2], [y])
         ((hankel, _),) = _hankel_values(l1, l2, n, [k1], [k2], [alpha])
     kept = not _needs_rescue(peak, total)
     if not kept:
@@ -685,13 +670,12 @@ def two_bessel_equal_order(L: int, k1: float, k2: float, alpha: float) -> EvalRe
     return bare_integral(1, L, L, k1, k2, alpha)
 
 
-def _three_bessel_orders(lambda1, lambda2, lambda3, k1, k2, k3) -> tuple[int, int, int]:
-    """The orders as ints, once each is at most `_LAMBDA_MAX` and each k positive and finite."""
+def _three_bessel_orders(lambda1, lambda2, lambda3, k1, k2, k3) -> tuple[tuple[int, int, int], list[float]]:
+    """(l1, l2, l3) as ints at most `_LAMBDA_MAX` and (k1, k2, k3) as positive finite floats, or ValueError."""
     orders = tuple(
         _order(f"lambda{i}", v, _LAMBDA_MAX) for i, v in enumerate((lambda1, lambda2, lambda3), 1)
     )
-    _positive_finite(k1=float(k1), k2=float(k2), k3=float(k3))
-    return orders
+    return orders, _positive_finite(k1=k1, k2=k2, k3=k3)
 
 
 def three_bessel_product(
@@ -704,7 +688,7 @@ def three_bessel_product(
     kills the 3j weight.  Raises ValueError when the powers of the
     wavenumbers or the terms leave the float range.
     """
-    l1, l2, l3 = _three_bessel_orders(lambda1, lambda2, lambda3, k1, k2, k3)
+    (l1, l2, l3), (k1, k2, k3) = _three_bessel_orders(lambda1, lambda2, lambda3, k1, k2, k3)
     if (l1 + l2 + l3) % 2 == 1:
         return 0.0
     delta = delta_param(k1, k2, k3)
@@ -715,8 +699,7 @@ def three_bessel_product(
     if cs is None:
         return 0.0
     # a power, P or term out of the float range makes the sum inf or NaN
-    (ratio,) = _flat(k2 / k1)
-    total = _fsum(_terms(cs, l3, ratio, specfun.legendre_p_all(cs.l_need, delta).tolist()))
+    total = _fsum(_terms(cs, l3, k2 / k1, specfun.legendre_p_all(cs.l_need, delta).tolist()))
     try:
         value = math.pi * beta / (4.0 * k1 * k2 * k3) * (k1 / k3) ** l3 * total * _w3j000(l1, l2, l3)
     except ArithmeticError:  # ** overflow or division by 0
@@ -793,20 +776,21 @@ def _outcomes(
     float arithmetic (`_y_and_condition`), run through `_evaluate`
     together; the raising checks run only at a point that gets no value.
     """
-    points = [
-        (a, b, c, *_y_and_condition(a, b, c))
-        for a, b, c in zip(map(float, k1), map(float, k2), map(float, alpha), strict=True)
-    ]
+    points = []
+    for point in zip(k1, k2, alpha, strict=True):
+        try:
+            point = tuple(map(float, point))
+        except OverflowError:  # a number too large for a float: no value, and its `_refusal` names it
+            points.append((*point, math.nan, math.nan))
+        else:
+            points.append((*point, *_y_and_condition(*point)))
     clear = [
         i for i, (a, b, c, y, condition) in enumerate(points)
         if a > 0.0 and b > 0.0 and c > 0.0 and y > 1.0 and math.isfinite(y) and math.isfinite(condition)
     ]
     found: dict[int, Optional[EvalResult]] = {}
     if clear:
-        # one point runs on floats, which numpy serves faster than arrays of one
-        *columns, conditions = zip(*(points[i] for i in clear))
-        columns = [c[0] if len(c) == 1 else np.array(c) for c in columns]
-        found = dict(zip(clear, _evaluate(route, *columns, conditions, weighted)))
+        found = dict(zip(clear, _evaluate(route, *zip(*(points[i] for i in clear)), weighted)))
     return [found.get(i) or _refusal(a, b, c) for i, (a, b, c, _, _) in enumerate(points)]
 
 

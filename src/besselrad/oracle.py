@@ -537,11 +537,11 @@ def integrate_three_bessel_regularized(
     decrease or NonConvergence is raised.  The result counts as converged
     within a relative 1e-3.
     """
-    ls = _three_bessel_orders(lambda1, lambda2, lambda3, k1, k2, k3)
+    ls, ks = _three_bessel_orders(lambda1, lambda2, lambda3, k1, k2, k3)
     eps, rel_tol = _REGULARIZING_EPS, 1e-3
     inner_tol = 1e-9
     parts = [_raised(q) for q in _radial_quadrature(
-        2, np.array(eps), [np.full(len(eps), float(k)) for k in (k1, k2, k3)], ls, inner_tol,
+        2, np.array(eps), [np.full(len(eps), k) for k in ks], ls, inner_tol,
         [f"regularized triple-Bessel eps={e}" for e in eps],
     )]
     vals = [q.value for q in parts]
@@ -586,7 +586,7 @@ def check_eq_2_6(
     R(l, l3, y) / ((2 k1 k2)^l3 l3!).
     """
     l, lambda3 = _order("l", l, _LAMBDA_MAX), _order("lambda3", lambda3, _LAMBDA_MAX)
-    _positive_finite(k1=k1, k2=k2, alpha=alpha)
+    k1, k2, alpha = _positive_finite(k1=k1, k2=k2, alpha=alpha)
     _reachable_tolerance(rel_tol)
     lo = abs(k1 - k2)
     hi = k1 + k2

@@ -79,22 +79,35 @@ _L_MAX_Q = 60
 _M_MAX_Q = 40
 
 
-def _positive_finite(**values: float) -> None:
-    """Raise ValueError naming the first value that is not positive and finite."""
+def _float(name: str, v) -> float:
+    """v as a float; ValueError naming it where it is a number too large for one (an int, a Fraction)."""
+    try:
+        return float(v)
+    except OverflowError:
+        raise ValueError(f"{name} lies outside the float range") from None
+
+
+def _positive_finite(**values) -> list[float]:
+    """The values as floats; ValueError names the first that is not positive and finite."""
+    floats = []
     for name, v in values.items():
-        if not (v > 0.0 and math.isfinite(v)):
+        f = _float(name, v)
+        if not (f > 0.0 and math.isfinite(f)):
             raise ValueError(f"{name} must be positive and finite, got {v!r}")
+        floats.append(f)
+    return floats
 
 
 def _reachable_tolerance(rel_tol: float) -> None:
     """Raise ValueError unless rel_tol is finite and at least 1e-12, the oracle's floor."""
-    if not (rel_tol >= 1e-12 and math.isfinite(rel_tol)):
+    tol = _float("rel_tol", rel_tol)
+    if not (tol >= 1e-12 and math.isfinite(tol)):
         raise ValueError(f"rel_tol must be finite and >= 1e-12, got {rel_tol!r}")
 
 
 def _above_one(y) -> float:
     """y as a float, if it is finite and above 1: the domain of Q_L and R."""
-    y = float(y)
+    y = _float("y", y)
     if not (y > 1.0 and math.isfinite(y)):
         raise ValueError(f"argument must be finite and satisfy y > 1, got {y!r}")
     return y
@@ -210,7 +223,7 @@ def spherical_bessel_j_array(l: int, x: np.ndarray) -> np.ndarray:
 def spherical_bessel_j(l: int, x: float) -> float:
     """Spherical Bessel function of the first kind, j_l(x) for x >= 0."""
     l = _order("l", l, _L_MAX_BESSEL)
-    x = float(x)
+    x = _float("x", x)
     if not math.isfinite(x) or x < 0.0:
         raise ValueError(f"argument must be finite and non-negative, got {x!r}")
     return float(spherical_bessel_j_array(l, np.array([x]))[0])
@@ -236,7 +249,7 @@ def legendre_p_all(lmax: int, x) -> np.ndarray:
 def legendre_p(l: int, x: float) -> float:
     """Legendre polynomial P_l(x) for |x| <= 1: row l of `legendre_p_all`."""
     l = _order("l", l, _L_MAX_P)
-    x = float(x)
+    x = _float("x", x)
     if not (-1.0 <= x <= 1.0):
         raise ValueError(f"argument must lie in [-1, 1], got {x!r}")
     return float(legendre_p_all(l, x)[l])

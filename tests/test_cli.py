@@ -98,6 +98,19 @@ class TestEval:
         assert code == 2
         assert out == "" and err.startswith("error: ") and "leave the float range" in err
 
+    @pytest.mark.parametrize("k1, k2, alpha", [
+        ("1e200", "1e200", "1"),          # y is NaN and 1/(y - 1) inf: the latter is named
+        ("1e-170", "1e-170", "1e-170"),   # the same, by underflow
+        ("1", "1", "1e-9"),               # 1/(y - 1) is finite and y rounds to 1
+    ])
+    def test_same_error_as_a_one_row_table(self, capsys, tmp_path, k1, k2, alpha):
+        point = ["--lambda1", "0", "--lambda2", "1", "--power", "2", "--k1", k1, "--k2", k2, "--alpha", alpha]
+        evaluated = run_cli(capsys, ["eval", *point])
+        tabled = run_cli(capsys, ["table", *point, "--out", str(tmp_path / "t.csv")])
+        assert evaluated == tabled
+        assert evaluated[:2] == (2, "") and evaluated[2].startswith("error: ")
+        assert ("1/(y - 1)" in evaluated[2]) == (alpha != "1e-9")
+
     def test_nonconvergence_exit_4(self, capsys, monkeypatch):
         # below the 13 panels x 15 evaluations of the first pass
         monkeypatch.setattr(oracle, "_BUDGET", 150)
@@ -214,6 +227,17 @@ class TestTable:
         assert row[7] == "NA"
         assert row[6] != "NA"
         float(row[6])
+
+    def test_oracle_on_an_order_without_closed_form(self, capsys, tmp_path):
+        # (0, 2, 1): parity picks l3 = 0, below |l1 - l2|; the oracle fills only its own columns
+        out_path = tmp_path / "oracle_na.csv"
+        argv = ["table", "--lambda1", "0", "--lambda2", "2", "--power", "1", "--k1", "1", "--k2", "1.5",
+                "--alpha", "0.5", "--oracle", "--out", str(out_path), "--quiet"]
+        assert run_cli(capsys, argv)[0] == 0
+        row = out_path.read_text().splitlines()[1].split(",")
+        q = oracle.integrate_two_bessel(1, 0, 2, 1.0, 1.5, 0.5, 1e-8)
+        condition = closedform.condition_number(1.0, 1.5, 0.5)
+        assert row[6:] == ["NA", "NA", format(condition, ".17g"), format(q.value, ".17g"), "NA"]
 
     def test_json_format(self, capsys, tmp_path):
         out_path = tmp_path / "sweep.json"

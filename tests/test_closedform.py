@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, strategies as st
 
-from besselrad import closedform, specfun
+from besselrad import closedform, oracle, specfun
 from besselrad.closedform import (
     FormulaInapplicable,
     Method,
@@ -166,6 +166,12 @@ class TestThreeBessel:
     def test_parity_zero(self):
         assert three_bessel_product(1, 1, 1, 1.0, 1.0, 1.0) == 0.0
 
+    @pytest.mark.parametrize("orders", [(0, 0, 2), (1, 1, 4)])
+    def test_even_parity_outside_the_order_triangle(self, orders):
+        # l3 > l1 + l2: the coupling set is empty, and the product exactly 0
+        assert closedform._coupling_set(*orders) is None
+        assert three_bessel_product(*orders, 1.0, 1.0, 1.0) == 0.0
+
     @pytest.mark.parametrize("ks,match", [
         ((1e-200, 1e-200, 1e-200), "delta .* not finite"),  # 2 k1 k2 underflows to 0
         ((1e200, 1e200, 1e200), "delta .* not finite"),     # the squares overflow
@@ -312,11 +318,50 @@ class TestOrderValidation:
                 bare_integral(n, 0, 1, 1.0, 2.0, 0.5)
 
 
+BIG = 10**400  # an int that no float holds
+
+# every public entry point with a number argument, at BIG
+TOO_LARGE_FOR_A_FLOAT = {
+    "bare_integral": lambda: bare_integral(1, 0, 0, BIG, 1.0, 1.0),
+    "bare_integral_batch": lambda: closedform._raised(*closedform.bare_integral_batch(1, 0, 0, [BIG], [1.0], [1.0])),
+    "two_bessel_product": lambda: two_bessel_product(0, 0, 0, 1.0, BIG, 1.0, 1),
+    "three_bessel_product": lambda: three_bessel_product(0, 0, 0, 1.0, 1.0, BIG),
+    "y_param": lambda: y_param(1.0, 1.0, BIG),
+    "delta_param": lambda: delta_param(1.0, BIG, 1.0),
+    "beta_step": lambda: beta_step(BIG),
+    "condition_number": lambda: closedform.condition_number(BIG, 1.0, 1.0),
+    "laplace_single_bessel": lambda: laplace_single_bessel(0, 1.0, BIG, 1),
+    "integrate_two_bessel": lambda: oracle.integrate_two_bessel(1, 0, 0, 1.0, BIG, 1.0),
+    "integrate_two_bessel_batch": lambda: closedform._raised(
+        *oracle.integrate_two_bessel_batch(1, 0, 0, [1.0], [1.0], [BIG])),
+    "integrate_single_bessel": lambda: oracle.integrate_single_bessel(0, BIG, 1.0, 1),
+    "integrate_three_bessel_regularized": lambda: oracle.integrate_three_bessel_regularized(0, 0, 0, BIG, 1.0, 1.0),
+    "integrate_q_definition": lambda: oracle.integrate_q_definition(0, 0, BIG),
+    "check_eq_2_6": lambda: oracle.check_eq_2_6(0, 0, 1.0, 1.0, BIG),
+    "paper_q_combination": lambda: specfun.paper_q_combination(0, 0, BIG),
+    "legendre_p": lambda: specfun.legendre_p(0, BIG),
+    "spherical_bessel_j": lambda: specfun.spherical_bessel_j(0, BIG),
+}
+
+
 class TestFloatRange:
     """y, 1/(y - 1) or the closed form's powers outside float range give ValueError, never another error.
 
     The batch gives that error at such a point and `bare_integral`'s result elsewhere.
     """
+
+    @pytest.mark.parametrize("entry", sorted(TOO_LARGE_FOR_A_FLOAT))
+    def test_number_too_large_for_a_float(self, entry):
+        with pytest.raises(ValueError, match="lies outside the float range"):
+            TOO_LARGE_FOR_A_FLOAT[entry]()
+
+    def test_batch_point_too_large_for_a_float(self):
+        results = closedform.bare_integral_batch(2, 1, 1, [1.0, BIG], [1.3, 1.0], [0.5, 1.0])
+        expected = [bare_integral(2, 1, 1, 1.0, 1.3, 0.5), ValueError("k1 lies outside the float range")]
+        assert _bits(results) == _bits(expected)
+        outcomes = oracle.integrate_two_bessel_batch(1, 0, 0, [1.0, 1.0], [BIG, 1.0], [1.0, 1.0], 1e-8)
+        assert _bits(outcomes) == _bits([ValueError("k2 lies outside the float range"),
+                                         oracle.integrate_two_bessel(1, 0, 0, 1.0, 1.0, 1.0, 1e-8)])
 
     @pytest.mark.parametrize("k1,k2,alpha", [
         (1e200, 1e200, 1.0),      # the squares overflow: y is NaN
@@ -682,10 +727,10 @@ class TestDoubleSums:
     def test_batch_equals_each_point(self, l1, l2, l3, m_order):
         cs = closedform._coupling_set(l1, l2, l3)
         ys = [closedform._y_and_condition(*p)[0] for p in self.POINTS]
-        k1, k2, _ = (np.array(v) for v in zip(*self.POINTS))
+        k1, k2, _ = zip(*self.POINTS)
         with np.errstate(all="ignore"):
-            batch = closedform._double_sums(cs, l3, m_order, k1, k2, np.array(ys))
-            alone = [closedform._double_sums(cs, l3, m_order, a, b, y)[0]
+            batch = closedform._double_sums(cs, l3, m_order, k1, k2, ys)
+            alone = [closedform._double_sums(cs, l3, m_order, [a], [b], [y])[0]
                      for (a, b, _), y in zip(self.POINTS, ys)]
         assert [t.hex() for t, _ in batch] == [t.hex() for t, _ in alone]
         # the peak is not used where the sum is NaN

@@ -4,7 +4,12 @@ identity-check suites.
 
 Exit codes: 0 success; 1 check-suite failure; 2 invalid or missing flags;
 3 no closed form applies (without --fallback-oracle); 4 quadrature
-non-convergence; 5 unwritable output path.
+non-convergence (a spent budget, or an integrand or exact tail that leaves
+the float range); 5 unwritable output path.  The oracle's radius is capped
+by the orders and wavenumbers, whatever the damping, so --oracle and
+--fallback-oracle answer at small alpha too; `eval --json` reports what it
+spent (evaluations, panels, the radius R and the tail's rounding estimate),
+null where it did not run.
 
 All output is deterministic: floats are serialized with 17 significant
 digits (round-trip exact), rows follow the input grid order, and nothing
@@ -100,6 +105,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         method = "NA"
         value = None
 
+    q: Optional[oracle.QuadratureResult] = None
     oracle_value: Optional[float] = None
     oracle_abs_error: Optional[float] = None
     rel_disc: Optional[float] = None
@@ -121,6 +127,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
         ).value
 
     if args.json:
+        # what the oracle spent, null where it did not run
+        spent = (None,) * 4 if q is None else (q.evaluations, q.panels_used, q.truncation_radius, q.tail_bound)
         print(_json_object([
             ("value", value),
             ("method", method),
@@ -128,6 +136,10 @@ def cmd_eval(args: argparse.Namespace) -> int:
             ("oracle_value", oracle_value),
             ("oracle_abs_error", oracle_abs_error),
             ("rel_discrepancy", rel_disc),
+            ("oracle_evaluations", spent[0]),
+            ("oracle_panels", spent[1]),
+            ("oracle_truncation_radius", spent[2]),
+            ("oracle_tail_bound", spent[3]),
         ]))
     else:
         print(f"value {_fmt(value)}")

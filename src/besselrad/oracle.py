@@ -6,14 +6,26 @@ nodes, the 15-point Kronrod sum is the panel's value, and its distance from
 the 7-point Gauss sum on the odd-indexed nodes is the panel's error
 estimate.  Panels are never wider than half the shortest oscillation period
 of the integrand, so the embedded estimate stays honest on the oscillatory
-spherical-Bessel products.  Truncation of the semi-infinite radial range
-is controlled by an analytic tail bound: beyond the turning points every
-j_l(kr) envelope is below 1.16/(kr), so the neglected tail is bounded by
-an exponential-polynomial integral with a closed form.  The radial
-integrals keep one set of panels per integral: a coarse pass to 1e-4 sets
-the scale of the tail bound, panels are appended only where the truncation
-radius moves outward, and the same panels are then refined to the
-requested tolerance.
+spherical-Bessel products.
+
+A radial integral over [0, inf) is split at a radius R.  [0, R] is
+quadrature.  Past R the integral is exact: each j_l is a finite Hankel sum
+(DLMF 10.49.1), so there the integrand is a finite sum of terms
+c r^m e^(-p r) with p = alpha - i (sum of +-k_i), each of which integrates
+to R^(m+1) E_(-m)(pR) (DLMF 8.19.3), a generalized exponential integral
+evaluated in complex floats (`_scaled_expint`).  R never passes a cap set
+by the orders and wavenumbers alone, k_i R >= max(10, l_i (l_i + 1)/2) for
+every factor and R >= 6 pi/k_max, where the Hankel sums lose at most about
+a digit; so an integral costs no more at alpha = 1e-9 than at alpha = 1.
+Strong damping lets R stop short of the cap: it starts at the smaller of
+the cap and max(6 pi/k_max, max(40, 2n)/alpha), and doubles towards the
+cap only while the tail's rounding estimate exceeds a quarter of what the
+quadrature may spend.  The panels are refined until their error estimate
+meets the tolerance relative to the whole value, tail included, and the
+reported error adds the tail's rounding estimate.  The tail uses the same
+Hankel expansion as `closedform`'s `Method.HANKEL`; where the tail
+dominates (small alpha) the oracle is therefore checked against the mpmath
+reference of `perfbench/reference.py`, not against `closedform`.
 
 One panel engine, `_Panels`, holds the panels of many integrals at once
 and refines them in lockstep: each pass evaluates the new panels of every
@@ -24,34 +36,38 @@ integrals; a single integral is a batch of one.  A point gives the same
 bits alone or in any batch: a panel's Kronrod and Gauss sums run over its
 nodes in ascending order, an integral's convergence tests sum its own
 panels in the order they were made, and its value is their pairwise sum
-in that order, each apart from every other integral's.
+in that order, each apart from every other integral's; the tail is
+elementwise work on each point and a per-point `math.fsum`.
 
 The conditionally convergent triple-Bessel integral has no damping of its
 own; it is regularized with an exponential factor e^(-eps r) and the
 results are Richardson-extrapolated to eps = 0 over a decreasing eps
-sequence, all four dampings in one batch.  The extrapolation increments
-must decrease, otherwise NonConvergence is raised.  This check is
-intentionally looser (1e-3 scale) than the damped integrals.
+sequence, all four dampings in one batch, each with the same exact tail.
+The extrapolation increments must decrease, otherwise NonConvergence is
+raised.  This check is intentionally looser (1e-3 scale) than the damped
+integrals.
 
 Everything is deterministic: no randomized quadrature anywhere, identical
 inputs produce identical outputs.  Each integral has a budget of 10^6
 integrand evaluations over all of its passes, and never spends more:
 panels that would exceed it are refused before they are evaluated, and a
 grid that could never fit before it is built.  An integral that runs out
-of budget, or whose integrand leaves the float range, stops with its
-NonConvergence and leaves the other integrals of its batch unchanged.
+of budget, or whose integrand or tail leaves the float range, stops with
+its NonConvergence and leaves the other integrals of its batch unchanged.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Union
+from functools import lru_cache
+from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
 from . import specfun
-from .closedform import _LAMBDA_MAX, _raised, _three_bessel_orders
+from .closedform import _EULER_GAMMA, _LAMBDA_MAX, _fsum, _raised, _three_bessel_orders
 from .specfun import _L_MAX_BESSEL, _above_one, _order, _positive_finite, _reachable_tolerance
 
 # QUADPACK qk15 (Piessens et al. 1983): Kronrod nodes x >= 0 and their
@@ -89,11 +105,14 @@ _GK15_W = np.zeros((15, 2))
 _GK15_W[:, 0] = _WGK + _WGK[-2::-1]
 _GK15_W[1::2, 1] = _WG + _WG[-2::-1]
 
-_ENVELOPE = 1.16          # sup of x|j_l(x)| over x >= 2(l+1), all l <= 50
 _BUDGET = 1_000_000       # integrand evaluations per integral, over all of its passes
 _CHUNK = 1 << 13          # integrand nodes per call at most, which bounds the engine's scratch arrays
 _LOG_BOUND_MAX = 709.0    # below log of the largest float, so exp() stays finite
 _EPS = float(np.finfo(float).eps)
+_TAIL_ROUNDING = 16 * _EPS  # rounding of the tail per recurrence step, per unit of the sum of its terms' sizes
+_PANEL_ROUNDING = 32 * _EPS  # the error estimate splitting cannot go below, per unit of the sum of |panel values|
+# 1/(k k!) for k = 30 .. 1, the coefficients of E_1's series in Horner order
+_E1_SERIES = tuple(1.0 / (k * math.factorial(k)) for k in range(30, 0, -1))
 _REGULARIZING_EPS = (0.1, 0.05, 0.025, 0.0125)  # dampings of the triple-Bessel integral
 
 
@@ -106,9 +125,10 @@ class QuadratureResult:
     """An oracle value with what was spent on it.
 
     `evaluations` counts integrand evaluations over all passes;
-    `truncation_radius` is where a semi-infinite range was cut (None for
-    a finite range) and `tail_bound` the analytic bound on what was cut
-    off, already included in `abs_error_estimate`.
+    `truncation_radius` is the radius R past which a semi-infinite range
+    is integrated exactly (None for a finite range), and `tail_bound` the
+    rounding estimate of that exact tail, already included in
+    `abs_error_estimate`.
     """
 
     value: float
@@ -247,22 +267,24 @@ class _Panels:
                 err[part] = np.abs(kronrod[part] - gauss)
         return kronrod, err
 
-    def refine(self, rel_tol: float) -> tuple[np.ndarray, np.ndarray]:
+    def refine(self, rel_tol: float, offset: Union[float, np.ndarray] = 0.0) -> tuple[np.ndarray, np.ndarray]:
         """(`values`, error estimate) of every integral once each live estimate meets rel_tol.
 
+        The target is rel_tol times |value + offset|, offset being what the
+        integral adds outside its panels (0, or one entry per integral).
         The tests sum an integral's panels in the order they were made.  An
         integral whose budget runs out first fails with NonConvergence; its
         entries are then meaningless.
         """
         size = self.live.size
         while True:
-            total = np.bincount(self.owner, self.val, size)
+            total = np.bincount(self.owner, self.val, size) + offset
             toterr = np.bincount(self.owner, self.err, size)
             target = rel_tol * np.maximum(np.abs(total), 1e-300)
             # roundoff floor: once panel values cancel down to machine noise,
             # further splitting cannot reduce the estimate (zero crossings of
             # oscillatory integrals); return the honest absolute error instead
-            noise = 32.0 * _EPS * np.bincount(self.owner, np.abs(self.val), size)
+            noise = _PANEL_ROUNDING * np.bincount(self.owner, np.abs(self.val), size)
             todo = self.live & ~(toterr <= np.maximum(target, noise))
             if not todo.any():
                 return self.values(), toterr
@@ -310,34 +332,183 @@ def _result(
     )
 
 
-def _log_exp_poly_tail(m: int, alpha, r):
-    """log of the exact integral_r^inf t^m e^(-alpha t) dt for integer m >= 0, elementwise.
+class _TailSet(NamedTuple):
+    """The Hankel terms of r^n prod_i j_(l_i)(k_i r) e^(-alpha r) past a radius R, for one order.
 
-    The integral is m!/alpha^(m+1) e^(-z) sum_{k<=m} z^k/k! with z = alpha r;
-    its logarithm stays in range where the integral itself does not.  Each
-    sum runs over k in ascending order.
+    With J factors, prod_i j_(l_i)(x_i) = 2^(1-J) Re sum_s prod_i h_(l_i)^(s_i)(x_i)
+    over the sign vectors s with s_1 = +1, where h^(+) is
+    h_l(x) = e^(ix) sum_q i^(q-l-1) a_q(l) x^(-q-1) (DLMF 10.49.1) and h^(-)
+    its conjugate.  Term t, for a sign vector s and indices q_i <= l_i,
+    integrates over [R, inf) to
+
+        coef[t] * prod_i (k_i R)^(-q[i, t]) * [Re F; Im F][row[t]],
+
+    where F, per sign vector s and nu from nu_low up, is R^(n+1) E_nu(p_s R)
+    with p_s = alpha - i sum_i s_i k_i and nu = sum_i q[i, t] - n: the
+    integral of r^(-nu) e^(-p r) over [R, inf) is R^(1-nu) E_nu(pR)
+    (DLMF 8.19.3).  coef folds in 2^(1-J), prod_i a_(q_i)(l_i) and the
+    sign that the phase prod_i (s_i i)^(q_i-l_i-1) gives the chosen part,
+    an integer times a power of two rounded once.
     """
-    z = alpha * r
-    log_terms = np.zeros(np.shape(z) + (m + 1,))
-    log_terms[..., 1:] = np.cumsum(np.log(z[..., None] / np.arange(1.0, m + 1)), axis=-1)
-    top = log_terms.max(axis=-1)
-    terms = np.cumsum(np.exp(log_terms - top[..., None]), axis=-1)[..., -1]
-    return math.lgamma(m + 1) - (m + 1) * np.log(alpha) - z + top + np.log(terms)
+
+    coef: np.ndarray    # (terms,) floats
+    q: np.ndarray       # (J, terms) ints: q_i + 1, the power of 1/(k_i R)
+    row: np.ndarray     # (terms,) ints into [Re F; Im F], F of (signs x (nu_high - nu_low + 1)) rows
+    signs: np.ndarray   # (signs, J) of +-1
+    nu_low: int         # J - n
+    nu_high: int        # sum_i (l_i + 1) - n
 
 
-def _radial_tail_bound(n: int, alpha, ks: Sequence, r):
-    """Bound on the neglected tail of r^n e^(-ar) prod j_l(k_i r) beyond r; inf past the float range.
+@lru_cache(maxsize=None)
+def _tail_set(n: int, ls: tuple[int, ...]) -> _TailSet:
+    """The tail terms of the order (n, ls), compiled once per process, on first use.
 
-    alpha, r and each k are floats or arrays of one entry per integral.
+    a_q(l) = (l + q)!/(2^q q! (l - q)!) is an integer (DLMF 10.49.1), so
+    each coefficient is an int times a power of two, rounded once.
     """
-    alpha, r = np.asarray(alpha, dtype=float), np.asarray(r, dtype=float)
-    log_bound = sum(np.log(_ENVELOPE / np.asarray(k, dtype=float)) for k in ks)
-    m = n - len(ks)
-    if m >= 0:
-        log_bound = log_bound + _log_exp_poly_tail(m, alpha, r)
-    else:
-        log_bound = log_bound + (m * np.log(r) - alpha * r - np.log(alpha))
-    return np.where(log_bound < _LOG_BOUND_MAX, np.exp(np.minimum(log_bound, _LOG_BOUND_MAX)), np.inf)[()]
+    f = math.factorial
+    hankel = [[f(l + q) // (2**q * f(q) * f(l - q)) for q in range(l + 1)] for l in ls]
+    signs = [(1, *rest) for rest in itertools.product((1, -1), repeat=len(ls) - 1)]
+    nu_low, nu_high = len(ls) - n, sum(l + 1 for l in ls) - n
+    width = nu_high - nu_low + 1
+    half = 0.5 ** (len(ls) - 1)
+    coef, qs, row = [], [], []
+    for s, sign in enumerate(signs):
+        for q in itertools.product(*(range(l + 1) for l in ls)):
+            phases = [qi - l - 1 for l, qi in zip(ls, q)]
+            e = sum(phases) % 4
+            # Re(i^e W) is Re W, -Im W, -Re W, Im W for e = 0, 1, 2, 3; a conjugated factor adds (-1)^phase
+            flips = (e in (1, 2)) + sum(p for p, si in zip(phases, sign) if si < 0)
+            size = math.prod(a[qi] for a, qi in zip(hankel, q))
+            coef.append(half * float(-size if flips % 2 else size))
+            qs.append(q)
+            row.append((e % 2) * len(signs) * width + s * width + sum(q) + len(ls) - n - nu_low)
+    return _TailSet(np.array(coef), np.array(qs).T + 1, np.array(row), np.array(signs), nu_low, nu_high)
+
+
+def _expint1_series(z: np.ndarray) -> np.ndarray:
+    """E_1(z) = -gamma - ln z - sum_(k=1..30) (-z)^k/(k k!) (DLMF 6.6.2) for |z| < 2, elementwise, by Horner's rule."""
+    total = np.zeros_like(z)
+    for c in _E1_SERIES:
+        total = (total + c) * -z
+    return -_EULER_GAMMA - np.log(z) - total
+
+
+def _expint_cf(n: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """e^z E_n(z) for |z| >= 2, Re z > 0 and n <= |z|, elementwise.
+
+    The continued fraction 1/(z+n- 1n/(z+n+2- 2(n+1)/(z+n+4- ...))) (the
+    even contraction of DLMF 8.19.17) is evaluated from the bottom, cut at a depth
+    of 6 + 200/|z|^0.9 steps of its own: past what it needs to within
+    2 eps at every arg z and every n <= |z|, within 1.2 eps of mpmath from
+    |z| = 2 to 1e6.  An element whose depth is below the batch's deepest
+    starts at 0 / (...) = 0, so it gets the same bits in any array.
+    """
+    depth = np.ceil(6.0 + 200.0 / np.abs(z) ** 0.9)
+    i = np.arange(1.0, depth.max() + 1.0)[:, None]
+    numerators = np.where(i <= depth, -i * (n - 1.0 + i), 0.0)
+    denominators = (z + n) + 2.0 * i
+    t = np.zeros_like(z)
+    for a, b in zip(numerators[::-1], denominators[::-1]):
+        t = a / (b + t)
+    return 1.0 / (z + n + t)
+
+
+def _scaled_expint(
+    nu_low: int, nu_high: int, z: np.ndarray, log_scale: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """e^(log_scale) E_nu(z) for nu = nu_low .. nu_high, one row per nu, and a bound on each modulus.
+
+    Elementwise over z, Re z > 0.  For nu <= 0 the recurrence
+    E_nu = (e^(-z) - nu E_(nu+1))/z (DLMF 8.19.12) runs from
+    E_0 = e^(-z)/z downward in nu; the same recurrence on moduli bounds
+    what it adds up, and so its rounding.  For nu >= 1 it runs from one
+    seed E_N with N = min(max(1, floor |z|), nu_high), taken from the
+    continued fraction, or from E_1's series where |z| < 2: down to
+    nu = 1, where nu < |z| keeps it stable, and up as
+    E_(nu+1) = (e^(-z) - z E_nu)/nu, stable where nu >= |z|; there the
+    bound is the modulus itself.
+    """
+    e = np.exp(log_scale - z)
+    out = np.zeros((nu_high - nu_low + 1, z.size), dtype=complex)
+    bound = np.zeros(out.shape)
+    if nu_low <= 0:
+        size_e, size_z = np.abs(e), np.abs(z)
+        f, g = e / z, size_e / size_z
+        for m in range(-nu_low + 1):
+            if m:
+                f, g = (e + m * f) / z, (size_e + m * g) / size_z
+            if -m <= nu_high:
+                out[-m - nu_low], bound[-m - nu_low] = f, g
+    if nu_high >= 1:
+        size = np.abs(z)
+        series = size < 2.0
+        top = np.where(series, 1, np.clip(np.floor(size), 1, nu_high)).astype(np.intp)
+        seed = np.empty_like(z)
+        if series.any():
+            seed[series] = np.exp(log_scale[series]) * _expint1_series(z[series])
+        if not series.all():
+            seed[~series] = e[~series] * _expint_cf(top[~series], z[~series])
+        table = np.zeros((nu_high, z.size), dtype=complex)
+        table[top - 1, np.arange(z.size)] = seed
+        for nu in range(nu_high - 1, 0, -1):
+            table[nu - 1] = np.where(nu < top, (e - nu * table[nu]) / z, table[nu - 1])
+        for nu in range(1, nu_high):
+            table[nu] = np.where(nu >= top, (e - z * table[nu - 1]) / nu, table[nu])
+        low = max(nu_low, 1)
+        out[low - nu_low:] = table[low - 1:]
+        bound[low - nu_low:] = np.abs(table[low - 1:])
+    return out, bound
+
+
+def _radius(ls: Sequence[int], ks: Sequence[np.ndarray]) -> np.ndarray:
+    """The cap on the truncation radius of each integral, from the orders and wavenumbers alone.
+
+    k_i R >= max(10, l_i (l_i + 1)/2) for every factor, so the Hankel
+    sums' terms decrease at k_i R and lose at most about one digit (and
+    k_i R >= 2 (l_i + 1), past the turning point); and R >= 6 pi/k_max,
+    three periods of the fastest factor.  It does not depend on alpha.
+    """
+    return np.maximum.reduce([6.0 * math.pi / np.maximum.reduce(ks),
+                              *[max(10.0, l * (l + 1) / 2) / k for l, k in zip(ls, ks)]])
+
+
+def _tails(
+    n: int, ls: Sequence[int], alpha: np.ndarray, ks: Sequence[np.ndarray], radius: np.ndarray,
+) -> tuple[list[float], list[float]]:
+    """integral_R^inf r^n e^(-alpha r) prod_i j_(l_i)(k_i r) dr, R = radius, at each point, and its rounding estimate.
+
+    The value is the fsum of the real terms of `_TailSet`.  The estimate
+    is `_TAIL_ROUNDING` per step of the E_nu recurrences (plus 8 for the
+    seed) times the sum of the terms' sizes, each scaled by what the
+    recurrence on moduli adds up beyond |F|.  Everything else is
+    elementwise, so a point gets the same bits alone or in any batch.  Not
+    finite where the tail leaves the float range.
+    """
+    ts = _tail_set(n, tuple(ls))
+    signs, width = len(ts.signs), ts.nu_high - ts.nu_low + 1
+    omega = sum(np.multiply.outer(ts.signs[:, i], k) for i, k in enumerate(ks))
+    z = (alpha * radius - 1j * (omega * radius)).ravel()
+    log_scale = np.broadcast_to((n + 1) * np.log(radius), omega.shape).ravel()
+    with np.errstate(all="ignore"):
+        f, size = (
+            v.reshape(width, signs, alpha.size).transpose(1, 0, 2).reshape(signs * width, alpha.size)
+            for v in _scaled_expint(ts.nu_low, ts.nu_high, z, log_scale)
+        )
+        scale = ts.coef[:, None]
+        for q, k, l in zip(ts.q, ks, ls):
+            # (k R)^(-q) for q = 1 .. l + 1, one product at a time per point
+            powers = np.cumprod(np.broadcast_to(1.0 / (k * radius), (l + 1, alpha.size)), axis=0)
+            scale = scale * powers[q - 1]
+        parts = np.concatenate((f.real, f.imag))[ts.row]
+        terms = scale * parts
+        # a part's size, scaled by what the recurrence on moduli adds up beyond |F|
+        amplified = np.where(size > np.abs(f), size / np.abs(f), 1.0)
+        sizes = np.abs(terms) * amplified[ts.row % (signs * width)]
+    rounding = _TAIL_ROUNDING * (max(0, -ts.nu_low) + max(0, ts.nu_high) + 8)
+    values = [_fsum(column) for column in terms.T.tolist()]
+    bounds = [rounding * _fsum(column) for column in sizes.T.tolist()]
+    return values, bounds
 
 
 def _radial_quadrature(
@@ -348,12 +519,16 @@ def _radial_quadrature(
     rel_tol: float,
     contexts: Sequence[str],
 ) -> list[Union[QuadratureResult, NonConvergence]]:
-    """Quadrature of integral_0^inf r^n e^(-alpha[i] r) prod_j j_ls[j](ks[j][i] r) dr for every i, in lockstep.
+    """integral_0^inf r^n e^(-alpha[i] r) prod_j j_ls[j](ks[j][i] r) dr for every i, in lockstep.
 
-    Each integral picks a truncation radius from the analytic tail bound
-    (scaled by a coarse pass), appends panels up to it, then refines the
-    same panels, none wider than half its shortest oscillation period.
-    Returns each integral's result, or the NonConvergence it stopped with.
+    Each integral is GK15 quadrature on [0, R], with no panel wider than
+    half the shortest oscillation period, plus the exact tail past R from
+    `_tails`.  R starts at min(`_radius`, max(6 pi/k_max, max(40, 2n)/alpha))
+    and doubles, up to `_radius`, while the tail's rounding estimate is above
+    a quarter of max(rel_tol |value|, the panels' rounding floor), measured on
+    the grid so far; then the panels are refined until their error estimate
+    meets rel_tol times the whole value, tail included.  Returns each
+    integral's result, or the NonConvergence it stopped with.
     """
     size = alpha.size
     # past this radius r^n may overflow (r ~ 369 at n = 120) where r^n e^(-alpha r) does not
@@ -369,35 +544,37 @@ def _radial_quadrature(
             out = out * specfun.spherical_bessel_j_array(l, k[owner] * r)
         return out
 
-    max_width = math.pi / np.maximum.reduce(ks)
-    # the coarse pass reaches past the peak of r^n e^(-alpha r) at n/alpha
-    with np.errstate(over="ignore"):
-        r_end = np.maximum.reduce([40.0 / alpha, 2.0 * n / alpha, 6.0 * max_width,
-                                   *[2.0 * (l + 1) / k for l, k in zip(ls, ks)]])
     panels = _Panels(f, contexts)
-    panels.grid(np.arange(size), np.zeros(size), r_end, max_width)
-    coarse, _ = panels.refine(1e-4)
-    scale = np.maximum(np.abs(coarse), 1e-300)
-    r_coarse = r_end.copy()
-    # the radius of each integral grows until its tail bound, kept in `tail`, is small enough
-    tail = np.zeros(size)
+    width = math.pi / np.maximum.reduce(ks)
+    with np.errstate(over="ignore"):
+        # past max(40, 2n)/alpha the envelope r^n e^(-alpha r) has fallen by e^(-40) or more
+        # from its peak: a strongly damped integral may stop short of the cap
+        cap = _radius(ls, ks)
+        radius = np.minimum(cap, np.maximum(6.0 * math.pi / np.maximum.reduce(ks), max(40.0, 2.0 * n) / alpha))
+        panels.grid(np.arange(size), np.zeros(size), radius, width)
+    tail, bound = np.zeros(size), np.zeros(size)
     grow = panels.live.copy()
     while grow.any():
         i = np.flatnonzero(grow)
-        tail[i] = _radial_tail_bound(n, alpha[i], [k[i] for k in ks], r_end[i])
-        short = tail[i] > 0.3 * rel_tol * scale[i]
-        for j in i[short & (r_end[i] > 1e9)]:
-            panels._fail(j, "truncation radius grew without bound")
-        grow[i] = short & panels.live[i]
-        r_end[grow] *= 1.5
-    more = np.flatnonzero(panels.live & (r_end > r_coarse))
-    panels.grid(more, r_coarse[more], r_end[more], max_width[more], min_panels=1)
-    value, err = panels.refine(rel_tol)
+        tail[i], bound[i] = _tails(n, ls, alpha[i], [k[i] for k in ks], radius[i])
+        # the tail's rounding must stay within a quarter of what `refine` accepts
+        total = np.bincount(panels.owner, panels.val, size)[i] + tail[i]
+        noise = _PANEL_ROUNDING * np.bincount(panels.owner, np.abs(panels.val), size)[i]
+        short = ~(bound[i] <= 0.25 * np.maximum(rel_tol * np.abs(total), noise))
+        for j in i[short & (radius[i] >= cap[i]) & ~np.isfinite(tail[i])]:
+            panels._fail(j, f"the tail past R = {radius[j]:.6g} leaves the float range")
+        grow[i] = short & (radius[i] < cap[i])
+        more = np.flatnonzero(grow)
+        wider = np.minimum(2.0 * radius[more], cap[more])
+        panels.grid(more, radius[more], wider, width[more], min_panels=1)
+        radius[more] = wider
+        grow &= panels.live
+    value, err = panels.refine(rel_tol, tail)
     counts = panels.counts()
     return [
         panels.failed[i] if i in panels.failed else _result(
-            float(value[i]), float(err[i] + tail[i]), rel_tol, int(counts[i]),
-            int(panels.evaluations[i]), float(r_end[i]), float(tail[i]),
+            float(value[i] + tail[i]), float(err[i] + bound[i]), rel_tol, int(counts[i]),
+            int(panels.evaluations[i]), float(radius[i]), float(bound[i]),
         )
         for i in range(size)
     ]

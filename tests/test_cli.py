@@ -48,14 +48,38 @@ class TestEval:
         assert obj["oracle_value"] is None
         assert set(obj) == {
             "value", "method", "condition", "oracle_value",
-            "oracle_abs_error", "rel_discrepancy",
+            "oracle_abs_error", "rel_discrepancy", "oracle_evaluations",
+            "oracle_panels", "oracle_truncation_radius", "oracle_tail_bound",
         }
+        assert [obj[k] for k in obj if k.startswith("oracle_")] == [None] * 6
 
     def test_oracle_fields(self, capsys):
         code, out, _ = run_cli(capsys, BASE_EVAL + ["--oracle", "--json"])
         obj = json.loads(out)
         assert obj["rel_discrepancy"] < 1e-8
         assert obj["oracle_abs_error"] > 0.0
+        # what the oracle spent, as the library reports it
+        q = oracle.integrate_two_bessel(1, 0, 0, 1.0, 1.0, 1.0, 1e-8)
+        assert (obj["oracle_evaluations"], obj["oracle_panels"]) == (q.evaluations, q.panels_used)
+        assert (obj["oracle_truncation_radius"], obj["oracle_tail_bound"]) == (q.truncation_radius, q.tail_bound)
+        assert run_cli(capsys, BASE_EVAL + ["--oracle", "--json"])[1] == out
+
+    @pytest.mark.parametrize("flag, order, alpha", [
+        ("--oracle", ("2", "3", "4"), "1e-4"),
+        # (2, 0, 1) has no closed form, so the fallback runs the oracle
+        ("--fallback-oracle", ("2", "0", "1"), "1e-4"),
+        ("--fallback-oracle", ("2", "0", "1"), "1e-6"),
+    ])
+    def test_small_alpha_corner_answers(self, capsys, tmp_path, flag, order, alpha):
+        # k1 = k2 = 1: the oracle's radius does not grow with 1/alpha, so it fits its budget
+        point = ["--lambda1", order[0], "--lambda2", order[1], "--power", order[2],
+                 "--k1", "1", "--k2", "1", "--alpha", alpha]
+        code, out, err = run_cli(capsys, ["eval", *point, flag, "--json"])
+        assert (code, err) == (0, "")
+        obj = json.loads(out)
+        assert obj["oracle_value"] is not None and obj["oracle_evaluations"] <= 600
+        code, out, err = run_cli(capsys, ["table", *point, flag, "--out", str(tmp_path / "t.csv"), "--quiet"])
+        assert (code, out, err) == (0, "", "")
 
     def test_product_line(self, capsys):
         code, out, _ = run_cli(capsys, BASE_EVAL + ["--product"])
@@ -112,7 +136,7 @@ class TestEval:
         assert ("1/(y - 1)" in evaluated[2]) == (alpha != "1e-9")
 
     def test_nonconvergence_exit_4(self, capsys, monkeypatch):
-        # below the 13 panels x 15 evaluations of the first pass
+        # the first grid, 8 panels x 15 evaluations, fits; 1e-12 takes 210
         monkeypatch.setattr(oracle, "_BUDGET", 150)
         code, _, err = run_cli(capsys, BASE_EVAL + ["--oracle", "--rel-tol", "1e-12"])
         assert code == 4
@@ -125,12 +149,13 @@ class TestEval:
         assert out == "" and err == "error: alpha must be positive and finite, got -1.0\n"
 
     def test_integrand_out_of_float_range_exit_4(self, capsys):
-        # no closed form at power 200; r^200 e^(-r/2) leaves the float range past r ~ 38
+        # no closed form at power 200; r^200 e^(-r/2) leaves the float range past r ~ 38,
+        # beyond the radius R = 6 pi, so the exact tail is what leaves it
         argv = ["eval", "--lambda1", "3", "--lambda2", "3", "--power", "200",
                 "--k1", "1", "--k2", "1", "--alpha", "0.5", "--fallback-oracle"]
         code, out, err = run_cli(capsys, argv)
         assert code == 4
-        assert out == "" and err.startswith("error: ") and "integrand not finite" in err
+        assert out == "" and err.startswith("error: ") and "leaves the float range" in err
 
     @pytest.mark.parametrize("tol", ["nan", "inf"])
     def test_oracle_rel_tol_not_finite_exit_2(self, capsys, tol):
@@ -420,13 +445,14 @@ class TestTableBatches:
             assert row.split(",")[-2] == format(q.value, ".17g")
 
     def test_failing_oracle_row_matches_row_by_row(self, capsys, tmp_path):
-        # the first grid of the middle row, l1 = 1, would pass the budget, as would the
-        # last row's with another message; the first row's fits
-        fixed = {"lambda2": 0, "power": 2, "k1": 1.5e-5, "k2": 1.0, "alpha": 1.0}
+        # R starts at min(10/k1, 40/alpha): the first grid fits at alpha = 1 and would pass
+        # the budget at alpha = 1e-5, at l1 = 0 and at l1 = 1 with another message
+        fixed = {"lambda2": 0, "power": 2, "k1": 1.5e-5, "k2": 1.0}
         assert oracle.integrate_two_bessel(2, 0, 0, 1.5e-5, 1.0, 1.0, 1e-8).converged
         with pytest.raises(oracle.NonConvergence) as row_by_row:
-            oracle.integrate_two_bessel(2, 1, 0, 1.5e-5, 1.0, 1.0, 1e-8)
-        argv = table_argv([("lambda1", 0, 2, 3)], fixed, tmp_path / "a.csv") + ["--oracle", "--rel-tol", "1e-8"]
+            oracle.integrate_two_bessel(2, 0, 0, 1.5e-5, 1.0, 1e-5, 1e-8)
+        sweeps = [("lambda1", 0, 1, 2), ("alpha", 1.0, 1e-5, 2)]
+        argv = table_argv(sweeps, fixed, tmp_path / "a.csv") + ["--oracle", "--rel-tol", "1e-8"]
         assert run_cli(capsys, argv) == (4, "", f"error: {row_by_row.value}\n")
         assert not (tmp_path / "a.csv").exists()
 

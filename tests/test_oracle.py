@@ -1,3 +1,4 @@
+import cmath
 import math
 import sys
 import time
@@ -59,19 +60,20 @@ class TestTwoBessel:
             assert abs(q.value - exact) <= 3 * q.abs_error_estimate
 
     def test_budget_exhaustion_raises(self, monkeypatch):
-        # the first grid (195 evaluations) and the appended one (105) fit; refining them does not
+        # the first grid (8 panels on [0, 6 pi], 120 evaluations) fits; refining it to 1e-12 (360) does not
         monkeypatch.setattr(oracle, "_BUDGET", 300)
         with pytest.raises(NonConvergence, match="budget of 300 evaluations exhausted"):
             integrate_two_bessel(8, 0, 0, 1.0, 1.0, 1.0, 1e-12)
 
     def test_budget_is_a_cap(self, monkeypatch):
-        # the first grid (195 evaluations) fits; the first split would pass 200
+        # the first grid (120 evaluations) fits; its first split of three panels would pass 200
         monkeypatch.setattr(oracle, "_BUDGET", 200)
         with pytest.raises(NonConvergence, match="budget of 200 evaluations exhausted"):
             integrate_two_bessel(1, 0, 0, 1.0, 1.0, 1.0, 1e-12)
 
     def test_budget_checked_before_the_grid(self, monkeypatch):
-        # r_end = 40/alpha asks for a first grid of 12 733 panels, 190 995 evaluations
+        # R = min(10/k1, 40/alpha) = 10 with panels no wider than pi/k2 asks for a
+        # first grid of 12 733 panels, 190 995 evaluations
         points = []
         bessel = specfun.spherical_bessel_j_array
         monkeypatch.setattr(
@@ -79,10 +81,10 @@ class TestTwoBessel:
         )
         monkeypatch.setattr(oracle, "_BUDGET", 190_000)
         with pytest.raises(NonConvergence, match="grid of 1.27e\\+04 panels would exceed the budget"):
-            integrate_two_bessel(1, 0, 0, 1.0, 1.0, 1e-3)
-        # 40/alpha overflows to inf
+            integrate_two_bessel(1, 0, 0, 1.0, 4000.0, 1e-3)
+        # R k2/pi = 1e301 * 1e300/pi overflows to inf
         with pytest.raises(NonConvergence, match="grid of inf panels would exceed the budget"):
-            integrate_two_bessel(1, 0, 0, 1.0, 2.0, 1e-310)
+            integrate_two_bessel(1, 0, 0, 1e-300, 1e300, 1e-300)
         assert points == []
 
     def test_rel_tol_floor(self):
@@ -104,19 +106,28 @@ class TestTwoBessel:
 
 
 class TestFloatRange:
-    """Integrals whose integrand or tail bound leaves the float range get a typed refusal."""
+    """Integrals whose integrand or exact tail leaves the float range get a typed refusal."""
 
     @pytest.mark.parametrize("args", [
-        (200, 0, 0, 1.0, 1.0, 0.5),   # r^200 e^(-r/2) overflows past r ~ 38, in the first pass
+        (200, 0, 0, 1.0, 1.0, 0.5),   # r^200 e^(-r/2) overflows past r ~ 38, beyond R = 6 pi
         (160, 3, 3, 1.0, 1.0, 0.5),   # r^160 overflows past r ~ 85, r^160 e^(-r/2) past r ~ 124
     ])
     def test_non_finite_integrand_raises_at_once(self, args):
+        # the integral itself, near (n - 2)!/0.5^(n - 1), is past the float range; the
+        # integrand overflows only past R, so the exact tail is what leaves the range
         start = time.perf_counter()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(NonConvergence, match="integrand not finite"):
+            with pytest.raises(NonConvergence, match="the tail past R = 18.8496 leaves the float range"):
                 integrate_two_bessel(*args)
         assert time.perf_counter() - start < 5.0
+
+    def test_integrand_overflows_before_the_radius(self):
+        # at k = 0.1, R = 60 pi: r^200 e^(-r/2) overflows on [0, R], in the first grid
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonConvergence, match="integrand not finite"):
+                integrate_two_bessel(200, 0, 0, 0.1, 0.1, 0.5)
 
     def test_power_overflows_where_the_integrand_does_not(self):
         # r^120 overflows past r ~ 369, but r^120 e^(-r/2) peaks near 3e233 at r = 240;
@@ -129,19 +140,28 @@ class TestFloatRange:
     @pytest.mark.parametrize("m", [0, 1, 3, 8, 20])
     @pytest.mark.parametrize("alpha,r", [(0.05, 800.0), (0.5, 80.0), (2.0, 3.0)])
     def test_tail_bound_matches_exact_sum(self, m, alpha, r):
-        # e^(-alpha r) sum_i m!/(m - i)! r^(m - i)/alpha^(i + 1), summed in rationals
+        # integral_r^inf t^m e^(-alpha t) dt = r^(m+1) E_(-m)(alpha r)
+        # = e^(-alpha r) sum_i m!/(m - i)! r^(m - i)/alpha^(i + 1), summed in rationals
         a, x = Fraction(alpha), Fraction(r)
         s = sum(Fraction(math.factorial(m), math.factorial(m - i)) * x ** (m - i) / a ** (i + 1)
                 for i in range(m + 1))
-        exact = math.exp(-alpha * r) * float(s) * (oracle._ENVELOPE / 1.5) ** 2
-        assert oracle._radial_tail_bound(m + 2, alpha, (1.5, 1.5), r) == pytest.approx(exact, rel=1e-13)
+        exact = math.exp(-alpha * r) * float(s)
+        value, bound = oracle._scaled_expint(-m, -m, np.array([alpha * r + 0j]), np.array([(m + 1) * math.log(r)]))
+        assert value[0, 0].real == pytest.approx(exact, rel=1e-13)
+        assert value[0, 0].imag == 0.0
+        # all the recurrence's terms have one sign here: the bound on moduli is the value
+        assert bound[0, 0] == pytest.approx(exact, rel=1e-13)
 
     def test_tail_bound_past_float_range(self):
-        # the sum's terms overflow a float here; the bound saturates instead of raising
-        assert oracle._radial_tail_bound(400, 0.5, (1.0, 1.0), 80.0) == math.inf
-        # the envelope (1.16/k)^2 overflows but the bound does not: 1.16^2 e^(-1000 + 400 ln 10)
-        expected = math.exp(2 * math.log(oracle._ENVELOPE) - 1000.0 + 400.0 * math.log(10.0))
-        assert oracle._radial_tail_bound(2, 1.0, (1e-200, 1e-200), 1000.0) == pytest.approx(expected, rel=1e-12)
+        # the terms near 398!/0.5^399 overflow: the tail is not finite, without a warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value, bound = oracle._tails(400, (0, 0), np.array([0.5]), [np.array([1.0])] * 2, np.array([80.0]))
+        assert not math.isfinite(value[0]) and not math.isfinite(bound[0])
+        # R^(n+1) = 10^400 overflows but the tail does not: e^(-1000 + 400 ln 10) / 1000 (1 + O(1e-3))
+        value, _ = oracle._scaled_expint(0, 0, np.array([1000.0 + 0j]), np.array([400.0 * math.log(10.0)]))
+        expected = math.exp(-1000.0 + 400.0 * math.log(10.0)) / 1000.0
+        assert value[0, 0].real == pytest.approx(expected, rel=1e-12)
 
 
 def _scipy_gk15():
@@ -186,26 +206,38 @@ class TestKronrodRule:
         )
         return integrate_two_bessel(*args), sum(points)
 
-    def test_evaluations_without_growth(self, monkeypatch):
-        # r_end = 40/alpha already meets the tail bound: the panels are the
-        # initial grid, each refinement step replacing one panel by two
+    def test_evaluations_on_the_fixed_radius(self, monkeypatch):
+        # R = 6 pi at k1 = k2 = 1: the first grid is 8 panels, each
+        # refinement step replacing one panel by two
         q, points = self._counted(monkeypatch, 1, 0, 0, 1.0, 1.0, 1.0, 1e-12)
-        initial = int(oracle._panel_count(0.0, 40.0, math.pi, 8))
+        assert q.truncation_radius == 6.0 * math.pi
+        initial = int(oracle._panel_count(0.0, 6.0 * math.pi, math.pi, 8))
         splits = q.panels_used - initial
-        assert (initial, splits) == (13, 4)
+        assert (initial, splits) == (8, 3)
         assert q.evaluations == points / 2 == 15 * (initial + 2 * splits)
-        assert q.truncation_radius == 40.0
-        assert q.tail_bound == oracle._radial_tail_bound(1, 1.0, (1.0, 1.0), 40.0)
-        assert q.tail_bound <= q.abs_error_estimate
+        assert 0.0 < q.tail_bound <= q.abs_error_estimate
 
-    def test_evaluations_with_growth(self, monkeypatch):
-        # r^8 needs the radius pushed from 40 to 60: panels on [40, 60] are appended
-        q, points = self._counted(monkeypatch, 8, 0, 0, 1.0, 1.0, 1.0, 1e-10)
-        assert q.truncation_radius == 60.0
-        initial = int(oracle._panel_count(0.0, 40.0, math.pi, 8))
-        appended = int(oracle._panel_count(40.0, 60.0, math.pi, 1))
-        assert (initial, appended) == (13, 7)
-        assert q.evaluations == points / 2 == 15 * (2 * q.panels_used - initial - appended)
+    @pytest.mark.parametrize("n,l1,l2,k1,k2,radius", [
+        (1, 0, 0, 1.0, 1.0, 6.0 * math.pi),   # three periods of the fastest factor
+        (2, 9, 8, 1.0, 1.0, 45.0),            # k1 R >= l1 (l1 + 1)/2
+        (3, 4, 1, 0.5, 2.0, 20.0),            # k1 R >= 10
+        (2, 0, 1, 1.0, 0.3, 10.0 / 0.3),      # k2 R >= 10
+    ], ids=["six_pi", "order", "k1_min", "k2_min"])
+    def test_radius_is_capped_by_the_orders(self, n, l1, l2, k1, k2, radius):
+        # the orders and wavenumbers cap R, and weak damping reaches the cap; strong
+        # damping may stop R short of it, at max(40, 2n)/alpha or as the tail's rounding allows
+        spent = {}
+        for alpha in (1e-9, 1e-4, 0.05, 1.0, 50.0):
+            q = integrate_two_bessel(n, l1, l2, k1, k2, alpha, 1e-10)
+            assert q.converged
+            assert q.truncation_radius == radius if alpha <= 0.05 else q.truncation_radius <= radius
+            spent[alpha] = q.evaluations
+        # at alpha = 50, R = 6 pi/k_max: three periods of the fastest factor
+        assert q.truncation_radius == 6.0 * math.pi / max(k1, k2)
+        assert float(oracle._radius((l1, l2), [np.array([k1]), np.array([k2])])[0]) == radius
+        # the cost does not grow with 1/alpha: at most four times the first grid on [0, R]
+        grid = 15 * int(oracle._panel_count(0.0, radius, math.pi / max(k1, k2), 8))
+        assert grid <= spent[1e-9] and max(spent.values()) <= 4 * grid
 
     @pytest.mark.parametrize("args,reference", [
         # oracle_check-like points on all three routes; values from perfbench/reference.py
@@ -265,20 +297,23 @@ class TestBatch:
         assert together[1].tolist() == [err[0] for _, err in alone]
 
     def test_batch_spans_chunks(self):
-        # at alpha near 0.05 the first grids alone hold several chunks of nodes
-        points = [(2.0, 1.9 - 0.01 * i, 0.05 + 0.01 * i) for i in range(30)]
+        # at k2/k1 near 40, R = min(10/k1, 40/alpha) near 200: the first grids alone hold
+        # several chunks of nodes
+        points = [(0.05 + 0.001 * i, 1.9 - 0.01 * i, 0.05 + 0.01 * i) for i in range(30)]
         batch = oracle.integrate_two_bessel_batch(2, 1, 1, *zip(*points), 1e-8)
-        assert sum(15 * int(oracle._panel_count(0.0, 40.0 / a, math.pi / 2.0, 8)) for *_, a in points) > 4 * oracle._CHUNK
+        k1, k2, alpha = map(np.array, zip(*points))
+        radius = np.minimum(oracle._radius((1, 1), [k1, k2]), 40.0 / alpha)
+        assert sum(15 * oracle._panel_count(0.0, radius, math.pi / np.maximum(k1, k2), 8)) > 4 * oracle._CHUNK
         assert [_outcome_bits(q) for q in batch] == _alone(2, 1, 1, points, 1e-8)
         assert [_outcome_bits(q) for q in batch[::-1]] == _alone(2, 1, 1, points[::-1], 1e-8)
 
     @pytest.mark.parametrize("n,points,budget,message", [
-        # r^200 e^(-r/2) overflows, as in TestFloatRange; at alpha 3 and 4 it does not
-        (200, [(1.0, 1.0, 3.0), (1.0, 1.0, 0.5), (1.5, 1.0, 4.0)], None, "integrand not finite"),
-        # the first grid of alpha = 1e-4 would pass the budget
-        (1, [(1.0, 1.0, 1.0), (1.0, 2.0, 1e-4), (0.5, 1.5, 0.3)], None, "grid of 2.55e\\+05 panels"),
-        # 600 evaluations are too few at alpha = 1 only
-        (8, [(1.0, 0.5, 8.0), (1.0, 1.0, 1.0), (0.5, 0.5, 20.0), (1.0, 1.0, 10.0)], 600, "budget of 600"),
+        # r^200 e^(-r/2) overflows on [0, R], R = 60 pi at k = 0.1; at alpha 3 and 4 it does not
+        (200, [(1.0, 1.0, 3.0), (0.1, 0.1, 0.5), (1.5, 1.0, 4.0)], None, "integrand not finite"),
+        # the first grid of R = 10 with panels no wider than pi/80 000 would pass the budget
+        (1, [(1.0, 1.0, 1.0), (1.0, 80_000.0, 1e-4), (0.5, 1.5, 0.3)], None, "grid of 2.55e\\+05 panels"),
+        # 600 evaluations are too few at k2 = 5 only (720 there, 420 to 480 at the others)
+        (8, [(1.0, 0.5, 8.0), (1.0, 5.0, 1.0), (0.5, 0.5, 20.0), (1.0, 1.0, 10.0)], 600, "budget of 600"),
         # a point the quadrature refuses before it starts
         (1, [(1.0, 1.0, 1.0), (1.0, -1.0, 1.0), (0.5, 1.5, 0.3)], None, "k2 must be positive"),
     ])
@@ -305,6 +340,102 @@ class TestBatch:
         batch = oracle.integrate_two_bessel_batch(1, 0, 0, [1.0, 0.0], [1.0, 1.0], [1.0, 1.0], 1e-13)
         assert [_outcome_bits(q) for q in batch] == _alone(1, 0, 0, [(1.0, 1.0, 1.0), (0.0, 1.0, 1.0)], 1e-13)
         assert "rel_tol" in str(batch[0]) and "k1" in str(batch[1])
+
+
+class TestTail:
+    """The exact tail past R against mpmath and scipy, test dependencies only."""
+
+    @pytest.mark.parametrize("size", [1e-3, 0.1, 1.0, 1.99, 2.0, 5.0, 30.0, 1e3])
+    @pytest.mark.parametrize("arg", [0.0, 1.0, -1.0, math.pi / 2 - 1e-3, -(math.pi / 2 - 1e-3),
+                                     math.pi / 2 - 1e-9, -(math.pi / 2 - 1e-9)])
+    def test_expint_against_mpmath(self, size, arg):
+        # G(m, p, R) = integral_R^inf r^m e^(-pr) dr = R^(m+1) E_(-m)(pR): E_nu(z) for nu = -20 .. 20,
+        # |z| = |pR| from 1e-3 to 1e3, arg p near +-pi/2 where alpha << |k1 +- k2|
+        import mpmath
+
+        z = cmath.rect(size, arg)
+        value, bound = oracle._scaled_expint(-20, 20, np.array([z]), np.array([0.0]))
+        with mpmath.workdps(30):
+            for row, nu in enumerate(range(-20, 21)):
+                exact = mpmath.expint(nu, z)
+                # the bound is the sum of what the recurrence adds up, at least the modulus
+                assert float(abs(exact)) <= bound[row, 0] * (1.0 + 1e-13) + 1e-300
+                assert float(abs(value[row, 0] - exact)) <= 1e-13 * bound[row, 0] + 1e-300
+
+    def test_expint_alone_equals_expint_in_batch(self):
+        # one array mixes the series, the continued fraction at several depths and both recurrences
+        rng = np.random.default_rng(3)
+        z = 10.0 ** rng.uniform(-3, 3, 40) * np.exp(1j * rng.uniform(-1.5707, 1.5707, 40))
+        log_scale = rng.uniform(-5.0, 5.0, 40)
+        batch = oracle._scaled_expint(-6, 9, z, log_scale)
+        for i in range(z.size):
+            alone = oracle._scaled_expint(-6, 9, z[i:i + 1], log_scale[i:i + 1])
+            assert [v[:, 0].tobytes() for v in alone] == [v[:, i].tobytes() for v in batch]
+
+    @pytest.mark.parametrize("n,ls,ks,alpha", [
+        (2, (1, 2), (1.0, 1.3), 0.3),         # two-Bessel: signs k1 +- k2
+        (3, (2,), (0.7,), 0.2),               # single-Bessel: one p
+        (2, (0, 1, 1), (1.0, 0.8, 1.5), 0.1),  # the regularized three-Bessel: four signs
+    ])
+    def test_tail_against_direct_quadrature(self, n, ls, ks, alpha):
+        # the tail's Hankel terms and signs, against scipy's quadrature of the integrand past R
+        from scipy.integrate import quad
+        from scipy.special import spherical_jn
+
+        radius = float(oracle._radius(ls, [np.array([k]) for k in ks])[0])
+        (value,), (bound,) = oracle._tails(n, ls, np.array([alpha]), [np.array([k]) for k in ks], np.array([radius]))
+
+        def integrand(r):
+            return r**n * math.exp(-alpha * r) * math.prod(spherical_jn(l, k * r) for l, k in zip(ls, ks))
+
+        # panels of pi/2, summed with fsum; e^(-alpha r) is below 1e-17 past R + 40/alpha
+        edges = np.arange(radius, radius + 40.0 / alpha, math.pi / 2)
+        exact = math.fsum(quad(integrand, a, b, epsabs=0.0, epsrel=1e-12)[0] for a, b in zip(edges, edges[1:]))
+        assert 0.0 < bound < 1e-12 * abs(value)
+        assert abs(value - exact) <= 1e-13 * abs(value)
+
+
+class TestSmallAlphaCorner:
+    """k1 = k2 = 1 at alpha down to 1e-9, where the tail carries most of the integral.
+
+    The tail uses DLMF 10.49.1 as `Method.HANKEL` does, so the values come
+    from perfbench/reference.py (mpmath, no besselrad import), not from
+    `closedform`.
+    """
+
+    @pytest.mark.parametrize("n,l1,l2,alpha,reference", [
+        (4, 2, 3, 1e-4, 150000047.1709264),
+        (2, 8, 9, 1e-4, 32.085344171873174),
+        (9, 4, 4, 1e-6, 2.5200000000006008e+51),
+        (1, 2, 2, 1e-6, 6.504328869272679),
+        (2, 0, 1, 1e-9, 10.458206508753179),
+    ])
+    def test_against_reference(self, n, l1, l2, alpha, reference):
+        q = integrate_two_bessel(n, l1, l2, 1.0, 1.0, alpha, 1e-10)
+        assert q.converged
+        assert abs(q.value - reference) <= 1e-10 * abs(reference)
+        assert q.tail_bound <= q.abs_error_estimate
+        assert q.evaluations <= 600
+
+
+class TestStrongDamping:
+    """Where e^(-alpha r) is strong, R stops short of the cap that the orders and wavenumbers set."""
+
+    @pytest.mark.parametrize("args,radius,most,reference", [
+        # l1 = l2 = 50: the cap, 1275, would take about 12 times the evaluations
+        ((2, 50, 50, 1.0, 1.0, 2.0), 80.0, 500, 4.125147328611236e-39),
+        # k1 = 1.5e-5: the cap, 10/k1, would need a first grid of 3.2e6 evaluations
+        ((2, 0, 0, 1.5e-5, 1.0, 1.0), 40.0, 300, 0.5),
+        ((2, 1, 0, 1.5e-5, 1.0, 1.0), 40.0, 300, 2.5000000003375e-06),
+    ])
+    def test_against_reference(self, args, radius, most, reference):
+        # values from perfbench/reference.py
+        q = integrate_two_bessel(*args, 1e-10)
+        assert q.converged
+        assert q.truncation_radius == radius < float(oracle._radius(args[1:3], [np.array([k]) for k in args[3:5]])[0])
+        assert q.evaluations <= most
+        assert abs(q.value - reference) <= 1e-13 * abs(reference)
+        assert q.tail_bound <= q.abs_error_estimate
 
 
 class TestSingleBessel:
